@@ -6,7 +6,9 @@ whose eigenspace projectors define the dephasing channel.  The module
 computes:
 
 * the quantum Fisher information (QFI) of the clean and dephased state, in
-  several algebraically independent forms that must agree,
+  several algebraic forms (projector overlap, anticommutator, covariance,
+  eigenvector); they rearrange the same per-eigenspace sums, so their
+  agreement is asserted in tests rather than re-derived by report(),
 * the information loss between the two, and the exact no-loss / max-loss
   conditions as executable predicates,
 * symmetric logarithmic derivatives (SLDs), optimal projective measurements,
@@ -168,12 +170,14 @@ class _ClusterData:
     """Per-eigenspace components of psi_lambda and dpsi.
 
     p[i] = <psi|P_i|psi>, overlap[i] = <psi|P_i|dpsi>,
-    dpsi_weight[i] = ||P_i dpsi||^2.
+    dpsi_weight[i] = ||P_i dpsi||^2, and kernel_residual = ||(I - S S^dag) dpsi||
+    where S has the orthonormal columns P_i psi / sqrt(p_i) over the support.
     """
 
     p: np.ndarray
     overlap: np.ndarray
     dpsi_weight: np.ndarray
+    kernel_residual: float
 
     @property
     def support(self) -> np.ndarray:
@@ -198,7 +202,14 @@ def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) 
         p.append(float(np.real(np.vdot(seg_a, seg_a))))
         overlap.append(complex(np.vdot(seg_a, seg_b)))
         weight.append(float(np.real(np.vdot(seg_b, seg_b))))
-    return _ClusterData(np.array(p), np.array(overlap), np.array(weight))
+    p, overlap = np.array(p), np.array(overlap)
+    # dpsi minus its projection onto each P_i psi, in eigenbasis coordinates.
+    # The norm is taken of the vector itself: ||dpsi||^2 - sum |overlap|^2 / p
+    # loses about 1e-8 ||dpsi|| to cancellation, the size of the condition
+    # tolerance.
+    coeff = np.divide(overlap, p, out=np.zeros_like(overlap), where=p > EPS_PROBABILITY)
+    residual = b - np.repeat(coeff, np.diff(bounds)) * a
+    return _ClusterData(p, overlap, np.array(weight), float(np.linalg.norm(residual)))
 
 
 def _clusters(s: Scenario, p: ProjectorSet) -> _ClusterData:
@@ -239,7 +250,10 @@ def qfi_twirled_pure(s: Scenario, p: ProjectorSet) -> float:
     4<dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / <psi|P_i|psi>, skipping
     eigenspaces with probability below the floor.
     """
-    data = _clusters(s, p)
+    return _twirled_qfi(s, _clusters(s, p))
+
+
+def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
     kinetic = 4.0 * float(np.real(np.vdot(s.dpsi, s.dpsi)))
     mask = data.support
     dephasing = 4.0 * float(
@@ -330,64 +344,30 @@ def loss_covariance_form(s: Scenario, p: ProjectorSet) -> float:
 
 def no_loss_residual(s: Scenario, p: ProjectorSet) -> float:
     """Largest violation of Im<psi|P_i|dpsi> = c p_i with c = Im<psi|dpsi>."""
-    data = _clusters(s, p)
+    return _no_loss_residual(s, _clusters(s, p))
+
+
+def _no_loss_residual(s: Scenario, data: _ClusterData) -> float:
     c = float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     mask = data.support
     residuals = np.imag(data.overlap[mask]) - c * data.p[mask]
     return float(np.max(np.abs(residuals), initial=0.0))
 
 
-def _kernel_basis(support_vectors: np.ndarray) -> np.ndarray:
-    """Orthonormal completion of orthonormal columns, by modified Gram-Schmidt.
-
-    Candidates are the standard basis vectors; each is orthogonalized twice
-    (re-orthogonalization pass) against the support and the kernel vectors
-    accepted so far.
-    """
-    d, r = support_vectors.shape
-    n_kernel = d - r
-    kernel = np.zeros((d, n_kernel), dtype=complex)
-    count = 0
-    for k in range(d):
-        if count == n_kernel:
-            break
-        v = np.zeros(d, dtype=complex)
-        v[k] = 1.0
-        for _ in range(2):
-            v = v - support_vectors @ (support_vectors.conj().T @ v)
-            if count:
-                v = v - kernel[:, :count] @ (kernel[:, :count].conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            kernel[:, count] = v / norm
-            count += 1
-    if count != n_kernel:
-        raise ArithmeticError("Gram-Schmidt failed to complete the kernel basis")
-    return kernel
-
-
 def max_loss_residuals(s: Scenario, p: ProjectorSet) -> tuple[float, float]:
     """Residuals of the two max-loss clauses.
 
-    Returns (max_i |Re<psi|P_i|dpsi>|, max_j |<phi_j|dpsi>|) where {phi_j} is
-    an orthonormal basis of the complement of span{P_i|psi>/sqrt(p_i)}.
+    Returns (max_i |Re<psi|P_i|dpsi>|, ||(I - S S^dag) dpsi||) where S has the
+    orthonormal columns P_i|psi>/sqrt(p_i) over the support.  The second is
+    the norm of dpsi's component outside span{P_i psi}, so it does not depend
+    on any choice of basis.
     """
-    data = _clusters(s, p)
-    mask = data.support
-    real_residual = float(np.max(np.abs(np.real(data.overlap[mask])), initial=0.0))
-    psi = s.psi_lambda.amplitudes
-    columns = []
-    for i in np.flatnonzero(mask):
-        cols = p.cluster_columns(int(i))
-        vec = cols @ (cols.conj().T @ psi)
-        columns.append(vec / np.sqrt(data.p[i]))
-    support = np.column_stack(columns)
-    kernel = _kernel_basis(support)
-    if kernel.shape[1] == 0:
-        kernel_residual = 0.0
-    else:
-        kernel_residual = float(np.max(np.abs(kernel.conj().T @ s.dpsi)))
-    return real_residual, kernel_residual
+    return _max_loss_residuals(_clusters(s, p))
+
+
+def _max_loss_residuals(data: _ClusterData) -> tuple[float, float]:
+    real_residual = float(np.max(np.abs(np.real(data.overlap[data.support])), initial=0.0))
+    return real_residual, data.kernel_residual
 
 
 def check_no_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_TOL) -> bool:
@@ -397,8 +377,7 @@ def check_no_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_T
 
 def check_max_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_TOL) -> bool:
     """Exact max-loss condition of the loss theorem, tested on residual norms."""
-    real_residual, kernel_residual = max_loss_residuals(s, p)
-    return real_residual <= tol and kernel_residual <= tol
+    return max(max_loss_residuals(s, p)) <= tol
 
 
 def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
@@ -535,11 +514,23 @@ def _gate(values: dict[str, float], scale: float) -> None:
 def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     """Full diagnostic report for a scenario.
 
-    All independent QFI formulas are evaluated and must agree; a spread above
-    the consistency gate raises instead of averaging discrepant numbers.  The
-    mixed-state cross-check is skipped at rank-change points of the dephased
-    family (a zero-probability eigenspace receiving derivative weight), where
-    the mixed-state QFI is genuinely discontinuous.
+    One pass over G's eigenspaces gives the dephased QFI (projector-overlap
+    form) and the no-loss and max-loss residuals.  The checks below do not
+    reuse that pass; a spread above the consistency gate raises instead of
+    averaging discrepant numbers:
+
+    * the clean QFI as 4 Var(K) against the pure-state QFI of the evolved
+      state;
+    * the dephased QFI against qfi_eigenvector_form, which redoes the
+      eigendecomposition and clustering of G, and against the eigen-
+      decomposition of the dephased density matrix.  The mixed-state check is
+      skipped at rank-change points of the dephased family (a zero-
+      probability eigenspace receiving derivative weight), where the mixed-
+      state QFI is genuinely discontinuous.
+
+    The anticommutator and covariance forms and the two loss forms rearrange
+    the same per-eigenspace sums; their agreement is asserted in tests and in
+    the acceptance gate, not here.
     """
     p = spectral_projectors(s.g_generator, cluster_tol)
     data = _clusters(s, p)
@@ -547,10 +538,9 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     alice_check = qfi_pure(s.psi_lambda, s.dpsi)
     _gate({"unitary_variance": alice, "pure_overlap": alice_check}, alice)
 
+    bob = _twirled_qfi(s, data)
     candidates = {
-        "projector_overlap": qfi_twirled_pure(s, p),
-        "anticommutator": qfi_anticommutator_form(s, p),
-        "covariance": qfi_covariance_form(s, p),
+        "projector_overlap": bob,
         "eigenvector": qfi_eigenvector_form(s, s.g_generator, cluster_tol),
     }
     if data.rank_regular:
@@ -558,7 +548,6 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
         drho_b = twirl_hermitian(s.drho_lambda, p)
         candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
     _gate(candidates, alice)
-    bob = candidates["projector_overlap"]
     if bob < 0.0:
         if bob < -1e-9:
             raise ConsistencyError(f"dephased QFI came out negative: {bob!r}")
@@ -568,19 +557,13 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
             raise ConsistencyError(f"clean QFI came out negative: {alice!r}")
         alice = 0.0
 
-    loss_direct = qfi_loss(s, p)
-    loss_cov = loss_covariance_form(s, p)
-    _gate(
-        {"difference": alice - bob, "direct": loss_direct, "covariance": loss_cov},
-        alice,
-    )
     cov_gk, mean_comm = necessary_conditions(s, p)
     return QfiReport(
         alice_qfi=alice,
         bob_qfi=bob,
         loss=alice - bob,
-        no_loss=check_no_loss(s, p),
-        max_loss=check_max_loss(s, p),
+        no_loss=_no_loss_residual(s, data) <= DEFAULT_CONDITION_TOL,
+        max_loss=max(_max_loss_residuals(data)) <= DEFAULT_CONDITION_TOL,
         cov_gk=cov_gk,
         mean_commutator=mean_comm,
     )

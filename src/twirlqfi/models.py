@@ -341,6 +341,11 @@ def example1_qfi_closed_form(c) -> float:
         raise ValueError("amplitudes must be normalized")
     if q.size == 1:
         return 0.0
+    return _example1_qfi_weights(q)
+
+
+def _example1_qfi_weights(q: np.ndarray) -> float:
+    """The closed form above on validated occupation weights q_n = |c_n|^2."""
     den = q[:-1] + q[1:]
     terms = np.divide(q[:-1] ** 2, den, out=np.zeros_like(den), where=den > 0)
     return 2.0 - 2.0 * (float(terms.sum()) + float(q[-1]))

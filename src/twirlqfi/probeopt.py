@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import minimize
 
-from .models import example1_qfi_closed_form
+from .models import _example1_qfi_weights, example1_qfi_closed_form
 
 __all__ = [
     "NORMALIZATION_ONLY",
@@ -46,7 +46,6 @@ class OptProblem:
     n_levels: int
     constraint: str = NORMALIZATION_ONLY
     energy_target: float | None = None
-    objective: Callable[[np.ndarray], float] | None = None
     seeds: int = 8
     max_iters: int = 400
     tol: float = 1e-5
@@ -87,13 +86,7 @@ class OptResult:
     message: str = ""
 
 
-def _default_objective(q: np.ndarray) -> float:
-    den = q[:-1] + q[1:]
-    terms = np.divide(q[:-1] ** 2, den, out=np.zeros_like(den), where=den > 0)
-    return 2.0 - 2.0 * (float(terms.sum()) + float(q[-1]))
-
-
-def _default_gradient(q: np.ndarray) -> np.ndarray:
+def _qfi_gradient(q: np.ndarray) -> np.ndarray:
     n = q.size
     grad = np.zeros(n)
     den = q[:-1] + q[1:]
@@ -186,8 +179,6 @@ def optimize_probe(p: OptProblem) -> OptResult:
     occupation matches the target within p.tol, enforced by the penalty
     schedule and checked explicitly.  Deterministic for a fixed problem.
     """
-    objective = p.objective or _default_objective
-    analytic_grad = p.objective is None
     levels = np.arange(p.n_levels, dtype=float)
     target = p.energy_target if p.constraint == FIXED_MEAN_ENERGY else None
     rng = np.random.default_rng(p.rng_seed)
@@ -195,11 +186,8 @@ def optimize_probe(p: OptProblem) -> OptResult:
 
     def penalized(theta: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
         q = _softmax(theta)
-        value = objective(q)
-        if analytic_grad:
-            grad_q = _default_gradient(q)
-        else:
-            grad_q = _numeric_gradient(objective, q)
+        value = _example1_qfi_weights(q)
+        grad_q = _qfi_gradient(q)
         if target is not None and weight > 0:
             residual = float(levels @ q - target)
             value -= weight * residual**2
@@ -233,7 +221,7 @@ def optimize_probe(p: OptProblem) -> OptResult:
             trace.append((seed_index, len(stages), 0, float(-nm.fun), 0.0))
         q = _softmax(theta)
         q = q / q.sum()
-        qfi = objective(q)
+        qfi = _example1_qfi_weights(q)
         residual = abs(float(levels @ q - target)) if target is not None else 0.0
         if residual <= p.tol:
             key = (qfi, -residual)
@@ -255,7 +243,7 @@ def optimize_probe(p: OptProblem) -> OptResult:
     _, q, residual = fallback
     return OptResult(
         amplitudes=np.sqrt(q),
-        qfi=objective(q),
+        qfi=_example1_qfi_weights(q),
         trace=tuple(trace),
         converged=False,
         energy_residual=residual,
@@ -264,19 +252,6 @@ def optimize_probe(p: OptProblem) -> OptResult:
             f"best residual {residual:.3e}"
         ),
     )
-
-
-def _numeric_gradient(objective, q: np.ndarray, step: float = 1e-7) -> np.ndarray:
-    grad = np.empty_like(q)
-    for i in range(q.size):
-        forward = q.copy()
-        backward = q.copy()
-        forward[i] += step
-        backward[i] = max(backward[i] - step, 0.0)
-        grad[i] = (objective(forward / forward.sum()) - objective(backward / backward.sum())) / (
-            forward[i] - backward[i]
-        )
-    return grad
 
 
 def objective_phase_invariance_check(c, draws: int = 100, rng_seed: int = 0) -> bool:

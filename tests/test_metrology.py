@@ -97,6 +97,18 @@ def naive_covariance_qfi(s, p):
     return total
 
 
+def explicit_kernel_residual(s, p):
+    """||(I - sum_i P_i psi psi^dag P_i / p_i) dpsi|| from projector matrices."""
+    psi = s.psi_lambda.amplitudes
+    complement = np.eye(s.dim, dtype=complex)
+    for proj in p.projectors:
+        v = proj.matrix @ psi
+        prob = np.real(np.vdot(psi, v))
+        if prob > 1e-12:
+            complement -= np.outer(v, v.conj()) / prob
+    return float(np.linalg.norm(complement @ s.dpsi))
+
+
 def finite_difference_drho(s, step=1e-5):
     lo = s.with_lambda(s.lam - step).rho_lambda.matrix
     hi = s.with_lambda(s.lam + step).rho_lambda.matrix
@@ -597,12 +609,26 @@ class TestReport:
         assert rep.max_loss
 
     def test_cross_formula_fuzz(self):
+        # report() gates only the independent checks; the algebraic forms,
+        # which rearrange the same per-eigenspace sums, are reproduced here
         rng = np.random.default_rng(163)
         for _ in range(100):
             dim = int(rng.integers(2, 25))
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.3))
-            rep = report(s)  # raises ConsistencyError on any disagreement
+            p = spectral_projectors(s.g_generator)
+            rep = report(s)  # raises ConsistencyError on a failed check
             assert 0.0 <= rep.bob_qfi <= rep.alice_qfi + 1e-9
+            bob = qfi_twirled_pure(s, p)
+            if bob >= 0.0:
+                assert rep.bob_qfi == bob
+            assert rep.no_loss == check_no_loss(s, p)
+            assert rep.max_loss == check_max_loss(s, p)
+            tol = 1e-8 * max(1.0, rep.alice_qfi)
+            assert qfi_anticommutator_form(s, p) == pytest.approx(bob, abs=tol)
+            assert qfi_covariance_form(s, p) == pytest.approx(bob, abs=tol)
+            assert qfi_eigenvector_form(s, s.g_generator) == pytest.approx(bob, abs=tol)
+            assert qfi_loss(s, p) == pytest.approx(rep.loss, abs=tol)
+            assert loss_covariance_form(s, p) == pytest.approx(rep.loss, abs=tol)
 
     def test_lambda_independence_for_commuting_noise(self):
         rng = np.random.default_rng(167)
@@ -624,11 +650,38 @@ class TestReport:
         assert rep.bob_qfi == pytest.approx(example3_bob_qfi(0.5, 0.0), abs=1e-10)
 
 
+def rotate(s, u):
+    """The scenario in the basis changed by the unitary u."""
+    return Scenario(
+        StateVector(u @ s.fiducial.amplitudes),
+        HermitianOperator(u @ s.k_generator.matrix @ u.conj().T),
+        HermitianOperator(u @ s.g_generator.matrix @ u.conj().T),
+        s.lam,
+    )
+
+
 class TestMaxLossKernel:
-    def test_kernel_basis_orthonormal(self):
+    def test_kernel_residual_is_basis_independent(self):
         qrf = qrf_amplitudes(QrfStateSpec.uniform(6), 6)
         s = example1_scenario(qrf, 0.4)
         p = spectral_projectors(s.g_generator)
         real_res, kernel_res = max_loss_residuals(s, p)
-        assert real_res >= 0 and kernel_res >= 0
+        assert real_res >= 0 and kernel_res > 0.1
         assert not check_max_loss(s, p)
+        assert kernel_res == pytest.approx(explicit_kernel_residual(s, p), rel=1e-12)
+        rng = np.random.default_rng(173)
+        for _ in range(3):
+            r = rotate(s, random_unitary(rng, s.dim))
+            _, rotated_res = max_loss_residuals(r, spectral_projectors(r.g_generator))
+            assert rotated_res == pytest.approx(kernel_res, rel=1e-12)
+
+    def test_kernel_residual_matches_projector_matrices(self):
+        rng = np.random.default_rng(179)
+        for _ in range(20):
+            dim = int(rng.integers(2, 13))
+            s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.5))
+            p = spectral_projectors(s.g_generator)
+            _, kernel_res = max_loss_residuals(s, p)
+            assert kernel_res == pytest.approx(
+                explicit_kernel_residual(s, p), rel=1e-10, abs=1e-12
+            )
