@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DEFAULT_CLUSTER_TOL, spectral_projectors
+from .channels import DEFAULT_CLUSTER_TOL
 from .hilbert import HermitianOperator, StateVector
-from .metrology import (
-    Scenario,
-    max_loss_residuals,
-    no_loss_residual,
-    report,
-)
+from .metrology import DEFAULT_CONDITION_TOL, Scenario, report
 from .models import (
     QrfStateSpec,
     TruncationError,
@@ -69,7 +64,6 @@ _TOP_KEYS = {
     "qrf",
     "params",
     "output",
-    "rng_seed",
     "dim",
     "k_matrix",
     "g_matrix",
@@ -79,7 +73,7 @@ _SWEEP_KEYS = {"variable", "start", "stop", "points"}
 _QRF_KEYS = {"kind", "N", "alpha", "r", "x_fraction", "amplitudes"}
 _OUTPUT_KEYS = {"path", "format"}
 _ALLOWED_PARAMS = {
-    "example1": {"lambda", "cluster_tol", "truncation", "N", "alpha_sq", "seeds", "opt_tol"},
+    "example1": {"lambda", "cluster_tol", "truncation", "N", "alpha_sq", "opt_tol"},
     "example2": {"lambda", "cluster_tol", "omega", "kappa", "N", "n_total_max"},
     "example3": {"lambda", "cluster_tol", "z", "x", "y"},
     "custom": {"lambda", "cluster_tol"},
@@ -115,7 +109,6 @@ class RunConfig:
     params: dict
     out_path: str | None
     out_format: str
-    rng_seed: int
     custom: dict | None
 
 
@@ -219,8 +212,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         _require(not unknown, f"unknown output keys: {sorted(unknown)}")
         out_path = out.get("path")
         out_format = out.get("format", "csv")
-    rng_seed = raw.get("rng_seed", 0)
-    _require(isinstance(rng_seed, int), "rng_seed must be an integer")
 
     custom = None
     if scenario == "custom":
@@ -243,8 +234,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             out_path = overrides.out
         if getattr(overrides, "format", None):
             out_format = overrides.format
-        if getattr(overrides, "seed", None) is not None:
-            rng_seed = overrides.seed
         if getattr(overrides, "cluster_tol", None) is not None:
             params = dict(params)
             params["cluster_tol"] = overrides.cluster_tol
@@ -256,7 +245,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         params=dict(params),
         out_path=out_path,
         out_format=out_format,
-        rng_seed=rng_seed,
         custom=custom,
     )
 
@@ -427,10 +415,8 @@ def cmd_check(cfg: RunConfig, quiet: bool, fmt: str | None) -> int:
     _require(cfg.sweep is None, "check expects a single-point config (no sweep)")
     scenario, resolved, cluster_tol = _build_point(cfg, None, 0.0)
     rep = report(scenario, cluster_tol)
-    projectors = spectral_projectors(scenario.g_generator, cluster_tol)
-    residual_no_loss = no_loss_residual(scenario, projectors)
-    residual_real, residual_kernel = max_loss_residuals(scenario, projectors)
-    tol = 1e-8
+    residual_real, residual_kernel = rep.max_loss_residuals
+    tol = DEFAULT_CONDITION_TOL
     payload = {
         "scenario": cfg.scenario,
         "params": resolved,
@@ -438,7 +424,7 @@ def cmd_check(cfg: RunConfig, quiet: bool, fmt: str | None) -> int:
         "bob_qfi": rep.bob_qfi,
         "loss": rep.loss,
         "no_loss": rep.no_loss,
-        "no_loss_residual": residual_no_loss,
+        "no_loss_residual": rep.no_loss_residual,
         "max_loss": rep.max_loss,
         "max_loss_real_residual": residual_real,
         "max_loss_kernel_residual": residual_kernel,
@@ -455,7 +441,7 @@ def cmd_check(cfg: RunConfig, quiet: bool, fmt: str | None) -> int:
     print(f"bob_qfi = {rep.bob_qfi!r}")
     print(f"loss = {rep.loss!r}")
     verdict = "passed" if rep.no_loss else "failed"
-    print(f"no_loss = {_format_cell(rep.no_loss)} (clause {verdict}: residual {residual_no_loss:.3e} vs tol {tol:.0e})")
+    print(f"no_loss = {_format_cell(rep.no_loss)} (clause {verdict}: residual {rep.no_loss_residual:.3e} vs tol {tol:.0e})")
     verdict = "passed" if rep.max_loss else "failed"
     print(
         f"max_loss = {_format_cell(rep.max_loss)} (clause {verdict}: "
@@ -474,11 +460,8 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
         "optimize needs a sweep over mean_energy",
     )
     n_levels = int(round(cfg.params.get("N", 24)))
-    seeds = int(round(cfg.params.get("seeds", 8)))
     opt_tol = float(cfg.params.get("opt_tol", 1e-5))
-    unconstrained = optimize_probe(
-        OptProblem(n_levels=n_levels, seeds=seeds, tol=opt_tol, rng_seed=cfg.rng_seed)
-    )
+    unconstrained = optimize_probe(OptProblem(n_levels=n_levels, tol=opt_tol))
     records = []
     for point, energy in enumerate(cfg.sweep.grid()):
         energy = float(energy)
@@ -493,9 +476,7 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
                 n_levels=n_levels,
                 constraint=FIXED_MEAN_ENERGY,
                 energy_target=energy,
-                seeds=seeds,
                 tol=opt_tol,
-                rng_seed=cfg.rng_seed,
             )
         )
         records.append(
@@ -540,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", help="output file path (overrides config)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--seed", type=int, help="rng seed (overrides config)")
         p.add_argument("--cluster-tol", dest="cluster_tol", type=float,
                        help="eigenvalue clustering tolerance")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")

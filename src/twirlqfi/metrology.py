@@ -146,7 +146,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class QfiReport:
-    """Aggregated clean/dephased QFI, loss, and theorem diagnostics."""
+    """Aggregated clean/dephased QFI, loss, and theorem diagnostics.
+
+    no_loss and max_loss compare no_loss_residual and the larger of
+    max_loss_residuals (real, kernel) with DEFAULT_CONDITION_TOL.
+    """
 
     alice_qfi: float
     bob_qfi: float
@@ -155,6 +159,8 @@ class QfiReport:
     max_loss: bool
     cov_gk: float
     mean_commutator: complex
+    no_loss_residual: float
+    max_loss_residuals: tuple[float, float]
 
     def __post_init__(self) -> None:
         if abs(self.loss - (self.alice_qfi - self.bob_qfi)) > 1e-9:
@@ -558,12 +564,16 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
         alice = 0.0
 
     cov_gk, mean_comm = necessary_conditions(s, p)
+    no_loss_res = _no_loss_residual(s, data)
+    max_loss_res = _max_loss_residuals(data)
     return QfiReport(
         alice_qfi=alice,
         bob_qfi=bob,
         loss=alice - bob,
-        no_loss=_no_loss_residual(s, data) <= DEFAULT_CONDITION_TOL,
-        max_loss=max(_max_loss_residuals(data)) <= DEFAULT_CONDITION_TOL,
+        no_loss=no_loss_res <= DEFAULT_CONDITION_TOL,
+        max_loss=max(max_loss_res) <= DEFAULT_CONDITION_TOL,
         cov_gk=cov_gk,
         mean_commutator=mean_comm,
+        no_loss_residual=no_loss_res,
+        max_loss_residuals=max_loss_res,
     )

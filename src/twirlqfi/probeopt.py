@@ -1,22 +1,24 @@
-"""Numerical maximization of the dephased QFI over probe amplitudes.
+"""Maximization of the dephased QFI over probe occupation weights.
 
 The objective is the closed-form dephased QFI for the qubit + QRF family,
 which depends on the probe only through the occupation weights q_n = |c_n|^2
-(a machine-checked fact, see objective_phase_invariance_check).  Optimization
-therefore runs over the probability simplex, parameterized by a softmax so
-every iterate is feasible, with an optional mean-energy equality constraint
-enforced by a quadratic penalty with an increasing weight schedule.
+(a machine-checked fact, see objective_phase_invariance_check):
 
-Multistart (uniform, matched-uniform, coherent-profile and random Dirichlet
-seeds) guards the nonconvexity; each run is deterministic for a fixed
-OptProblem, including its rng_seed.
+    f(q) = 2 - 2 (sum_n q_n^2 / (q_n + q_{n+1}) + q_{N-1}).
+
+Each q_n^2 / (q_n + q_{n+1}) is a quadratic-over-linear function, which is
+jointly convex, so f is concave.  On the probability simplex, optionally cut
+by a mean-energy equality, maximizing f is a convex program: every local
+optimum is global.  optimize_probe runs SLSQP with the exact gradient from
+one deterministic start and certifies the result with a Lagrange duality
+gap (see _dual_bound).  The certificate, not the solver's status, decides
+whether the result is reported as converged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -36,12 +38,21 @@ __all__ = [
 NORMALIZATION_ONLY = "normalization_only"
 FIXED_MEAN_ENERGY = "fixed_mean_energy"
 
-PENALTY_WEIGHTS = (1e1, 1e3, 1e5)
+# SLSQP stops once an iteration changes f by less than this; whether the
+# stopping point is optimal is decided by the duality gap, not by this.
+_SLSQP_FTOL = 1e-14
 
 
 @dataclass(frozen=True)
 class OptProblem:
-    """Probe-optimization problem over n_levels Fock amplitudes."""
+    """Probe-optimization problem over n_levels Fock amplitudes.
+
+    max_iters bounds the SLSQP iterations of one solve.  tol bounds both the
+    energy residual and the duality gap of a converged result.  seeds and
+    rng_seed are validated but select nothing: the solve is deterministic
+    and starts from one profile.  They remain only so that existing callers
+    that pass them keep working.
+    """
 
     n_levels: int
     constraint: str = NORMALIZATION_ONLY
@@ -76,13 +87,19 @@ class OptProblem:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best probe found, its QFI, and the accepted-iterate log."""
+    """Best probe found, its QFI, the SLSQP iterate log and its certificate.
+
+    trace holds one (iteration, qfi) entry per SLSQP iteration.  The optimum
+    exceeds qfi by at most gap (inf when no certificate was formed).
+    converged means energy_residual <= tol and gap <= tol.
+    """
 
     amplitudes: np.ndarray
     qfi: float
-    trace: tuple[tuple[int, int, int, float, float], ...]
+    trace: tuple[tuple[int, float], ...]
     converged: bool
     energy_residual: float
+    gap: float = math.inf
     message: str = ""
 
 
@@ -90,8 +107,9 @@ def _qfi_gradient(q: np.ndarray) -> np.ndarray:
     n = q.size
     grad = np.zeros(n)
     den = q[:-1] + q[1:]
-    # den**2 underflows for pairs of near-empty levels; their contribution to
-    # the theta-gradient is suppressed by the softmax chain rule anyway.
+    # den**2 underflows for pairs of near-empty levels.  Their term is at
+    # most den <= 1e-150 and never negative, so the zero vector stands in
+    # for its gradient (a supergradient of -2 * term up to 1e-150).
     safe = den > 1e-150
     own = np.zeros(n - 1)
     own[safe] = (q[:-1][safe] ** 2 + 2.0 * q[:-1][safe] * q[1:][safe]) / den[safe] ** 2
@@ -101,12 +119,6 @@ def _qfi_gradient(q: np.ndarray) -> np.ndarray:
     grad[1:] += 2.0 * neighbour
     grad[n - 1] -= 2.0
     return grad
-
-
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    shifted = theta - np.max(theta)
-    weights = np.exp(shifted)
-    return weights / weights.sum()
 
 
 def coherent_weight_profile(n_levels: int, mean: float) -> np.ndarray:
@@ -126,130 +138,121 @@ def coherent_weight_profile(n_levels: int, mean: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _seed_profiles(p: OptProblem, rng: np.random.Generator) -> list[np.ndarray]:
-    n = p.n_levels
-    profiles: list[np.ndarray] = [np.full(n, 1.0 / n)]
-    target = p.energy_target if p.constraint == FIXED_MEAN_ENERGY else (n - 1) / 2.0
-    matched = min(n, max(2, int(round(2.0 * target + 1.0))))
-    q_matched = np.zeros(n)
-    q_matched[:matched] = 1.0 / matched
-    profiles.append(q_matched)
-    if target > 0:
-        profiles.append(coherent_weight_profile(n, target))
-    while len(profiles) < p.seeds:
-        profiles.append(rng.dirichlet(np.ones(n)))
-    return profiles[: p.seeds]
+def _dual_feasible(c: np.ndarray) -> bool:
+    """True when phi(q) + c.q / 2 >= 0 for every q >= 0.
+
+    phi(q) = sum_n q_n^2 / (q_n + q_{n+1}) + q_{N-1} is convex and
+    1-homogeneous.  With q_n fixed, the terms of phi + c.q / 2 from level n
+    up have minimum a_n q_n over q_{n+1}, ..., q_{N-1} >= 0, where
+    a_{N-1} = 1 + c_{N-1} / 2 and a_n = c_n / 2 + min_{x >= 0} (1/(1+x) +
+    a_{n+1} x), with x = q_{n+1} / q_n.  That inner minimum is -inf for
+    a < 0, 2 sqrt(a) - a for 0 <= a < 1, and 1 for a >= 1.  The condition
+    holds exactly when every a_n is non-negative.
+    """
+    a = 1.0 + c[-1] / 2.0
+    for c_n in c[-2::-1]:
+        if a < 0.0:
+            return False
+        a = c_n / 2.0 + (1.0 if a >= 1.0 else 2.0 * math.sqrt(a) - a)
+    return a >= 0.0
 
 
-def _ascend(
-    theta: np.ndarray,
-    value_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    max_iters: int,
-    trace: list,
-    seed_index: int,
-    stage: int,
-) -> np.ndarray:
-    value, grad = value_grad(theta)
-    step = 1.0
-    for iteration in range(max_iters):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-12:
-            break
-        accepted = False
-        while step >= 1e-14:
-            candidate = theta + step * grad
-            cand_value, cand_grad = value_grad(candidate)
-            if cand_value > value + 1e-4 * step * gnorm**2:
-                theta, value, grad = candidate, cand_value, cand_grad
-                trace.append((seed_index, stage, iteration, value, step))
-                step = min(step * 1.5, 1e3)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return theta
+def _dual_bound(n_levels: int, slope: float, energy: float) -> float:
+    """Upper bound on max f over the feasible set, given an energy multiplier.
+
+    For c_n = mu + slope * n and any feasible q (sum q = 1, n.q = energy),
+    f(q) = 2 + mu + slope * energy - (2 phi(q) + c.q).  When c is dual
+    feasible, 2 + mu + slope * energy bounds f there.  Every a_n of
+    _dual_feasible grows with mu, so bisection finds the smallest feasible
+    mu.  It lies between -2 (below it a_0 <= mu / 2 + 1 < 0) and
+    max(0, -slope (N-1)) (there every c_n >= 0, so every a_n >= 1).  The
+    normalization-only problem has slope 0.
+    """
+    levels = np.arange(n_levels, dtype=float)
+    lo, hi = -2.0, max(0.0, -slope * (n_levels - 1))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if _dual_feasible(mid + slope * levels):
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 + hi + slope * energy
+
+
+def _duality_gap(q: np.ndarray, qfi: float, energy: float | None) -> float:
+    """How far qfi = f(q) may fall short of the optimum, from q alone.
+
+    At the optimum the gradient equals mu + slope * n on every occupied
+    level, so a q-weighted least-squares fit of the gradient against n
+    recovers the energy multiplier, and _dual_bound turns it into a bound.
+    """
+    if energy is None:
+        return _dual_bound(q.size, 0.0, 0.0) - qfi
+    if energy == 0.0:
+        return -qfi  # the vacuum, where f = 0, is the only feasible point
+    levels = np.arange(q.size, dtype=float)
+    centred = levels - float(levels @ q)
+    slope = float((q * centred) @ _qfi_gradient(q)) / float(q @ centred**2)
+    return _dual_bound(q.size, slope, energy) - qfi
 
 
 def optimize_probe(p: OptProblem) -> OptResult:
     """Maximize the dephased QFI over nonnegative probe amplitudes.
 
     Returns amplitudes on the probability simplex (phases dropped; the
-    objective is phase-invariant).  With fixed_mean_energy the mean
-    occupation matches the target within p.tol, enforced by the penalty
-    schedule and checked explicitly.  Deterministic for a fixed problem.
+    objective is phase-invariant), found by SLSQP with the exact gradient
+    from the coherent profile at the target energy (uniform weights without
+    an energy constraint).  The result carries the duality gap of
+    _duality_gap; converged means the energy residual and that gap are both
+    at most p.tol.  When SLSQP stops short of that, the solve resumes from
+    its last iterate with a fresh quasi-Newton model until p.max_iters
+    iterations are spent.  Deterministic for a fixed problem.
     """
-    levels = np.arange(p.n_levels, dtype=float)
-    target = p.energy_target if p.constraint == FIXED_MEAN_ENERGY else None
-    rng = np.random.default_rng(p.rng_seed)
-    trace: list[tuple[int, int, int, float, float]] = []
-
-    def penalized(theta: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
-        q = _softmax(theta)
-        value = _example1_qfi_weights(q)
-        grad_q = _qfi_gradient(q)
-        if target is not None and weight > 0:
-            residual = float(levels @ q - target)
-            value -= weight * residual**2
-            grad_q = grad_q - 2.0 * weight * residual * levels
-        grad_theta = q * (grad_q - float(q @ grad_q))
-        return value, grad_theta
-
-    best: tuple[float, float, np.ndarray] | None = None  # (qfi, -residual, q)
-    fallback: tuple[float, np.ndarray, float] | None = None
-    for seed_index, q_seed in enumerate(_seed_profiles(p, rng)):
-        theta = np.log(np.clip(q_seed, 1e-12, None))
-        stages = PENALTY_WEIGHTS if target is not None else (0.0,)
-        for stage, weight in enumerate(stages):
-            theta = _ascend(
-                theta,
-                lambda t, w=weight: penalized(t, w),
-                p.max_iters,
-                trace,
-                seed_index,
-                stage,
-            )
-        final_weight = stages[-1]
-        nm = minimize(
-            lambda t: -penalized(t, final_weight)[0],
-            theta,
-            method="Nelder-Mead",
-            options={"maxiter": 200 * p.n_levels, "xatol": 1e-10, "fatol": 1e-14},
+    n = p.n_levels
+    levels = np.arange(n, dtype=float)
+    constraints = [{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(n)}]
+    if p.constraint == FIXED_MEAN_ENERGY:
+        energy = p.energy_target
+        constraints.append(
+            {"type": "eq", "fun": lambda q: levels @ q - energy, "jac": lambda q: levels}
         )
-        if -nm.fun > penalized(theta, final_weight)[0]:
-            theta = nm.x
-            trace.append((seed_index, len(stages), 0, float(-nm.fun), 0.0))
-        q = _softmax(theta)
+        x = coherent_weight_profile(n, energy)
+    else:
+        energy = None
+        x = np.full(n, 1.0 / n)
+    trace: list[tuple[int, float]] = []
+    spent = 0
+    while True:
+        sol = minimize(
+            lambda q: -_example1_qfi_weights(q),
+            x,
+            jac=lambda q: -_qfi_gradient(q),
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * n,
+            constraints=constraints,
+            callback=lambda xk: trace.append((len(trace) + 1, _example1_qfi_weights(xk))),
+            options={"maxiter": p.max_iters - spent, "ftol": _SLSQP_FTOL},
+        )
+        spent += max(sol.nit, 1)
+        q = np.clip(sol.x, 0.0, None)
         q = q / q.sum()
         qfi = _example1_qfi_weights(q)
-        residual = abs(float(levels @ q - target)) if target is not None else 0.0
-        if residual <= p.tol:
-            key = (qfi, -residual)
-            if best is None or key > (best[0], best[1]):
-                best = (qfi, -residual, q)
-        penal = qfi - (0.0 if target is None else final_weight * residual**2)
-        if fallback is None or penal > fallback[0]:
-            fallback = (penal, q, residual)
-
-    if best is not None:
-        qfi, neg_residual, q = best
-        return OptResult(
-            amplitudes=np.sqrt(q),
-            qfi=qfi,
-            trace=tuple(trace),
-            converged=True,
-            energy_residual=-neg_residual,
-        )
-    _, q, residual = fallback
+        residual = 0.0 if energy is None else abs(float(levels @ q) - energy)
+        gap = _duality_gap(q, qfi, energy)
+        converged = residual <= p.tol and gap <= p.tol
+        if converged or spent >= p.max_iters:
+            break
+        x = sol.x
     return OptResult(
         amplitudes=np.sqrt(q),
-        qfi=_example1_qfi_weights(q),
+        qfi=qfi,
         trace=tuple(trace),
-        converged=False,
+        converged=converged,
         energy_residual=residual,
-        message=(
-            f"no start met the energy constraint within tol={p.tol}; "
-            f"best residual {residual:.3e}"
+        gap=gap,
+        message="" if converged else (
+            f"not certified within tol={p.tol} after {spent} SLSQP iterations: "
+            f"energy residual {residual:.3e}, duality gap {gap:.3e}"
         ),
     )
 

@@ -229,11 +229,10 @@ class TestOptimize:
     def test_energy_grid_ordering(self, tmp_path):
         config = write_config(tmp_path, "opt.json", {
             "scenario": "example1",
-            "params": {"N": 12, "seeds": 4},
+            "params": {"N": 12},
             "sweep": {"variable": "mean_energy", "start": 0.5, "stop": 2.5,
                        "points": 3},
             "output": {"path": str(tmp_path / "opt.csv"), "format": "csv"},
-            "rng_seed": 5,
         })
         assert main(["optimize", "--config", config, "--quiet"]) == 0
         rows = read_csv(tmp_path / "opt.csv")
@@ -249,7 +248,7 @@ class TestOptimize:
     def test_low_energy_limit_vanishes(self, tmp_path):
         config = write_config(tmp_path, "low.json", {
             "scenario": "example1",
-            "params": {"N": 8, "seeds": 3},
+            "params": {"N": 8},
             "sweep": {"variable": "mean_energy", "start": 0.01, "stop": 0.01,
                        "points": 1},
             "output": {"path": str(tmp_path / "low.csv"), "format": "csv"},
@@ -268,6 +267,24 @@ class TestErrors:
         })
         assert main(["run", "--config", config]) == 2
         assert "config" in capsys.readouterr().err
+
+    def test_seed_settings_are_unknown(self, tmp_path, capsys):
+        # the probe solve has one deterministic start, so nothing reads a seed
+        sweep = {"variable": "mean_energy", "start": 1.0, "stop": 1.0, "points": 1}
+        out = str(tmp_path / "x.csv")
+        top = write_config(tmp_path, "top.json", {
+            "scenario": "example1", "params": {"N": 8}, "sweep": sweep, "rng_seed": 0,
+        })
+        param = write_config(tmp_path, "param.json", {
+            "scenario": "example1", "params": {"N": 8, "seeds": 4}, "sweep": sweep,
+        })
+        assert main(["optimize", "--config", top, "--out", out]) == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert main(["optimize", "--config", param, "--out", out]) == 2
+        assert "seeds" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "--config", param, "--out", out, "--seed", "3"])
+        assert exc.value.code == 2
 
     def test_unknown_param_rejected(self, tmp_path):
         config = write_config(tmp_path, "bad2.json", {
