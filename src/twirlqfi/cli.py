@@ -6,6 +6,10 @@ through flags and the config file, never the environment, and identical
 configs produce byte-identical output files (floats are written with
 shortest round-trip formatting, columns in a frozen order).
 
+The config is validated once, when it loads: value types, and for a custom
+scenario the shapes, the [re, im] number pairs, Hermiticity and nonzero norm,
+so `load` rejects a custom scenario exactly when `run` and `check` would.
+
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 On failure a machine-readable JSON error record goes to stderr.
 """
@@ -45,17 +49,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-REPORT_FIELDS = (
-    "alice_qfi",
-    "bob_qfi",
-    "loss",
-    "no_loss",
-    "max_loss",
-    "cov_gk",
-    "mean_commutator_re",
-    "mean_commutator_im",
-)
 
 _SCENARIOS = ("example1", "example2", "example3", "custom")
 _TOP_KEYS = {
@@ -109,7 +102,7 @@ class RunConfig:
     params: dict
     out_path: str | None
     out_format: str
-    custom: dict | None
+    custom: Scenario | None  # validated once, at load, with params' lambda
 
 
 def _require(condition: bool, message: str) -> None:
@@ -117,28 +110,27 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _complex_entry(raw, where: str) -> complex:
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds (int for a count), never bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _complex_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs of JSON numbers."""
+    pairs = np.array(raw, dtype=object)
     _require(
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw),
+        pairs.shape == shape + (2,),
+        f"{where}: expected {' x '.join(map(str, shape))} [re, im] pairs",
+    )
+    _require(
+        set(map(type, pairs.flat)) <= {int, float},
         f"{where}: complex entries must be [re, im] number pairs",
     )
-    return complex(raw[0], raw[1])
-
-
-def _complex_matrix(raw, dim: int, where: str) -> np.ndarray:
-    _require(isinstance(raw, list) and len(raw) == dim, f"{where}: expected {dim} rows")
-    out = np.empty((dim, dim), dtype=complex)
-    for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == dim, f"{where}: row {i} has wrong length")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex_entry(entry, f"{where}[{i}][{j}]")
+    # filled part by part: re + 1j * im would turn a -0.0 real part into +0.0
+    out = np.empty(shape, dtype=complex)
+    out.real = pairs[..., 0]
+    out.imag = pairs[..., 1]
     return out
-
-
-def _complex_vector(raw, dim: int, where: str) -> np.ndarray:
-    _require(isinstance(raw, list) and len(raw) == dim, f"{where}: expected {dim} entries")
-    return np.array([_complex_entry(v, f"{where}[{i}]") for i, v in enumerate(raw)])
 
 
 def _parse_qrf(raw) -> QrfStateSpec:
@@ -146,10 +138,17 @@ def _parse_qrf(raw) -> QrfStateSpec:
     unknown = set(raw) - _QRF_KEYS
     _require(not unknown, f"unknown qrf keys: {sorted(unknown)}")
     _require("kind" in raw, "qrf needs a 'kind'")
+    _require(raw.get("N") is None or _is_number(raw["N"], int), "qrf.N must be an integer")
+    for key in ("alpha", "r", "x_fraction"):
+        _require(raw.get(key) is None or _is_number(raw[key]), f"qrf.{key} must be a number")
     amplitudes = raw.get("amplitudes")
     if amplitudes is not None:
+        _require(
+            isinstance(amplitudes, list) and len(amplitudes) > 0,
+            "qrf.amplitudes must be a non-empty list of [re, im] pairs",
+        )
         amplitudes = tuple(
-            _complex_entry(v, f"qrf.amplitudes[{i}]") for i, v in enumerate(amplitudes)
+            _complex_array(amplitudes, (len(amplitudes),), "qrf.amplitudes").tolist()
         )
     try:
         return QrfStateSpec(
@@ -185,11 +184,15 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         _require(not unknown, f"unknown sweep keys: {sorted(unknown)}")
         _require(_SWEEP_KEYS <= set(s), "sweep needs variable, start, stop, points")
         _require(
-            s["variable"] in _SWEEP_VARIABLES[scenario],
+            isinstance(s["variable"], str) and s["variable"] in _SWEEP_VARIABLES[scenario],
             f"scenario {scenario} cannot sweep {s['variable']!r}",
         )
+        _require(
+            _is_number(s["start"]) and _is_number(s["stop"]),
+            "sweep start and stop must be numbers",
+        )
         points = s["points"]
-        _require(isinstance(points, int) and points >= 1, "sweep points must be >= 1")
+        _require(_is_number(points, int) and points >= 1, "sweep points must be an integer >= 1")
         sweep = SweepSpec(s["variable"], float(s["start"]), float(s["stop"]), points)
 
     params = raw.get("params", {})
@@ -197,10 +200,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     unknown = set(params) - _ALLOWED_PARAMS[scenario]
     _require(not unknown, f"unknown params for {scenario}: {sorted(unknown)}")
     for key, value in params.items():
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"param {key} must be a number",
-        )
+        _require(_is_number(value), f"param {key} must be a number")
 
     qrf = _parse_qrf(raw["qrf"]) if raw.get("qrf") is not None else None
 
@@ -211,6 +211,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         unknown = set(out) - _OUTPUT_KEYS
         _require(not unknown, f"unknown output keys: {sorted(unknown)}")
         out_path = out.get("path")
+        _require(out_path is None or isinstance(out_path, str), "output path must be a string")
         out_format = out.get("format", "csv")
 
     custom = None
@@ -218,13 +219,20 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         for key in ("dim", "k_matrix", "g_matrix", "psi0"):
             _require(key in raw, f"custom scenario needs {key!r}")
         dim = raw["dim"]
-        _require(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
-        custom = {
-            "dim": dim,
-            "k_matrix": _complex_matrix(raw["k_matrix"], dim, "k_matrix"),
-            "g_matrix": _complex_matrix(raw["g_matrix"], dim, "g_matrix"),
-            "psi0": _complex_vector(raw["psi0"], dim, "psi0"),
-        }
+        _require(_is_number(dim, int) and dim >= 1, "dim must be a positive integer")
+        # popped, so each parsed list is freed before validation allocates
+        k_matrix = _complex_array(raw.pop("k_matrix"), (dim, dim), "k_matrix")
+        g_matrix = _complex_array(raw.pop("g_matrix"), (dim, dim), "g_matrix")
+        psi0 = _complex_array(raw.pop("psi0"), (dim,), "psi0")
+        try:
+            custom = Scenario(
+                fiducial=StateVector(psi0),
+                k_generator=HermitianOperator(k_matrix),
+                g_generator=HermitianOperator(g_matrix),
+                lam=float(params.get("lambda", 0.0)),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"validation error in custom scenario: {exc}") from exc
     else:
         for key in ("dim", "k_matrix", "g_matrix", "psi0"):
             _require(key not in raw, f"{key!r} is only valid for scenario 'custom'")
@@ -247,21 +255,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         out_format=out_format,
         custom=custom,
     )
-
-
-def load_custom(cfg: RunConfig) -> Scenario:
-    """Validated Scenario from the custom matrices (Hermiticity, norm, dims)."""
-    _require(cfg.custom is not None, "scenario is not 'custom'")
-    lam = float(cfg.params.get("lambda", 0.0))
-    try:
-        return Scenario(
-            fiducial=StateVector(cfg.custom["psi0"]),
-            k_generator=HermitianOperator(cfg.custom["k_matrix"]),
-            g_generator=HermitianOperator(cfg.custom["g_matrix"]),
-            lam=lam,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"validation error in custom scenario: {exc}") from exc
 
 
 def _auto_truncation(spec: QrfStateSpec) -> int:
@@ -327,7 +320,7 @@ def _build_point(cfg: RunConfig, variable: str | None, value: float):
             scenario = system.scenario(lam)
             resolved = {"lambda": lam, "x": x, "y": y, "z": z}
         else:
-            scenario = load_custom(cfg).with_lambda(lam)
+            scenario = cfg.custom.with_lambda(lam)
             resolved = {"lambda": lam}
     except (ConfigError,):
         raise
@@ -498,7 +491,8 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
 
 
 def cmd_load(cfg: RunConfig, quiet: bool) -> int:
-    scenario = load_custom(cfg)
+    scenario = cfg.custom
+    _require(scenario is not None, "scenario is not 'custom'")
     if not quiet:
         print(f"custom scenario ok: dim={scenario.dim} lambda={scenario.lam!r}")
         print(f"psi0 norm = {float(np.linalg.norm(scenario.fiducial.amplitudes))!r}")

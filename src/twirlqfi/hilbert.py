@@ -105,10 +105,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __matmul__(self, other):
-        other_mat = other.matrix if isinstance(other, HermitianOperator) else other
-        return self.matrix @ other_mat
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -169,14 +165,6 @@ def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def eigh(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of op."""
     return eigh_matrix(op.matrix)
-
-
-def _state_matrix(state) -> np.ndarray:
-    if isinstance(state, StateVector):
-        return state.projector()
-    if isinstance(state, DensityMatrix):
-        return state.matrix
-    raise TypeError("state must be a StateVector or DensityMatrix")
 
 
 def expectation(op: HermitianOperator, state) -> float:

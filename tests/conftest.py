@@ -1,8 +1,11 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and subprocess helpers for the test suite.
 
 Everything is driven by explicitly seeded numpy Generators so failures
 reproduce exactly.
 """
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +15,20 @@ from twirlqfi.metrology import Scenario
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """The environment with the repo's src first on PYTHONPATH.
+
+    pytest's `pythonpath` setting reaches only its own process, so a test
+    that starts a fresh interpreter passes this to find twirlqfi.
+    """
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
 
 
 def random_hermitian(rng, dim, scale=None):

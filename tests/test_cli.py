@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import ROOT, src_env
 
-from twirlqfi.cli import main
+from twirlqfi.cli import _complex_array, load_config, main
+from twirlqfi.hilbert import HermitianOperator, StateVector
 from twirlqfi.models import example2_qfi_closed_form, example3_bob_qfi
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+FIXTURES = ROOT / "fixtures"
 
 
 def write_config(tmp_path, name, payload):
@@ -156,6 +158,19 @@ class TestCustomRoundTrip:
         assert np.array_equal(k_back, k)
         psi_back = np.array([complex(*entry) for entry in raw["psi0"]])
         assert np.array_equal(psi_back, psi)
+        # the program's parse gives the same scenario as the original arrays
+        scenario = load_config(config).custom
+        assert scenario.k_generator.matrix.tobytes() == HermitianOperator(k).matrix.tobytes()
+        assert scenario.g_generator.matrix.tobytes() == HermitianOperator(g).matrix.tobytes()
+        assert scenario.fiducial.amplitudes.tobytes() == StateVector(psi).amplitudes.tobytes()
+        assert scenario.lam == 0.37
+
+    def test_complex_array_keeps_signed_zeros(self):
+        parsed = _complex_array([[[1, -0.0], [-0.0, 0.0]]], (1, 2), "m")
+        assert parsed.dtype == complex
+        assert parsed.tolist() == [[1 + 0j, 0j]]
+        assert np.signbit(parsed.real).tolist() == [[False, True]]
+        assert np.signbit(parsed.imag).tolist() == [[True, False]]
 
     def test_load_subcommand_validates(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -260,6 +275,52 @@ class TestOptimize:
         assert float(row["qfi_optimal"]) <= 0.05
 
 
+def _custom(path, value):
+    """The counterexample fixture with the value at `path` replaced."""
+    payload = json.loads((FIXTURES / "counterexample.json").read_text(encoding="utf-8"))
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return payload
+
+
+_EX3 = {"scenario": "example3", "params": {"z": 0.5, "lambda": 0.3}}
+_SWEEP = {"variable": "lambda", "start": 0.0, "stop": 1.0, "points": 2}
+
+MALFORMED = {
+    "amplitudes-number": {"scenario": "example1",
+                          "qrf": {"kind": "explicit", "amplitudes": 5}},
+    "sweep-start-null": {**_EX3, "sweep": {**_SWEEP, "start": None}},
+    "sweep-start-string": {**_EX3, "sweep": {**_SWEEP, "start": "a"}},
+    "sweep-stop-bool": {**_EX3, "sweep": {**_SWEEP, "stop": True}},
+    "sweep-points-bool": {**_EX3, "sweep": {**_SWEEP, "points": True}},
+    "sweep-variable-list": {**_EX3, "sweep": {**_SWEEP, "variable": ["lambda"]}},
+    "output-path-number": {**_EX3, "output": {"path": 7}},
+    "qrf-N-string": {"scenario": "example1",
+                     "qrf": {"kind": "uniform_superposition", "N": "4"}},
+    "qrf-N-float": {"scenario": "example1",
+                    "qrf": {"kind": "uniform_superposition", "N": 4.5}},
+    "qrf-alpha-string": {"scenario": "example1", "qrf": {"kind": "coherent", "alpha": "1"}},
+    "qrf-r-string": {"scenario": "example1",
+                     "qrf": {"kind": "squeezed_displaced", "alpha": 1.0, "r": "1"}},
+    "qrf-x_fraction-list": {"scenario": "example1",
+                            "qrf": {"kind": "squeezed_displaced", "alpha": 1.0,
+                                    "x_fraction": [0.5]}},
+    "dim-bool": _custom(["dim"], True),
+    "entry-bool": _custom(["k_matrix", 0, 0], [True, 0.0]),
+    "entry-string": _custom(["k_matrix", 0, 0], ["1", 0.0]),
+    "entry-null": _custom(["g_matrix", 1, 2], [0.0, None]),
+    "entry-triple": _custom(["k_matrix", 2, 2], [1.0, 0.0, 0.0]),
+    "row-short": _custom(["k_matrix", 1], [[0.0, 0.0], [0.0, 0.0]]),
+    "rows-missing": _custom(["g_matrix"], [[[6.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 2),
+    "psi0-short": _custom(["psi0"], [[1.0, 0.0], [0.0, 0.0]]),
+    "psi0-entry-bool": _custom(["psi0", 0], [0.5, False]),
+    "matrix-not-a-list": _custom(["k_matrix"], {"re": 1.0}),
+}
+
+
 class TestErrors:
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.json", {
@@ -314,13 +375,20 @@ class TestErrors:
         })
         assert main(["run", "--config", config]) == 4
 
+    @pytest.mark.parametrize("payload", list(MALFORMED.values()), ids=list(MALFORMED))
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, payload):
+        config = write_config(tmp_path, "bad.json", payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "twirlqfi", "run",
              "--config", str(FIXTURES / "counterexample.json"),
              "--out", str(out), "--quiet"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -1,13 +1,11 @@
 """Every script under demos/ runs to completion in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, src_env
 
-ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,13 +15,10 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     completed = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,
-        env=env,
+        env=src_env(),
         capture_output=True,
         text=True,
         timeout=120,
