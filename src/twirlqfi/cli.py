@@ -7,8 +7,9 @@ configs produce byte-identical output files (floats are written with
 shortest round-trip formatting, columns in a frozen order).
 
 The config is validated once, when it loads: value types, and for a custom
-scenario the shapes, the [re, im] number pairs, Hermiticity and nonzero norm,
-so `load` rejects a custom scenario exactly when `run` and `check` would.
+scenario the shapes, the [re, im] number pairs, finite Hermitian generators
+and nonzero norm, so `load` rejects a custom scenario exactly when `run` and
+`check` would.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 On failure a machine-readable JSON error record goes to stderr.
@@ -452,26 +453,33 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
         cfg.sweep is not None and cfg.sweep.variable == "mean_energy",
         "optimize needs a sweep over mean_energy",
     )
-    n_levels = int(round(cfg.params.get("N", 24)))
-    opt_tol = float(cfg.params.get("opt_tol", 1e-5))
-    unconstrained = optimize_probe(OptProblem(n_levels=n_levels, tol=opt_tol))
+    try:
+        n_levels = int(round(cfg.params.get("N", 24)))
+        opt_tol = float(cfg.params.get("opt_tol", 1e-5))
+        # every problem is validated before the first solve
+        free = OptProblem(n_levels=n_levels, tol=opt_tol)
+        problems = [
+            OptProblem(
+                n_levels=n_levels,
+                constraint=FIXED_MEAN_ENERGY,
+                energy_target=float(energy),
+                tol=opt_tol,
+            )
+            for energy in cfg.sweep.grid()
+        ]
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid optimize parameters: {exc}") from exc
+    unconstrained = optimize_probe(free)
     records = []
-    for point, energy in enumerate(cfg.sweep.grid()):
-        energy = float(energy)
+    for point, problem in enumerate(problems):
+        energy = problem.energy_target
         matched = min(n_levels, max(1, int(round(2.0 * energy + 1.0))))
         uniform = np.zeros(n_levels)
         uniform[:matched] = 1.0 / math.sqrt(matched)
         qfi_uniform = example1_qfi_closed_form(uniform)
         coherent = np.sqrt(coherent_weight_profile(n_levels, energy))
         qfi_coherent = example1_qfi_closed_form(coherent)
-        constrained = optimize_probe(
-            OptProblem(
-                n_levels=n_levels,
-                constraint=FIXED_MEAN_ENERGY,
-                energy_target=energy,
-                tol=opt_tol,
-            )
-        )
+        constrained = optimize_probe(problem)
         records.append(
             {
                 "point": point,

@@ -53,6 +53,9 @@ def _frozen_array(values, shape_kind: str) -> np.ndarray:
     else:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("expected a non-empty square matrix")
+    # a NaN would pass every tolerance check below: NaN > tol is False
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite")
     arr.setflags(write=False)
     return arr
 

@@ -8,20 +8,23 @@ which depends on the probe only through the occupation weights q_n = |c_n|^2
 
 Each q_n^2 / (q_n + q_{n+1}) is a quadratic-over-linear function, which is
 jointly convex, so f is concave.  On the probability simplex, optionally cut
-by a mean-energy equality, maximizing f is a convex program: every local
-optimum is global.  optimize_probe runs SLSQP with the exact gradient from
-one deterministic start and certifies the result with a Lagrange duality
-gap (see _dual_bound).  The certificate, not the solver's status, decides
-whether the result is reported as converged.
+by a mean-energy equality, maximizing f is a convex program, and its
+Lagrange dual is exact.  For multipliers mu (normalization) and nu
+(energy), a backward recursion over the levels (_recursion) decides dual
+feasibility and yields the maximizer of f - nu n.q in closed form
+(_sample).  optimize_probe searches nu on the sign of the energy error and
+mixes the two bracketing maximizers to hit the target energy exactly.  The
+result carries its duality gap, and that certificate decides whether it is
+reported as converged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models import _example1_qfi_weights, example1_qfi_closed_form
 
@@ -38,27 +41,21 @@ __all__ = [
 NORMALIZATION_ONLY = "normalization_only"
 FIXED_MEAN_ENERGY = "fixed_mean_energy"
 
-# SLSQP stops once an iteration changes f by less than this; whether the
-# stopping point is optimal is decided by the duality gap, not by this.
-_SLSQP_FTOL = 1e-14
-
-
 @dataclass(frozen=True)
 class OptProblem:
     """Probe-optimization problem over n_levels Fock amplitudes.
 
-    max_iters bounds the SLSQP iterations of one solve.  tol bounds both the
-    energy residual and the duality gap of a converged result.  seeds and
-    rng_seed are validated but select nothing: the solve is deterministic
-    and starts from one profile.  They remain only so that existing callers
-    that pass them keep working.
+    tol bounds both the energy residual and the duality gap of a converged
+    result; it does not stop the solve, which always runs to the rounding
+    level of f.  seeds and rng_seed are validated but select nothing: the
+    solve is deterministic.  They remain only so that existing callers that
+    pass them keep working.
     """
 
     n_levels: int
     constraint: str = NORMALIZATION_ONLY
     energy_target: float | None = None
     seeds: int = 8
-    max_iters: int = 400
     tol: float = 1e-5
     rng_seed: int = 0
 
@@ -67,9 +64,7 @@ class OptProblem:
             raise ValueError("n_levels must be at least 2")
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.constraint == FIXED_MEAN_ENERGY:
             if self.energy_target is None:
@@ -87,9 +82,10 @@ class OptProblem:
 
 @dataclass(frozen=True)
 class OptResult:
-    """Best probe found, its QFI, the SLSQP iterate log and its certificate.
+    """Best probe found, its QFI, the search log and its certificate.
 
-    trace holds one (iteration, qfi) entry per SLSQP iteration.  The optimum
+    trace holds one (step, qfi) entry per bracket of the energy multiplier,
+    the qfi of that bracket's mixture; the last entry is qfi.  The optimum
     exceeds qfi by at most gap (inf when no certificate was formed).
     converged means energy_residual <= tol and gap <= tol.
     """
@@ -101,24 +97,6 @@ class OptResult:
     energy_residual: float
     gap: float = math.inf
     message: str = ""
-
-
-def _qfi_gradient(q: np.ndarray) -> np.ndarray:
-    n = q.size
-    grad = np.zeros(n)
-    den = q[:-1] + q[1:]
-    # den**2 underflows for pairs of near-empty levels.  Their term is at
-    # most den <= 1e-150 and never negative, so the zero vector stands in
-    # for its gradient (a supergradient of -2 * term up to 1e-150).
-    safe = den > 1e-150
-    own = np.zeros(n - 1)
-    own[safe] = (q[:-1][safe] ** 2 + 2.0 * q[:-1][safe] * q[1:][safe]) / den[safe] ** 2
-    neighbour = np.zeros(n - 1)
-    neighbour[safe] = q[:-1][safe] ** 2 / den[safe] ** 2
-    grad[: n - 1] -= 2.0 * own
-    grad[1:] += 2.0 * neighbour
-    grad[n - 1] -= 2.0
-    return grad
 
 
 def coherent_weight_profile(n_levels: int, mean: float) -> np.ndarray:
@@ -138,111 +116,119 @@ def coherent_weight_profile(n_levels: int, mean: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _dual_feasible(c: np.ndarray) -> bool:
-    """True when phi(q) + c.q / 2 >= 0 for every q >= 0.
+def _recursion(mu: float, nu: float, n: int) -> list[float] | None:
+    """The a_n below for c_n = mu + nu n, or None when some a_n < 0.
 
     phi(q) = sum_n q_n^2 / (q_n + q_{n+1}) + q_{N-1} is convex and
     1-homogeneous.  With q_n fixed, the terms of phi + c.q / 2 from level n
     up have minimum a_n q_n over q_{n+1}, ..., q_{N-1} >= 0, where
     a_{N-1} = 1 + c_{N-1} / 2 and a_n = c_n / 2 + min_{x >= 0} (1/(1+x) +
     a_{n+1} x), with x = q_{n+1} / q_n.  That inner minimum is -inf for
-    a < 0, 2 sqrt(a) - a for 0 <= a < 1, and 1 for a >= 1.  The condition
-    holds exactly when every a_n is non-negative.
+    a < 0, 2 sqrt(a) - a at x = 1/sqrt(a) - 1 for 0 <= a < 1, and 1 at x = 0
+    for a >= 1.  So phi(q) + c.q / 2 >= 0 for every q >= 0 (c is dual
+    feasible) exactly when every a_n is non-negative.
     """
-    a = 1.0 + c[-1] / 2.0
-    for c_n in c[-2::-1]:
-        if a < 0.0:
-            return False
-        a = c_n / 2.0 + (1.0 if a >= 1.0 else 2.0 * math.sqrt(a) - a)
-    return a >= 0.0
+    a = [0.0] * n
+    a[-1] = x = 1.0 + (mu + nu * (n - 1)) / 2.0
+    for i in range(n - 2, -1, -1):
+        if x < 0.0:
+            return None
+        a[i] = x = (mu + nu * i) / 2.0 + (1.0 if x >= 1.0 else 2.0 * math.sqrt(x) - x)
+    return a if x >= 0.0 else None
 
 
-def _dual_bound(n_levels: int, slope: float, energy: float) -> float:
-    """Upper bound on max f over the feasible set, given an energy multiplier.
+class _Sample(NamedTuple):
+    """A maximizer q of f(q) - nu n.q on the simplex, and its certificate mu."""
 
-    For c_n = mu + slope * n and any feasible q (sum q = 1, n.q = energy),
-    f(q) = 2 + mu + slope * energy - (2 phi(q) + c.q).  When c is dual
-    feasible, 2 + mu + slope * energy bounds f there.  Every a_n of
-    _dual_feasible grows with mu, so bisection finds the smallest feasible
-    mu.  It lies between -2 (below it a_0 <= mu / 2 + 1 < 0) and
-    max(0, -slope (N-1)) (there every c_n >= 0, so every a_n >= 1).  The
-    normalization-only problem has slope 0.
+    nu: float
+    mu: float
+    q: np.ndarray
+    energy: float
+    qfi: float
+
+
+def _sample(nu: float, lo: float, hi: float, n: int) -> _Sample:
+    """Bisect for the smallest dual-feasible mu in [lo, hi] and read off q.
+
+    For c_n = mu + nu n and q on the simplex, f(q) - nu n.q = 2 + mu -
+    (2 phi(q) + c.q), so the smallest feasible mu is max_q f(q) - 2 - nu n.q,
+    and every a_n grows with mu.  There the minimal a_k is 0; q starts at
+    the last such level (a zero a_m at m > k would make the ratio into m
+    infinite), follows the minimizing ratios, and ends where a_{m+1} >= 1.
+    Any mu with all c_n >= 0 is feasible (every a_n >= 1), the fallback
+    when rounding leaves the given hi just infeasible.
     """
-    levels = np.arange(n_levels, dtype=float)
-    lo, hi = -2.0, max(0.0, -slope * (n_levels - 1))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if _dual_feasible(mid + slope * levels):
-            hi = mid
-        else:
+    a_hi = _recursion(hi, nu, n)
+    if a_hi is None:
+        hi = max(0.0, -nu * (n - 1))
+        a_hi = _recursion(hi, nu, n)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        a = _recursion(mid, nu, n)
+        if a is None:
             lo = mid
-    return 2.0 + hi + slope * energy
-
-
-def _duality_gap(q: np.ndarray, qfi: float, energy: float | None) -> float:
-    """How far qfi = f(q) may fall short of the optimum, from q alone.
-
-    At the optimum the gradient equals mu + slope * n on every occupied
-    level, so a q-weighted least-squares fit of the gradient against n
-    recovers the energy multiplier, and _dual_bound turns it into a bound.
-    """
-    if energy is None:
-        return _dual_bound(q.size, 0.0, 0.0) - qfi
-    if energy == 0.0:
-        return -qfi  # the vacuum, where f = 0, is the only feasible point
-    levels = np.arange(q.size, dtype=float)
-    centred = levels - float(levels @ q)
-    slope = float((q * centred) @ _qfi_gradient(q)) / float(q @ centred**2)
-    return _dual_bound(q.size, slope, energy) - qfi
+        else:
+            hi, a_hi = mid, a
+    start = n - 1 - a_hi[::-1].index(min(a_hi))
+    q = np.zeros(n)
+    q[start] = 1.0
+    for m in range(start + 1, n):
+        if a_hi[m] >= 1.0:
+            break
+        q[m] = q[m - 1] * (1.0 / math.sqrt(a_hi[m]) - 1.0)
+    q /= q.sum()
+    return _Sample(nu, hi, q, float(np.arange(n) @ q), _example1_qfi_weights(q))
 
 
 def optimize_probe(p: OptProblem) -> OptResult:
     """Maximize the dephased QFI over nonnegative probe amplitudes.
 
     Returns amplitudes on the probability simplex (phases dropped; the
-    objective is phase-invariant), found by SLSQP with the exact gradient
-    from the coherent profile at the target energy (uniform weights without
-    an energy constraint).  The result carries the duality gap of
-    _duality_gap; converged means the energy residual and that gap are both
-    at most p.tol.  When SLSQP stops short of that, the solve resumes from
-    its last iterate with a fresh quasi-Newton model until p.max_iters
-    iterations are spent.  Deterministic for a fixed problem.
+    objective is phase-invariant).  Without an energy constraint the
+    optimum is the _sample at nu = 0.  At fixed energy E, two samples at
+    multipliers nu_l < nu_r, with energies above and below E, bracket the
+    optimal nu.  The first bracket is [-2, 2], where the maximizers are the
+    top level and the vacuum.  By the envelope theorem E - n.q is the slope
+    of the dual bound 2 + mu + nu E, so each step samples where the bound's
+    tangents at the two ends meet, nu = (f_l - f_r) / (n_l - n_r) (the
+    midpoint when that is not strictly inside), and the new sample replaces
+    the end whose energy error has its sign.  The mixture of the two
+    samples with mean energy E is feasible, and the smaller of their two
+    dual bounds certifies it.  The steps stop once that gap is at the
+    rounding level of f.  Deterministic for a fixed problem.
     """
     n = p.n_levels
-    levels = np.arange(n, dtype=float)
-    constraints = [{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(n)}]
-    if p.constraint == FIXED_MEAN_ENERGY:
-        energy = p.energy_target
-        constraints.append(
-            {"type": "eq", "fun": lambda q: levels @ q - energy, "jac": lambda q: levels}
-        )
-        x = coherent_weight_profile(n, energy)
+    if p.constraint == NORMALIZATION_ONLY:
+        s = _sample(0.0, -2.0, 0.0, n)
+        q, qfi, gap, residual, trace = s.q, s.qfi, 2.0 + s.mu - s.qfi, 0.0, [(1, s.qfi)]
     else:
-        energy = None
-        x = np.full(n, 1.0 / n)
-    trace: list[tuple[int, float]] = []
-    spent = 0
-    while True:
-        sol = minimize(
-            lambda q: -_example1_qfi_weights(q),
-            x,
-            jac=lambda q: -_qfi_gradient(q),
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * n,
-            constraints=constraints,
-            callback=lambda xk: trace.append((len(trace) + 1, _example1_qfi_weights(xk))),
-            options={"maxiter": p.max_iters - spent, "ftol": _SLSQP_FTOL},
-        )
-        spent += max(sol.nit, 1)
-        q = np.clip(sol.x, 0.0, None)
-        q = q / q.sum()
-        qfi = _example1_qfi_weights(q)
-        residual = 0.0 if energy is None else abs(float(levels @ q) - energy)
-        gap = _duality_gap(q, qfi, energy)
-        converged = residual <= p.tol and gap <= p.tol
-        if converged or spent >= p.max_iters:
-            break
-        x = sol.x
+        energy = float(p.energy_target)
+        top, vacuum = np.zeros(n), np.zeros(n)
+        top[-1] = vacuum[0] = 1.0
+        left = _Sample(-2.0, 2.0 * n - 4.0, top, float(n - 1), 0.0)
+        right = _Sample(2.0, -2.0, vacuum, 0.0, 0.0)
+        trace = []
+        while True:
+            t = (energy - right.energy) / (left.energy - right.energy)
+            q = t * left.q + (1.0 - t) * right.q
+            qfi = _example1_qfi_weights(q)
+            gap = min(2.0 + s.mu + s.nu * energy for s in (left, right)) - qfi
+            trace.append((len(trace) + 1, qfi))
+            nu = (left.qfi - right.qfi) / (left.energy - right.energy)
+            if not left.nu < nu < right.nu:
+                nu = 0.5 * (left.nu + right.nu)
+            if gap <= 2.0 * n * np.finfo(float).eps or not left.nu < nu < right.nu:
+                break  # at the rounding level of f, or the bracket is one ulp wide
+            # the smallest feasible mu is convex in nu: the chord of the two
+            # ends is feasible, and no sample's f - 2 - nu n.q exceeds it
+            lo = max(s.qfi - 2.0 - nu * s.energy for s in (left, right))
+            hi = left.mu + (right.mu - left.mu) * (nu - left.nu) / (right.nu - left.nu)
+            s = _sample(nu, min(lo, hi), hi, n)
+            if s.energy >= energy:
+                left = s
+            else:
+                right = s
+        residual = abs(float(np.arange(n) @ q) - energy)
+    converged = residual <= p.tol and gap <= p.tol
     return OptResult(
         amplitudes=np.sqrt(q),
         qfi=qfi,
@@ -251,7 +237,7 @@ def optimize_probe(p: OptProblem) -> OptResult:
         energy_residual=residual,
         gap=gap,
         message="" if converged else (
-            f"not certified within tol={p.tol} after {spent} SLSQP iterations: "
+            f"not certified within tol={p.tol}: "
             f"energy residual {residual:.3e}, duality gap {gap:.3e}"
         ),
     )

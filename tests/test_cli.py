@@ -187,6 +187,18 @@ class TestCustomRoundTrip:
         err = capsys.readouterr().err
         assert "validation error" in err
 
+    @pytest.mark.parametrize("key", ["k_matrix", "g_matrix"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_load_rejects_non_finite_entries(self, tmp_path, capsys, key, value):
+        # JSON NaN and Infinity parse as floats; NaN slips past tolerance checks
+        payload = _custom([key, 1, 1], [value, 0.0])
+        config = write_config(tmp_path, "bad.json", payload)
+        assert ("NaN" if math.isnan(value) else "Infinity") in Path(config).read_text()
+        assert main(["load", "--config", config]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert "finite" in record["error"]["message"]
+
     def test_parse_error_distinguished(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{ not json", encoding="utf-8")
@@ -318,6 +330,21 @@ MALFORMED = {
     "psi0-short": _custom(["psi0"], [[1.0, 0.0], [0.0, 0.0]]),
     "psi0-entry-bool": _custom(["psi0", 0], [0.5, False]),
     "matrix-not-a-list": _custom(["k_matrix"], {"re": 1.0}),
+    "k-entry-nan": _custom(["k_matrix", 0, 0], [math.nan, 0.0]),
+    "g-entry-infinity": _custom(["g_matrix", 1, 1], [math.inf, 0.0]),
+}
+
+_OPT = {"scenario": "example1", "params": {"N": 8},
+        "sweep": {"variable": "mean_energy", "start": 1.0, "stop": 2.0, "points": 2}}
+
+MALFORMED_OPTIMIZE = {
+    "optimize-energy-past-top": {**_OPT, "sweep": {**_OPT["sweep"], "stop": 7.5}},
+    "optimize-energy-at-top": {**_OPT, "sweep": {**_OPT["sweep"], "stop": 7.0}},
+    "optimize-negative-energy": {**_OPT, "sweep": {**_OPT["sweep"], "start": -0.5}},
+    "optimize-opt_tol-negative": {**_OPT, "params": {"N": 8, "opt_tol": -1}},
+    "optimize-opt_tol-nan": {**_OPT, "params": {"N": 8, "opt_tol": math.nan}},
+    "optimize-N-below-2": {**_OPT, "params": {"N": 1}},
+    "optimize-N-infinity": {**_OPT, "params": {"N": math.inf}},
 }
 
 
@@ -375,10 +402,15 @@ class TestErrors:
         })
         assert main(["run", "--config", config]) == 4
 
-    @pytest.mark.parametrize("payload", list(MALFORMED.values()), ids=list(MALFORMED))
-    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("run", p) for p in MALFORMED.values()]
+        + [("optimize", p) for p in MALFORMED_OPTIMIZE.values()],
+        ids=list(MALFORMED) + list(MALFORMED_OPTIMIZE),
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, payload):
         config = write_config(tmp_path, "bad.json", payload)
-        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
 

@@ -36,6 +36,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entries_rejected(self, value):
+        # a NaN drift passes `drift > tol`, so finiteness is checked on its own
+        mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        mat[1, 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator(mat)
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(mat)
+
     def test_density_matrix_invariants(self):
         rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
         assert rho.dim == 2

@@ -1,19 +1,84 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from conftest import src_env
 from scipy.optimize import minimize
 
 from twirlqfi.models import QrfStateSpec, example1_qfi_closed_form, qrf_amplitudes
 from twirlqfi.probeopt import (
     FIXED_MEAN_ENERGY,
     OptProblem,
-    _qfi_gradient,
+    _recursion,
+    _sample,
     coherent_weight_profile,
     objective_phase_invariance_check,
     optimize_probe,
 )
+
+
+def qfi_of_weights(q):
+    """The objective at occupation weights q, normalized or not."""
+    den = q[:-1] + q[1:]
+    terms = np.divide(q[:-1] ** 2, den, out=np.zeros_like(den), where=den > 0)
+    return 2.0 - 2.0 * (float(terms.sum()) + float(q[-1]))
+
+
+def qfi_gradient(q):
+    """Gradient of the objective 2 - 2 (sum q_n^2 / (q_n + q_n+1) + q_N-1)."""
+    n = q.size
+    grad = np.zeros(n)
+    den = q[:-1] + q[1:]
+    # den**2 underflows for pairs of near-empty levels.  Their term is at
+    # most den <= 1e-150 and never negative, so the zero vector stands in
+    # for its gradient (a supergradient of -2 * term up to 1e-150).
+    safe = den > 1e-150
+    own = np.zeros(n - 1)
+    own[safe] = (q[:-1][safe] ** 2 + 2.0 * q[:-1][safe] * q[1:][safe]) / den[safe] ** 2
+    neighbour = np.zeros(n - 1)
+    neighbour[safe] = q[:-1][safe] ** 2 / den[safe] ** 2
+    grad[: n - 1] -= 2.0 * own
+    grad[1:] += 2.0 * neighbour
+    grad[n - 1] -= 2.0
+    return grad
+
+
+def slsqp_reference(n_levels, energy):
+    """f at a feasible point found by SLSQP with the exact gradient.
+
+    The solver's point is clipped, normalized and mixed with the vacuum or
+    the top level so that its mean energy is exactly the target.  f is
+    concave and 0 at both, so the mixing never raises f, and the result
+    is a value the optimum must reach.
+    """
+    levels = np.arange(n_levels, dtype=float)
+    sol = minimize(
+        lambda q: -qfi_of_weights(np.clip(q, 0.0, None)),
+        coherent_weight_profile(n_levels, energy),
+        jac=lambda q: -qfi_gradient(np.clip(q, 0.0, None)),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * n_levels,
+        constraints=[
+            {"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(n_levels)},
+            {"type": "eq", "fun": lambda q: levels @ q - energy, "jac": lambda q: levels},
+        ],
+        options={"maxiter": 1000, "ftol": 1e-14},
+    )
+    q = np.clip(sol.x, 0.0, None)
+    q /= q.sum()
+    mean = float(levels @ q)
+    vertex = np.zeros(n_levels)
+    if mean > energy:
+        vertex[0] = 1.0
+        share = (mean - energy) / mean
+    else:
+        vertex[-1] = 1.0
+        share = (energy - mean) / (n_levels - 1 - mean)
+    q = (1.0 - share) * q + share * vertex
+    return example1_qfi_closed_form(np.sqrt(q)), abs(float(levels @ q) - energy)
 
 
 def simplex_grid_best(n_levels, resolution=100):
@@ -87,11 +152,19 @@ class TestOptimizeProbe:
         assert abs(mean - 2.5) == pytest.approx(result.energy_residual, abs=1e-12)
 
     def test_trace_logs_one_entry_per_iteration(self):
+        # one entry per bracket of the energy multiplier; the first bracket
+        # mixes the top level and the vacuum, where f = 0 at both ends
         result = optimize_probe(
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=2.0)
         )
         assert [entry[0] for entry in result.trace] == list(range(1, len(result.trace) + 1))
-        assert result.trace[-1][1] == pytest.approx(result.qfi, abs=1e-12)
+        assert len(result.trace) > 1
+        q = np.zeros(8)
+        q[0], q[-1] = 5.0 / 7.0, 2.0 / 7.0
+        assert result.trace[0][1] == pytest.approx(example1_qfi_closed_form(np.sqrt(q)), abs=1e-15)
+        assert result.trace[-1][1] == result.qfi
+        free = optimize_probe(OptProblem(n_levels=8))
+        assert free.trace == ((1, free.qfi),)
 
     def test_bitwise_reproducibility(self):
         problem = OptProblem(n_levels=9)
@@ -125,9 +198,9 @@ class TestOptimizeProbe:
         [(40, 10.0, 0.986909), (24, 5.0, 0.960817), (16, 3.0, 0.920335)],
     )
     def test_certified_fixed_energy_optima(self, n_levels, energy, optimum):
-        # reference values of a single exact-gradient SLSQP solve, reproduced
-        # by the full report() pipeline; the multistart optimizer that
-        # preceded it reported converged at 0.976676, 0.955460, 0.919687
+        # reference values of an exact-gradient SLSQP solve, reproduced by
+        # the full report() pipeline; an earlier multistart optimizer
+        # reported converged at 0.976676, 0.955460, 0.919687
         problem = OptProblem(
             n_levels=n_levels, constraint=FIXED_MEAN_ENERGY, energy_target=energy
         )
@@ -173,7 +246,7 @@ class TestOptimizeProbe:
         assert result.gap <= 1e-8
         q = result.amplitudes**2
         assert np.sum(q[16:]) <= 1e-10
-        g = _qfi_gradient(q)
+        g = qfi_gradient(q)
         vertex_bound = max(
             ((j - energy) * g[i] + (energy - i) * g[j]) / (j - i)
             for i in range(3)
@@ -182,29 +255,58 @@ class TestOptimizeProbe:
         )
         assert vertex_bound - g @ q > 0.1
 
-    def test_uncertified_stop_is_resumed(self, monkeypatch):
-        # at N=16, E=1.1 SLSQP's first stop leaves a duality gap above tol;
-        # resuming from that iterate with a fresh quasi-Newton model closes it
-        import twirlqfi.probeopt as probeopt
-
-        solves = []
-
-        def counting_minimize(*args, **kwargs):
-            solves.append(kwargs["options"]["maxiter"])
-            return minimize(*args, **kwargs)
-
-        monkeypatch.setattr(probeopt, "minimize", counting_minimize)
-        problem = OptProblem(n_levels=16, constraint=FIXED_MEAN_ENERGY, energy_target=1.1)
-        result = optimize_probe(problem)
-        assert len(solves) > 1
-        assert solves[0] == problem.max_iters
-        assert all(later < earlier for earlier, later in zip(solves, solves[1:]))
+    @pytest.mark.parametrize(
+        "n_levels, energy, optimum",
+        [
+            (37, 2.36, 0.892388988620),
+            (60, 2.68, 0.907993577054),
+            (45, 38.96, 0.961275921592),
+            (40, 37.2, None),
+            (16, 1.1, None),
+        ],
+    )
+    def test_hard_cases_are_certified(self, n_levels, energy, optimum):
+        # problems where an SLSQP solve needed hundreds of iterations, or
+        # stopped uncertified: far from the coherent start, or near the top
+        result = optimize_probe(
+            OptProblem(n_levels=n_levels, constraint=FIXED_MEAN_ENERGY, energy_target=energy)
+        )
         assert result.converged
-        assert result.gap <= problem.tol
+        assert result.gap <= 1e-12
+        assert result.energy_residual <= 1e-12
+        if optimum is not None:
+            assert result.qfi == pytest.approx(optimum, abs=1e-9)
 
-    def test_iteration_budget_of_one_is_not_certified(self):
+    def test_first_bracket_matches_the_recursion(self):
+        # the search starts from closed-form maximizers at nu = -2 and 2; at
+        # nu = -2 the recursion ties a_N-2 = a_N-1 = 0, and only a support
+        # that starts at the last minimal level is the top level
+        n = 6
+        for nu, mu, level in ((-2.0, 2.0 * n - 4.0, n - 1), (2.0, -2.0, 0)):
+            assert _recursion(mu - 1e-9, nu, n) is None
+            sample = _sample(nu, mu, mu, n)
+            assert sample.mu == mu
+            assert sample.q.tolist() == np.eye(n)[level].tolist()
+            assert (sample.energy, sample.qfi) == (level, 0.0)
+
+    def test_never_below_an_slsqp_oracle(self):
+        for n_levels in range(2, 25):
+            # the certificate holds up to the rounding of f, where the solve stops
+            rounding = 2.0 * n_levels * np.finfo(float).eps
+            for energy in np.linspace(0.0, n_levels - 1, 8)[1:-1].tolist():
+                result = optimize_probe(
+                    OptProblem(
+                        n_levels=n_levels, constraint=FIXED_MEAN_ENERGY, energy_target=energy
+                    )
+                )
+                reference, residual = slsqp_reference(n_levels, energy)
+                assert residual <= 1e-12
+                assert result.qfi >= reference - 1e-12, (n_levels, energy)
+                assert result.qfi + result.gap >= reference - rounding, (n_levels, energy)
+
+    def test_tolerance_below_rounding_is_not_certified(self):
         problem = OptProblem(
-            n_levels=24, constraint=FIXED_MEAN_ENERGY, energy_target=1.0, max_iters=1
+            n_levels=60, constraint=FIXED_MEAN_ENERGY, energy_target=2.68, tol=1e-300
         )
         result = optimize_probe(problem)
         assert not result.converged
@@ -212,7 +314,6 @@ class TestOptimizeProbe:
         assert "residual" in result.message
         assert "gap" in result.message
         assert abs(np.sum(result.amplitudes**2) - 1.0) <= 1e-12
-        assert len(result.trace) == 1
 
     def test_unconstrained_certificate(self):
         for n_levels in (2, 10, 24):
@@ -223,7 +324,8 @@ class TestOptimizeProbe:
 
     def test_starts_from_the_coherent_profile(self):
         # a zero-energy problem has one feasible point, the vacuum, which is
-        # also the coherent start; the solve stays there and certifies it
+        # also the coherent profile at zero energy; the first bracket's
+        # mixture is already that point, certified by the vacuum's bound
         result = optimize_probe(
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=0.0)
         )
@@ -238,6 +340,17 @@ class TestOptimizeProbe:
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=-0.5)
         with pytest.raises(ValueError):
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # the probe solve needs no scipy.optimize, whose import costs ~0.3 s
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twirlqfi; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestPhaseInvariance:
