@@ -258,22 +258,6 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     )
 
 
-def _auto_truncation(spec: QrfStateSpec) -> int:
-    if spec.kind == "uniform_superposition":
-        return spec.n_fock
-    if spec.kind == "explicit":
-        return len(spec.amplitudes)
-    mean = (spec.alpha or 0.0) ** 2 + math.sinh(spec.squeezing()) ** 2
-    guess = max(32, int(4.0 * mean + 16))
-    while guess <= 4096:
-        try:
-            qrf_amplitudes(spec, guess)
-            return guess
-        except TruncationError:
-            guess *= 2
-    raise ConfigError("could not find a sufficient Fock truncation below 4096")
-
-
 def _build_point(cfg: RunConfig, variable: str | None, value: float):
     """Scenario plus the resolved parameter record for one sweep point."""
     params = dict(cfg.params)
@@ -291,10 +275,10 @@ def _build_point(cfg: RunConfig, variable: str | None, value: float):
                 spec = cfg.qrf
             else:
                 raise ConfigError("example1 needs a qrf spec or an N/alpha_sq parameter")
-            truncation = int(params.get("truncation", 0)) or _auto_truncation(spec)
-            qrf = qrf_amplitudes(spec, truncation)
+            # 0 or absent: qrf_amplitudes picks the truncation
+            qrf = qrf_amplitudes(spec, int(params.get("truncation", 0)) or None)
             scenario = example1_scenario(qrf, lam)
-            resolved = {"lambda": lam, "truncation": truncation}
+            resolved = {"lambda": lam, "truncation": qrf.dim}
             if variable in ("N", "alpha_sq"):
                 resolved[variable] = params[variable]
         elif cfg.scenario == "example2":
@@ -395,10 +379,9 @@ def cmd_run(cfg: RunConfig, quiet: bool) -> int:
     records = []
     for point, (variable, value) in enumerate(_sweep_points(cfg)):
         var = variable if variable is not None else "lambda"
-        val = value if variable is not None else float(cfg.params.get("lambda", 0.0))
         scenario, resolved, cluster_tol = _build_point(cfg, variable, value)
         rep = report(scenario, cluster_tol)
-        records.append(_record(cfg, point, var, val, resolved, rep))
+        records.append(_record(cfg, point, var, value, resolved, rep))
     _write_records(records, cfg.out_path, cfg.out_format)
     if not quiet:
         print(f"wrote {len(records)} record(s) to {cfg.out_path}")

@@ -5,6 +5,13 @@ around numpy arrays that validate their defining invariants once, at
 construction.  All operations are pure functions; everything here is safe to
 share across threads.  Units follow the hbar = 1 convention, so generators
 and frequencies are dimensionless.
+
+Each operator decomposes itself at most once: `HermitianOperator.eig` calls
+eigh_matrix on first access and caches the result, and every holder of the
+operator (a Scenario and its with_lambda copies, say) shares the same
+read-only arrays.  Two threads reaching a first access together may both
+compute it; the results are identical, so that is harmless.  Every
+eigendecomposition in the library goes through eigh_matrix.
 """
 
 from __future__ import annotations
@@ -108,40 +115,37 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral decomposition (ascending eigenvalues, orthonormal columns).
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Positive unit-trace Hermitian matrix."""
+        Computed once per operator; the arrays are read-only.
+        """
+        w, v = eigh_matrix(self.matrix)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
-    matrix: np.ndarray
+
+class DensityMatrix(HermitianOperator):
+    """Positive unit-trace Hermitian matrix.
+
+    The positivity check reads the smallest eigenvalue of `eig`, so a valid
+    density matrix already holds the decomposition that qfi_mixed uses.
+    """
 
     def __post_init__(self) -> None:
-        mat = _frozen_array(self.matrix, "matrix")
-        drift = np.max(np.abs(mat - mat.conj().T))
-        if drift > HERMITICITY_TOL:
-            raise ValueError(f"density matrix is not Hermitian (max drift {drift:.3e})")
-        sym = 0.5 * (mat + mat.conj().T)
-        tr = np.trace(sym)
+        super().__post_init__()
+        tr = np.trace(self.matrix)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
+        min_eig = float(self.eig[0][0])
         if min_eig < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
         return cls(state.projector())
-
-    @cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral decomposition (ascending eigenvalues, orthonormal columns)."""
-        return eigh_matrix(self.matrix)
 
 
 def tensor(a, b):
@@ -166,8 +170,8 @@ def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def eigh(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of op."""
-    return eigh_matrix(op.matrix)
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of op (cached)."""
+    return op.eig
 
 
 def expectation(op: HermitianOperator, state) -> float:

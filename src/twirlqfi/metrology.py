@@ -30,7 +30,6 @@ from .channels import (
     ProjectorSet,
     cluster_eigenvalues,
     spectral_projectors,
-    twirl,
     twirl_hermitian,
 )
 from .hilbert import (
@@ -39,7 +38,7 @@ from .hilbert import (
     StateVector,
     _check_dims,
     commutator,
-    eigh,
+    eigh_matrix,
     expectation,
     sym_covariance,
 )
@@ -114,13 +113,9 @@ class Scenario:
         return Scenario(self.fiducial, self.k_generator, self.g_generator, lam)
 
     @cached_property
-    def _k_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return eigh(self.k_generator)
-
-    @cached_property
     def psi_lambda(self) -> StateVector:
-        """exp(-i K lambda) |psi0>."""
-        w, v = self._k_eig
+        """exp(-i K lambda) |psi0>, from K's decomposition (shared across lambdas)."""
+        w, v = self.k_generator.eig
         phases = np.exp(-1j * w * self.lam)
         evolved = v @ (phases * (v.conj().T @ self.fiducial.amplitudes))
         norm = np.linalg.norm(evolved)
@@ -321,13 +316,10 @@ def qfi_eigenvector_form(
     The result does not depend on the basis chosen inside each cluster.
     """
     _check_dims(s.dim, g.dim)
-    w, v = eigh(g)
+    # a fresh decomposition, not g.eig: report() uses this as an independent check
+    w, v = eigh_matrix(g.matrix)
     bounds = cluster_eigenvalues(w, cluster_tol)
-    data = _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi)
-    kinetic = float(np.real(np.vdot(s.dpsi, s.dpsi)))
-    mask = data.support
-    dephasing = float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
-    return 4.0 * (kinetic - dephasing)
+    return _twirled_qfi(s, _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi))
 
 
 def qfi_loss(s: Scenario, p: ProjectorSet) -> float:
@@ -494,7 +486,7 @@ def classical_fisher(
     total = np.zeros((rho.dim, rho.dim), dtype=complex)
     for element in povm:
         _check_dims(element.dim, rho.dim)
-        min_eig = float(np.linalg.eigvalsh(element.matrix)[0])
+        min_eig = float(element.eig[0][0])
         if min_eig < -1e-10:
             raise ValueError(f"POVM element has negative eigenvalue {min_eig:.3e}")
         total += element.matrix
@@ -529,10 +521,12 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       state;
     * the dephased QFI against qfi_eigenvector_form, which redoes the
       eigendecomposition and clustering of G, and against the eigen-
-      decomposition of the dephased density matrix.  The mixed-state check is
-      skipped at rank-change points of the dephased family (a zero-
-      probability eigenspace receiving derivative weight), where the mixed-
-      state QFI is genuinely discontinuous.
+      decomposition of the dephased density matrix, which is built by
+      pinching |psi><psi| (no DensityMatrix of the pure state is formed, so
+      none is decomposed).  The mixed-state check is skipped at rank-change
+      points of the dephased family (a zero-probability eigenspace receiving
+      derivative weight), where the mixed-state QFI is genuinely
+      discontinuous.
 
     The anticommutator and covariance forms and the two loss forms rearrange
     the same per-eigenspace sums; their agreement is asserted in tests and in
@@ -550,7 +544,7 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
         "eigenvector": qfi_eigenvector_form(s, s.g_generator, cluster_tol),
     }
     if data.rank_regular:
-        rho_b = twirl(s.rho_lambda, p)
+        rho_b = DensityMatrix(twirl_hermitian(s.psi_lambda.projector(), p))
         drho_b = twirl_hermitian(s.drho_lambda, p)
         candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
     _gate(candidates, alice)

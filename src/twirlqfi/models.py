@@ -10,9 +10,9 @@ independent closed form that must agree with it:
   with the encoding,
 * a spin-1/2 direction indicator dephased around the z axis.
 
-Special functions (physicists' Hermite polynomials, the a = 1 confluent
-hypergeometric series) are implemented directly so the closed forms carry no
-opaque dependencies.
+The a = 1 confluent hypergeometric series is implemented directly, and the
+squeezed-state amplitudes carry their own Hermite recurrence, so the closed
+forms carry no opaque special-function dependencies.
 """
 
 from __future__ import annotations
@@ -28,12 +28,10 @@ from .metrology import Scenario
 
 __all__ = [
     "TruncationError",
-    "OscillatorSpace",
     "QrfStateSpec",
     "fock_ops",
     "qrf_amplitudes",
     "mean_occupation",
-    "hermite_h",
     "kummer_m",
     "example1_scenario",
     "example1_qfi_closed_form",
@@ -51,28 +49,11 @@ __all__ = [
 ]
 
 TAIL_TOL = 1e-10
+MAX_TRUNCATION = 4096
 
 
 class TruncationError(ValueError):
     """The requested Fock truncation discards too much probability."""
-
-
-@dataclass(frozen=True)
-class OscillatorSpace:
-    """Truncated Fock space for one or two bosonic modes."""
-
-    n_levels: int
-    modes: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_levels < 2:
-            raise ValueError("n_levels must be at least 2")
-        if self.modes not in (1, 2):
-            raise ValueError("modes must be 1 or 2")
-
-    @property
-    def dim(self) -> int:
-        return self.n_levels**self.modes
 
 
 def fock_ops(n_levels: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -211,41 +192,57 @@ def _squeezed_displaced_amplitudes(alpha: float, r: float, truncation: int) -> n
     return amps
 
 
-def _check_tail(amps: np.ndarray, spec: QrfStateSpec, truncation: int) -> None:
-    mass = float(np.sum(np.abs(amps) ** 2))
-    tail = 1.0 - mass
-    if tail < TAIL_TOL:
-        return
-    # Estimate the truncation that would suffice, by extending the series.
-    needed = None
-    n = truncation
-    cumulative = mass
-    alpha = spec.alpha or 0.0
+def _series(spec: QrfStateSpec, truncation: int) -> np.ndarray:
     r = spec.squeezing()
-    while n < 4 * truncation + 400:
-        block = (
-            _squeezed_displaced_amplitudes(alpha, r, n + 64)
-            if r > 0
-            else _coherent_amplitudes(alpha, n + 64)
-        )
-        if not np.all(np.isfinite(block)):
-            break
-        cumulative = float(np.sum(np.abs(block) ** 2))
-        n += 64
-        if 1.0 - cumulative < TAIL_TOL:
-            needed = n
-            break
-    hint = f"; approximately {needed} levels suffice" if needed else ""
-    raise TruncationError(
-        f"truncation {truncation} discards tail probability {tail:.3e} >= {TAIL_TOL}{hint}"
-    )
+    if r == 0.0:
+        return _coherent_amplitudes(spec.alpha, truncation)
+    return _squeezed_displaced_amplitudes(spec.alpha, r, truncation)
 
 
-def qrf_amplitudes(spec: QrfStateSpec, truncation: int) -> StateVector:
+def _tail(amps: np.ndarray) -> float:
+    return 1.0 - float(np.sum(np.abs(amps) ** 2))
+
+
+def _sufficient_series(spec: QrfStateSpec) -> np.ndarray | None:
+    """The series at the first sufficient truncation of the doubling rule.
+
+    Starts at max(32, int(4 <n> + 16)) levels and doubles up to
+    MAX_TRUNCATION; None when no tried truncation keeps the tail below
+    TAIL_TOL.
+    """
+    mean = (spec.alpha or 0.0) ** 2 + math.sinh(spec.squeezing()) ** 2
+    truncation = max(32, int(4.0 * mean + 16))
+    while truncation <= MAX_TRUNCATION:
+        amps = _series(spec, truncation)
+        if _tail(amps) < TAIL_TOL:
+            return amps
+        truncation *= 2
+    return None
+
+
+def qrf_amplitudes(spec: QrfStateSpec, truncation: int | None = None) -> StateVector:
     """Fock amplitudes of the requested probe state, truncated and normalized.
 
-    Raises TruncationError when the discarded tail probability exceeds 1e-10.
+    With truncation None a sufficient size is chosen: n_fock levels for a
+    uniform superposition, the given amplitudes for an explicit state, and
+    otherwise the first of max(32, int(4 <n> + 16)) levels and its
+    doublings, up to 4096, that leaves a tail probability below 1e-10.
+    Raises TruncationError when the discarded tail probability exceeds 1e-10
+    or no truncation up to 4096 levels suffices.
     """
+    if truncation is None:
+        if spec.kind == UNIFORM:
+            truncation = spec.n_fock
+        elif spec.kind == EXPLICIT:
+            truncation = len(spec.amplitudes)
+        else:
+            amps = _sufficient_series(spec)
+            if amps is None:
+                raise TruncationError(
+                    f"no Fock truncation up to {MAX_TRUNCATION} levels keeps the tail "
+                    f"probability below {TAIL_TOL}"
+                )
+            return StateVector(amps)
     if truncation < 1:
         raise ValueError("truncation must be positive")
     if spec.kind == UNIFORM:
@@ -262,31 +259,21 @@ def qrf_amplitudes(spec: QrfStateSpec, truncation: int) -> StateVector:
         amps = np.zeros(truncation, dtype=complex)
         amps[: len(spec.amplitudes)] = spec.amplitudes
         return StateVector(amps)
-    r = spec.squeezing()
-    if r == 0.0:
-        amps = _coherent_amplitudes(spec.alpha, truncation)
-    else:
-        amps = _squeezed_displaced_amplitudes(spec.alpha, r, truncation)
-    _check_tail(amps, spec, truncation)
-    return StateVector(amps)
+    amps = _series(spec, truncation)
+    tail = _tail(amps)
+    if tail < TAIL_TOL:
+        return StateVector(amps)
+    sufficient = _sufficient_series(spec)
+    hint = f"; {sufficient.size} levels suffice" if sufficient is not None else ""
+    raise TruncationError(
+        f"truncation {truncation} discards tail probability {tail:.3e} >= {TAIL_TOL}{hint}"
+    )
 
 
 def mean_occupation(state: StateVector) -> float:
     """Mean Fock occupation sum_n n |c_n|^2."""
     n = np.arange(state.dim)
     return float(np.sum(n * np.abs(state.amplitudes) ** 2))
-
-
-def hermite_h(n: int, x: float) -> float:
-    """Physicists' Hermite polynomial via H_{n+1} = 2x H_n - 2n H_{n-1}."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    h_prev, h_cur = 1.0, 2.0 * x
-    if n == 0:
-        return h_prev
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * x * h_cur - 2.0 * k * h_prev
-    return h_cur
 
 
 def kummer_m(b: float, z: float) -> float:
@@ -317,15 +304,15 @@ def kummer_m(b: float, z: float) -> float:
 
 def example1_scenario(qrf: StateVector, lam: float = 0.0) -> Scenario:
     """(|0> + |1>)/sqrt(2) (x) qrf, K = n_qubit, G = total number."""
-    qubit = StateVector(np.array([1.0, 1.0]))
-    psi0 = tensor(qubit, qrf)
-    n_qubit = HermitianOperator(np.diag([0.0, 1.0]).astype(complex))
-    n_qrf = HermitianOperator(np.diag(np.arange(qrf.dim, dtype=float)).astype(complex))
-    eye_q = HermitianOperator(np.eye(2, dtype=complex))
-    eye_b = HermitianOperator(np.eye(qrf.dim, dtype=complex))
-    k = tensor(n_qubit, eye_b)
-    g = HermitianOperator(tensor(n_qubit, eye_b).matrix + tensor(eye_q, n_qrf).matrix)
-    return Scenario(fiducial=psi0, k_generator=k, g_generator=g, lam=lam)
+    psi0 = tensor(StateVector(np.array([1.0, 1.0])), qrf)
+    k = np.diag(np.kron([0.0, 1.0], np.ones(qrf.dim))).astype(complex)
+    g = k + np.diag(np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
+    return Scenario(
+        fiducial=psi0,
+        k_generator=HermitianOperator(k),
+        g_generator=HermitianOperator(g),
+        lam=lam,
+    )
 
 
 def example1_qfi_closed_form(c) -> float:

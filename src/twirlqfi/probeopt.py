@@ -2,7 +2,7 @@
 
 The objective is the closed-form dephased QFI for the qubit + QRF family,
 which depends on the probe only through the occupation weights q_n = |c_n|^2
-(a machine-checked fact, see objective_phase_invariance_check):
+(tests check that random per-amplitude phases leave it unchanged):
 
     f(q) = 2 - 2 (sum_n q_n^2 / (q_n + q_{n+1}) + q_{N-1}).
 
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import _example1_qfi_weights, example1_qfi_closed_form
+from .models import _example1_qfi_weights
 
 __all__ = [
     "NORMALIZATION_ONLY",
@@ -35,7 +35,6 @@ __all__ = [
     "OptResult",
     "coherent_weight_profile",
     "optimize_probe",
-    "objective_phase_invariance_check",
 ]
 
 NORMALIZATION_ONLY = "normalization_only"
@@ -241,18 +240,3 @@ def optimize_probe(p: OptProblem) -> OptResult:
             f"energy residual {residual:.3e}, duality gap {gap:.3e}"
         ),
     )
-
-
-def objective_phase_invariance_check(c, draws: int = 100, rng_seed: int = 0) -> bool:
-    """True when random per-amplitude phases leave the objective unchanged.
-
-    Justifies optimizing over nonnegative real amplitudes only.
-    """
-    c = np.asarray(c, dtype=complex)
-    base = example1_qfi_closed_form(c)
-    rng = np.random.default_rng(rng_seed)
-    spread = 0.0
-    for _ in range(draws):
-        phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=c.size))
-        spread = max(spread, abs(example1_qfi_closed_form(c * phases) - base))
-    return spread <= 1e-10

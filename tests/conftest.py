@@ -5,10 +5,13 @@ reproduce exactly.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from twirlqfi import hilbert
 from twirlqfi.hilbert import DensityMatrix, HermitianOperator, StateVector
 from twirlqfi.metrology import Scenario
 
@@ -29,6 +32,28 @@ def src_env():
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return env
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """List that grows by one entry (the dimension) per eigh_matrix call.
+
+    Every twirlqfi module that bound the function is patched, so calls made
+    inside the library are counted too.
+    """
+    calls = []
+    original = hilbert.eigh_matrix
+
+    def counted(matrix):
+        calls.append(matrix.shape[0])
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twirlqfi" or name.startswith("twirlqfi."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def random_hermitian(rng, dim, scale=None):

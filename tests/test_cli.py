@@ -119,6 +119,28 @@ class TestRun:
                 example2_qfi_closed_form(4, float(row["value"])), abs=1e-6
             )
 
+    def test_custom_lambda_sweep_decomposes_generators_once(self, tmp_path, eigh_calls):
+        payload, _, _, _ = random_custom_config(np.random.default_rng(59), 6, 0.0)
+        payload["sweep"] = {"variable": "lambda", "start": 0.1, "stop": 2.1, "points": 5}
+        config = write_config(tmp_path, "sweep.json", payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "s.csv"),
+                     "--quiet"]) == 0
+        # K and G once for the sweep, then per point the two independent
+        # checks: G in qfi_eigenvector_form and the dephased density matrix
+        assert len(eigh_calls) == 2 + 5 * 2
+
+    @pytest.mark.parametrize("r, truncation", [(0.8, 64), (1.2, 128)])
+    def test_auto_truncation_doubles_past_first_guess(self, tmp_path, r, truncation):
+        # the first guess, max(32, int(4 <n> + 16)) = 32, leaves too much tail
+        config = write_config(tmp_path, "sq.json", {
+            "scenario": "example1",
+            "qrf": {"kind": "squeezed_displaced", "alpha": 1.0, "r": r},
+            "params": {"lambda": 0.4},
+        })
+        assert main(["run", "--config", config, "--out", str(tmp_path / "sq.csv"),
+                     "--quiet"]) == 0
+        assert read_csv(tmp_path / "sq.csv")[0]["param_truncation"] == str(truncation)
+
     def test_byte_identical_reruns(self, tmp_path):
         config = write_config(tmp_path, "det.json", {
             "scenario": "example1",
@@ -390,6 +412,17 @@ class TestErrors:
             "output": {"path": str(tmp_path / "x.csv"), "format": "csv"},
         })
         assert main(["run", "--config", config]) == 2
+
+    def test_probe_beyond_max_truncation_is_config_error(self, tmp_path, capsys):
+        # the squeezed tail falls off as tanh(3)^n: over 4096 levels are needed
+        config = write_config(tmp_path, "deep.json", {
+            "scenario": "example1",
+            "qrf": {"kind": "squeezed_displaced", "alpha": 1.0, "r": 3.0},
+        })
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert "4096" in record["error"]["message"]
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4

@@ -1,7 +1,11 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z, haar_state, random_hermitian
+from conftest import ROOT, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_state, random_hermitian
 
+from twirlqfi import hilbert
 from twirlqfi.hilbert import (
     DensityMatrix,
     DimensionMismatchError,
@@ -53,6 +57,11 @@ class TestTypes:
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))  # trace
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # positivity
+
+    def test_density_matrix_is_a_hermitian_operator(self):
+        rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+        assert isinstance(rho, HermitianOperator)
+        assert np.array_equal(rho.eig[0], [0.25, 0.75])
 
 
 class TestTensor:
@@ -126,6 +135,50 @@ class TestEigh:
             assert recon <= 1e-10 * (1.0 + spread)
             ortho = np.max(np.abs(v.conj().T @ v - np.eye(dim)))
             assert ortho <= 1e-10
+
+
+class TestEigCache:
+    def test_each_operator_decomposes_once(self, eigh_calls):
+        op = HermitianOperator(SIGMA_X)
+        first = op.eig
+        assert eigh(op) is first and op.eig is first
+        assert eigh_calls == [2]
+
+    def test_density_matrix_validation_holds_its_decomposition(self, eigh_calls):
+        rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        assert eigh(rho) is rho.eig
+        assert eigh_calls == [2]
+
+    def test_arrays_are_read_only(self):
+        w, v = HermitianOperator(SIGMA_Y).eig
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.0
+
+
+def test_eigensolvers_only_in_eigh_matrix():
+    # every decomposition is traced and cached through eigh_matrix, so no
+    # other numpy.linalg eigensolver may appear in the library
+    lines, first = inspect.getsourcelines(hilbert.eigh_matrix)
+    allowed = range(first, first + len(lines))
+    found = []
+    for path in sorted((ROOT / "src" / "twirlqfi").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                hit = node.attr.startswith("eig") and (
+                    getattr(node.value, "attr", None) == "linalg"
+                    or getattr(node.value, "id", None) == "linalg"
+                )
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").endswith("linalg") and any(
+                    alias.name.startswith("eig") for alias in node.names
+                )
+            else:
+                continue
+            if hit and not (path.name == "hilbert.py" and node.lineno in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 class TestExpectation:

@@ -422,6 +422,17 @@ class TestMixedStateQfi:
         drho_b = twirl_hermitian(s.drho_lambda, p)
         assert qfi_mixed(rho_b, drho_b) == pytest.approx(0.75, abs=1e-10)
 
+    def test_fresh_twirl_decomposes_once(self, eigh_calls):
+        # the positivity check of the dephased state holds the decomposition
+        # that qfi_mixed reads
+        rng = np.random.default_rng(129)
+        s = random_scenario(rng, 6, degenerate_g=True)
+        p = spectral_projectors(s.g_generator)
+        rho, drho_b = s.rho_lambda, twirl_hermitian(s.drho_lambda, p)
+        eigh_calls.clear()
+        qfi_mixed(twirl(rho, p), drho_b)
+        assert eigh_calls == [6]
+
     def test_twirled_direction_indicator(self):
         s = example3(0.5, np.pi / 3)
         p = spectral_projectors(s.g_generator)
@@ -629,6 +640,18 @@ class TestReport:
             assert qfi_eigenvector_form(s, s.g_generator) == pytest.approx(bob, abs=tol)
             assert qfi_loss(s, p) == pytest.approx(rep.loss, abs=tol)
             assert loss_covariance_form(s, p) == pytest.approx(rep.loss, abs=tol)
+
+    def test_lambda_sweep_shares_the_generator_decompositions(self, eigh_calls):
+        s = random_scenario(np.random.default_rng(173), 5, lam=0.2)
+        report(s)
+        moved = s.with_lambda(1.3)
+        assert moved.k_generator.eig is s.k_generator.eig
+        assert moved.g_generator.eig is s.g_generator.eig
+        eigh_calls.clear()
+        report(moved)
+        # only the two independent checks decompose again: G in
+        # qfi_eigenvector_form and the dephased density matrix
+        assert eigh_calls == [5, 5]
 
     def test_lambda_independence_for_commuting_noise(self):
         rng = np.random.default_rng(167)

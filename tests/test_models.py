@@ -7,7 +7,6 @@ from twirlqfi.channels import spectral_projectors, twirl
 from twirlqfi.hilbert import StateVector
 from twirlqfi.metrology import qfi_twirled_pure, qfi_unitary
 from twirlqfi.models import (
-    OscillatorSpace,
     QrfStateSpec,
     TruncationError,
     coherent_qfi_asymptote,
@@ -21,7 +20,6 @@ from twirlqfi.models import (
     example3_bob_qfi,
     example3_system,
     fock_ops,
-    hermite_h,
     kummer_m,
     mean_occupation,
     qrf_amplitudes,
@@ -92,6 +90,9 @@ class TestQrfAmplitudes:
         with pytest.raises(TruncationError) as err:
             qrf_amplitudes(QrfStateSpec.coherent(3.0), 12)
         assert "tail probability" in str(err.value)
+        # the hint is the automatic truncation: max(32, int(4 * 9 + 16))
+        assert str(err.value).endswith("; 52 levels suffice")
+        assert qrf_amplitudes(QrfStateSpec.coherent(3.0)).dim == 52
 
     def test_uniform_needs_room(self):
         with pytest.raises(TruncationError):
@@ -113,8 +114,6 @@ class TestQrfAmplitudes:
             QrfStateSpec(kind="uniform_superposition", n_fock=0)
         with pytest.raises(ValueError):
             QrfStateSpec(kind="nonsense")
-        with pytest.raises(ValueError):
-            OscillatorSpace(n_levels=1)
 
 
 class TestClosedFormQubitQrf:
@@ -201,30 +200,6 @@ class TestKummer:
     def test_validation(self):
         with pytest.raises(ValueError):
             kummer_m(0.0, 1.0)
-
-
-class TestHermite:
-    def test_low_orders(self):
-        assert hermite_h(0, 1.7) == 1.0
-        assert hermite_h(1, 1.7) == pytest.approx(3.4)
-        assert hermite_h(2, 3.0) == pytest.approx(34.0)
-
-    def test_explicit_sum_oracle(self):
-        # oracle: H_n(x) = n! sum_m (-1)^m (2x)^(n-2m) / (m! (n-2m)!)
-        n, x = 10, 1.5
-        total = 0.0
-        for m in range(n // 2 + 1):
-            total += (
-                (-1) ** m
-                * (2 * x) ** (n - 2 * m)
-                / (math.factorial(m) * math.factorial(n - 2 * m))
-            )
-        total *= math.factorial(n)
-        assert hermite_h(n, x) == pytest.approx(total, rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hermite_h(-1, 0.0)
 
 
 class TestExample2System:
