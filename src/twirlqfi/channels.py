@@ -7,6 +7,12 @@ projectors P_i.  Degenerate eigenspaces are recovered numerically by greedy
 clustering of the sorted eigenvalues with a documented tolerance; that is the
 honest floating-point analogue of exact degeneracy.
 
+A ProjectorSet is a view of the generator's cached eigendecomposition plus
+the cluster bounds, not a validated copy: its invariants (orthonormal
+columns, bounds that partition them) hold by construction and are asserted
+in tests.  Along a lambda sweep G is decomposed once, and each point's
+ProjectorSet only re-clusters the cached spectrum, in O(d).
+
 A finite-time average of exp(-i G t) rho exp(i G t) is provided as an
 independent validation oracle: it converges to the pinching as t_max grows
 whenever the nonzero eigenvalue gaps of G stay away from zero.
@@ -14,6 +20,7 @@ whenever the nonzero eigenvalue gaps of G stay away from zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,59 +49,50 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int
     cluster.  Returns the boundary indices [0, ..., n]; cluster k occupies the
     half-open index range [bounds[k], bounds[k + 1]).
     """
-    if cluster_tol <= 0:
-        raise ValueError("cluster_tol must be positive")
+    # a NaN tolerance would fail every gap comparison and merge all clusters
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
     w = np.asarray(eigenvalues, dtype=float)
     spread = float(w[-1] - w[0]) if w.size else 0.0
     gap = cluster_tol * (1.0 + spread)
-    bounds = [0]
-    for i in range(1, w.size):
-        if w[i] - w[i - 1] > gap:
-            bounds.append(i)
-    bounds.append(w.size)
-    return bounds
+    return [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), w.size]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
-    """Complete set of mutually orthogonal eigenspace projectors of a generator.
+    """Eigenspace projectors of a generator: a view of its cached decomposition.
 
-    Stored compactly as the orthonormal eigenbasis plus cluster boundaries;
-    the projector matrices themselves materialize lazily.  `eigenvalues`
-    holds one (strictly increasing) representative value per cluster.
+    `basis` is the generator's own read-only eigenvector array (`eig[1]`),
+    and `bounds` cluster its ascending eigenvalues, computed at construction
+    so that a bad cluster_tol raises here.  Orthonormal columns, bounds that
+    partition them and strictly increasing cluster values hold by
+    construction (eigh_matrix and cluster_eigenvalues) and are asserted in
+    tests, not re-checked per instance.  Building one costs O(d) once the
+    generator is decomposed; the projector matrices materialize lazily.
     """
 
-    basis: np.ndarray
-    bounds: tuple[int, ...]
-    eigenvalues: np.ndarray
+    generator: HermitianOperator
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     def __post_init__(self) -> None:
-        basis = np.array(self.basis, dtype=complex)
-        d = basis.shape[0]
-        if basis.ndim != 2 or basis.shape[1] != d:
-            raise ValueError("basis must be a square matrix of eigenvector columns")
-        ortho = np.max(np.abs(basis.conj().T @ basis - np.eye(d)))
-        if ortho > 1e-9:
-            raise ValueError(f"basis columns are not orthonormal (residual {ortho:.3e})")
-        bounds = tuple(int(b) for b in self.bounds)
-        if bounds[0] != 0 or bounds[-1] != d or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ValueError("cluster bounds must partition the basis columns")
-        values = np.array(self.eigenvalues, dtype=float)
-        if values.size != len(bounds) - 1:
-            raise ValueError("one eigenvalue per cluster is required")
-        if np.any(np.diff(values) <= 0):
-            raise ValueError("cluster eigenvalues must be strictly increasing")
-        basis.setflags(write=False)
+        bounds = cluster_eigenvalues(self.generator.eig[0], self.cluster_tol)
+        object.__setattr__(self, "bounds", tuple(bounds))
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.generator.eig[1]
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """One representative value (the mean) per cluster, strictly increasing."""
+        w = self.generator.eig[0]
+        values = np.array([w[b1:b2].mean() for b1, b2 in zip(self.bounds, self.bounds[1:])])
         values.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "eigenvalues", values)
+        return values
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.generator.dim
 
     @property
     def n_projectors(self) -> int:
@@ -117,9 +115,7 @@ class ProjectorSet:
 
     @cached_property
     def _block_mask(self) -> np.ndarray:
-        labels = np.empty(self.dim, dtype=int)
-        for i in range(self.n_projectors):
-            labels[self.bounds[i] : self.bounds[i + 1]] = i
+        labels = np.repeat(np.arange(self.n_projectors), self.ranks())
         return (labels[:, None] == labels[None, :]).astype(float)
 
     def pinch(self, matrix: np.ndarray) -> np.ndarray:
@@ -134,10 +130,7 @@ def spectral_projectors(
     g: HermitianOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> ProjectorSet:
     """Eigenspace projectors of g, with degeneracy detected by clustering."""
-    w, v = eigh(g)
-    bounds = cluster_eigenvalues(w, cluster_tol)
-    means = np.array([w[b1:b2].mean() for b1, b2 in zip(bounds, bounds[1:])])
-    return ProjectorSet(basis=v, bounds=tuple(bounds), eigenvalues=means)
+    return ProjectorSet(g, cluster_tol)
 
 
 def twirl(rho: DensityMatrix, p: ProjectorSet) -> DensityMatrix:

@@ -246,6 +246,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
         if getattr(overrides, "cluster_tol", None) is not None:
             params = dict(params)
             params["cluster_tol"] = overrides.cluster_tol
+    cluster_tol = params.get("cluster_tol", DEFAULT_CLUSTER_TOL)  # NaN fails this too
+    _require(0 < cluster_tol < math.inf, "cluster_tol must be positive and finite")
     _require(out_format in ("csv", "json"), "output format must be csv or json")
     return RunConfig(
         scenario=scenario,
@@ -283,17 +285,17 @@ def _build_point(cfg: RunConfig, variable: str | None, value: float):
                 resolved[variable] = params[variable]
         elif cfg.scenario == "example2":
             n_fock = int(round(params.get("N", 4)))
-            omega = float(params.get("omega", 1.0))
-            kappa = float(params.get("kappa", 1.0 / math.sqrt(2.0)))
             n_total_max = int(round(params.get("n_total_max", n_fock)))
-            system = example2_system(omega, kappa, n_total_max)
+            # omega and kappa default in example2_system only
+            given = {key: float(params[key]) for key in ("omega", "kappa") if key in params}
+            system = example2_system(n_total_max=n_total_max, **given)
             qrf = qrf_amplitudes(QrfStateSpec.uniform(n_fock), n_fock)
             scenario = system.scenario(qrf, lam)
             resolved = {
                 "lambda": lam,
                 "N": n_fock,
-                "omega": omega,
-                "kappa": kappa,
+                "omega": system.omega,
+                "kappa": system.kappa,
                 "n_total_max": n_total_max,
             }
         elif cfg.scenario == "example3":
@@ -376,6 +378,8 @@ def _sweep_points(cfg: RunConfig):
 
 def cmd_run(cfg: RunConfig, quiet: bool) -> int:
     _require(cfg.out_path is not None, "run needs an output path (config or --out)")
+    swept = cfg.sweep.variable if cfg.sweep is not None else None
+    _require(swept != "mean_energy", "mean_energy is swept only by optimize")
     records = []
     for point, (variable, value) in enumerate(_sweep_points(cfg)):
         var = variable if variable is not None else "lambda"

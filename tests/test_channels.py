@@ -11,7 +11,9 @@ from conftest import (
 from scipy.linalg import expm
 
 from twirlqfi.channels import (
+    DEFAULT_CLUSTER_TOL,
     ProjectorSet,
+    cluster_eigenvalues,
     finite_time_average,
     spectral_projectors,
     twirl,
@@ -24,6 +26,11 @@ from twirlqfi.models import QrfStateSpec, example1_scenario, qrf_amplitudes
 
 def project_set_invariants(p: ProjectorSet):
     eye = np.eye(p.dim)
+    # the invariants ProjectorSet holds by construction instead of re-checking
+    assert np.max(np.abs(p.basis.conj().T @ p.basis - eye)) <= 1e-9
+    assert p.bounds[0] == 0 and p.bounds[-1] == p.dim
+    assert all(b2 > b1 for b1, b2 in zip(p.bounds, p.bounds[1:]))
+    assert len(p.eigenvalues) == p.n_projectors == len(p.bounds) - 1
     total = np.zeros((p.dim, p.dim), dtype=complex)
     mats = [op.matrix for op in p.projectors]
     for i, mat in enumerate(mats):
@@ -61,13 +68,42 @@ class TestSpectralProjectors:
     def test_random_degenerate_invariants(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
-            dim = int(rng.integers(4, 17))
-            g = random_degenerate_hermitian(rng, dim, int(rng.integers(2, dim)))
-            project_set_invariants(spectral_projectors(g))
+            dim = int(rng.integers(4, 65))
+            n_clusters = int(rng.integers(2, min(dim, 12)))
+            g = random_degenerate_hermitian(rng, dim, n_clusters)
+            p = spectral_projectors(g)
+            assert p.n_projectors == n_clusters
+            project_set_invariants(p)
+
+    def test_view_of_the_cached_decomposition(self, eigh_calls):
+        rng = np.random.default_rng(22)
+        g = random_degenerate_hermitian(rng, 32, 6)
+        w, v = g.eig
+        del eigh_calls[:]
+        p = spectral_projectors(g)
+        assert p.basis is v
+        assert not p.basis.flags.writeable
+        assert p.bounds == tuple(cluster_eigenvalues(w, DEFAULT_CLUSTER_TOL))
+        twirl_hermitian(np.eye(32), p)
+        assert eigh_calls == []
 
     def test_cluster_tol_validation(self):
-        with pytest.raises(ValueError):
-            spectral_projectors(HermitianOperator(SIGMA_Z), cluster_tol=0.0)
+        # a NaN tolerance fails every gap comparison and would merge all clusters
+        for tol in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                spectral_projectors(HermitianOperator(SIGMA_Z), cluster_tol=tol)
+
+    def test_clustering_matches_the_neighbour_gap_loop(self):
+        # the vectorized pass keeps the loop's subtraction and comparison
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            w = np.sort(np.repeat(rng.normal(size=8), rng.integers(1, 4, size=8)))
+            w = w + rng.choice([0.0, 1e-12, 3e-8], size=w.size)
+            w.sort()
+            tol = float(rng.choice([1e-8, 1e-3]))
+            gap = tol * (1.0 + (w[-1] - w[0]))
+            loop = [0] + [i for i in range(1, w.size) if w[i] - w[i - 1] > gap] + [w.size]
+            assert cluster_eigenvalues(w, tol) == loop
 
 
 class TestTwirl:

@@ -354,6 +354,12 @@ MALFORMED = {
     "matrix-not-a-list": _custom(["k_matrix"], {"re": 1.0}),
     "k-entry-nan": _custom(["k_matrix", 0, 0], [math.nan, 0.0]),
     "g-entry-infinity": _custom(["g_matrix", 1, 1], [math.inf, 0.0]),
+    "cluster_tol-zero": {**_EX3, "params": {**_EX3["params"], "cluster_tol": 0}},
+    "cluster_tol-negative": {**_EX3, "params": {**_EX3["params"], "cluster_tol": -1}},
+    "cluster_tol-nan": {**_EX3, "params": {**_EX3["params"], "cluster_tol": math.nan}},
+    "run-mean_energy-sweep": {"scenario": "example1", "qrf": {"kind": "coherent", "alpha": 1.0},
+                              "sweep": {"variable": "mean_energy", "start": 1.0, "stop": 4.0,
+                                        "points": 3}},
 }
 
 _OPT = {"scenario": "example1", "params": {"N": 8},
@@ -444,6 +450,14 @@ class TestErrors:
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, payload):
         config = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
+    def test_bad_cluster_tol_flag_is_a_config_error(self, tmp_path, capsys, value):
+        # a NaN tolerance used to merge every cluster: no_loss = true on a lossy point
+        config = write_config(tmp_path, "ex3.json", _EX3)
+        assert main(["check", "--config", config, f"--cluster-tol={value}"]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
 

@@ -394,6 +394,20 @@ class TestNecessaryConditions:
         exact = system.kappa * sum(np.sqrt(k) for k in range(1, n)) / n
         assert abs(mean_comm) == pytest.approx(exact, abs=1e-10)
 
+    def test_commuting_generators_give_an_exact_zero_commutator(self):
+        # <[G, K]> is formed from the exact matrix GK - KG, which is the zero
+        # matrix when K and G commute; the vector form <G psi|K psi> - c.c.
+        # leaves rounding (4.4e-16 on example 1) in the max-loss condition
+        probes = [QrfStateSpec.uniform(6), QrfStateSpec.coherent(1.0)]
+        scenarios = [
+            example1_scenario(qrf_amplitudes(spec), lam)
+            for spec in probes
+            for lam in (0.0, 0.4, 1.3, 2.9)
+        ] + [counterexample_scenario(lam) for lam in (0.0, 0.7, 2.1)]
+        for s in scenarios:
+            _, mean_comm = necessary_conditions(s, spectral_projectors(s.g_generator))
+            assert mean_comm == 0j
+
     def test_implications_on_extreme_scenarios(self):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, 0.4)
