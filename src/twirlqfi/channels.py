@@ -114,16 +114,19 @@ class ProjectorSet:
         return out
 
     @cached_property
-    def _block_mask(self) -> np.ndarray:
+    def block_mask(self) -> np.ndarray:
+        """1 where two eigenbasis columns share a cluster, 0 elsewhere (d x d)."""
         labels = np.repeat(np.arange(self.n_projectors), self.ranks())
-        return (labels[:, None] == labels[None, :]).astype(float)
+        mask = (labels[:, None] == labels[None, :]).astype(float)
+        mask.setflags(write=False)
+        return mask
 
     def pinch(self, matrix: np.ndarray) -> np.ndarray:
         """sum_i P_i M P_i, evaluated as a block mask in the eigenbasis."""
         _check_dims(self.dim, matrix.shape[0])
         v = self.basis
         rotated = v.conj().T @ matrix @ v
-        return v @ (self._block_mask * rotated) @ v.conj().T
+        return v @ (self.block_mask * rotated) @ v.conj().T
 
 
 def spectral_projectors(

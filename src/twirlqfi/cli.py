@@ -494,8 +494,15 @@ def cmd_load(cfg: RunConfig, quiet: bool) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on bad arguments, so they get the JSON error record."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twirlqfi",
         description="Fisher-information diagnostics for dephasing from imperfect reference frames",
     )
@@ -521,8 +528,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config, overrides=args)
         if args.command == "run":
             return cmd_run(cfg, args.quiet)

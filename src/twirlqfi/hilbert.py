@@ -12,6 +12,12 @@ operator (a Scenario and its with_lambda copies, say) shares the same
 read-only arrays.  Two threads reaching a first access together may both
 compute it; the results are identical, so that is harmless.  Every
 eigendecomposition in the library goes through eigh_matrix.
+
+eigh_matrix follows the block structure of its matrix: it finds the
+contiguous diagonal blocks from the exact zeros and decomposes each block on
+its own, so a diagonal generator, or a state dephased in its generator's
+eigenbasis, costs the sum of its blocks' cubes rather than d^3.  A matrix
+that is one block takes the same single LAPACK call as a dense one.
 """
 
 from __future__ import annotations
@@ -160,13 +166,54 @@ def tensor(a, b):
     raise TypeError("tensor expects two StateVectors or two HermitianOperators")
 
 
+def _block_ends(matrix: np.ndarray) -> np.ndarray:
+    """Exclusive ends of the contiguous diagonal blocks of a square matrix.
+
+    Every entry outside the blocks is exactly zero.  One O(d^2) pass: the
+    running maximum of each row's last nonzero column (at least the row
+    itself) closes a block at the rows where it equals the row index.
+    """
+    d = matrix.shape[0]
+    nonzero = matrix != 0
+    np.fill_diagonal(nonzero, True)
+    last = d - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.flatnonzero(np.maximum.accumulate(last) == np.arange(d)) + 1
+
+
 def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh with an explicit failure instead of silent garbage."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a matrix.
+
+    The matrix is split into the contiguous diagonal blocks its exact zeros
+    allow, and each block is decomposed on its own: blocks of one size go to
+    LAPACK in one stacked np.linalg.eigh call, and a stable argsort merges
+    the eigenvalues, so ties keep block order.  A matrix that is one block
+    takes a single np.linalg.eigh call and gets LAPACK's arrays back
+    unchanged.  A failure to converge raises instead of returning garbage.
+    """
+    d = matrix.shape[0]
+    ends = _block_ends(matrix)
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
+    w = np.empty(d)
+    blocks = []  # (row indices of each block of one size, their eigenvectors)
     try:
-        w, v = np.linalg.eigh(matrix)
+        if ends.size == 1:
+            w, v = np.linalg.eigh(matrix)
+            return w, v
+        for size in np.unique(sizes):
+            index = starts[sizes == size, None] + np.arange(size)
+            block_w, block_v = np.linalg.eigh(matrix[index[:, :, None], index[:, None, :]])
+            w[index] = block_w
+            blocks.append((index, block_v))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolver failed to converge: {exc}") from exc
-    return w, v
+    order = np.argsort(w, kind="stable")
+    column = np.empty(d, dtype=np.intp)
+    column[order] = np.arange(d)  # the sorted position of each eigenvalue
+    v = np.zeros((d, d), dtype=blocks[0][1].dtype)
+    for index, block_v in blocks:
+        v[index[:, :, None], column[index][:, None, :]] = block_v
+    return w[order], v
 
 
 def eigh(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:

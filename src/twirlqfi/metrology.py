@@ -30,7 +30,6 @@ from .channels import (
     ProjectorSet,
     cluster_eigenvalues,
     spectral_projectors,
-    twirl_hermitian,
 )
 from .hilbert import (
     DensityMatrix,
@@ -40,7 +39,6 @@ from .hilbert import (
     commutator,
     eigh_matrix,
     expectation,
-    sym_covariance,
 )
 
 __all__ = [
@@ -170,11 +168,14 @@ class QfiReport:
 class _ClusterData:
     """Per-eigenspace components of psi_lambda and dpsi.
 
+    a = V^dag psi and b = V^dag dpsi are the coordinates in G's eigenbasis V,
     p[i] = <psi|P_i|psi>, overlap[i] = <psi|P_i|dpsi>,
     dpsi_weight[i] = ||P_i dpsi||^2, and kernel_residual = ||(I - S S^dag) dpsi||
     where S has the orthonormal columns P_i psi / sqrt(p_i) over the support.
     """
 
+    a: np.ndarray
+    b: np.ndarray
     p: np.ndarray
     overlap: np.ndarray
     dpsi_weight: np.ndarray
@@ -210,7 +211,7 @@ def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) 
     # tolerance.
     coeff = np.divide(overlap, p, out=np.zeros_like(overlap), where=p > EPS_PROBABILITY)
     residual = b - np.repeat(coeff, np.diff(bounds)) * a
-    return _ClusterData(p, overlap, np.array(weight), float(np.linalg.norm(residual)))
+    return _ClusterData(a, b, p, overlap, np.array(weight), float(np.linalg.norm(residual)))
 
 
 def _clusters(s: Scenario, p: ProjectorSet) -> _ClusterData:
@@ -385,10 +386,13 @@ def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
     max loss forces <[G, K]> = 0.  Neither converse holds.
     """
     _check_dims(s.dim, p.dim)
-    cov = sym_covariance(s.g_generator, s.k_generator, s.psi_lambda)
-    psi = s.psi_lambda.amplitudes
-    comm = commutator(s.g_generator, s.k_generator)
-    mean_comm = complex(np.vdot(psi, comm @ psi))
+    g, k, state = s.g_generator, s.k_generator, s.psi_lambda
+    # GK and KG once each, for both {G, K} and [G, K]
+    gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
+    half_anti = expectation(HermitianOperator(gk + kg), state) / 2.0
+    cov = half_anti - expectation(g, state) * expectation(k, state)
+    psi = state.amplitudes
+    mean_comm = complex(np.vdot(psi, (gk - kg) @ psi))
     return cov, mean_comm
 
 
@@ -412,7 +416,7 @@ def _sld_and_qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> tuple[np.ndarray
 
 
 def _verify_sld(rho: DensityMatrix, drho: np.ndarray, sld: np.ndarray, qfi: float) -> None:
-    trace_value = float(np.real(np.trace(drho @ sld)))
+    trace_value = float(np.real(np.sum(drho * sld.T)))  # Tr(drho L) in O(d^2)
     if abs(trace_value - qfi) > 1e-8 * (1.0 + abs(qfi)):
         raise ConsistencyError(
             f"Tr(drho L) = {trace_value!r} disagrees with QFI {qfi!r}"
@@ -520,13 +524,18 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     * the clean QFI as 4 Var(K) against the pure-state QFI of the evolved
       state;
     * the dephased QFI against qfi_eigenvector_form, which redoes the
-      eigendecomposition and clustering of G, and against the eigen-
-      decomposition of the dephased density matrix, which is built by
-      pinching |psi><psi| (no DensityMatrix of the pure state is formed, so
-      none is decomposed).  The mixed-state check is skipped at rank-change
-      points of the dephased family (a zero-probability eigenspace receiving
-      derivative weight), where the mixed-state QFI is genuinely
-      discontinuous.
+      eigendecomposition and clustering of G, and against qfi_mixed of the
+      dephased density matrix.  That pair is built in G's eigenbasis V, where
+      the pinching is the cluster block mask M: rho_B = M o (a a^dag) and
+      drho_B = M o (b a^dag + a b^dag) with a = V^dag psi, b = V^dag dpsi
+      (o is the entrywise product).  The QFI and the SLD equation do not
+      change under V, so leaving out the rotation back loses nothing; the
+      check still takes its own eigendecomposition of rho_B (block by
+      block, since rho_B is block diagonal), the mixed-state formula and
+      the SLD verification, none of which the projector-overlap value
+      uses.  The mixed-state check is skipped at rank-change points of the
+      dephased family (a zero-probability eigenspace receiving derivative
+      weight), where the mixed-state QFI is genuinely discontinuous.
 
     The anticommutator and covariance forms and the two loss forms rearrange
     the same per-eigenspace sums; their agreement is asserted in tests and in
@@ -544,8 +553,10 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
         "eigenvector": qfi_eigenvector_form(s, s.g_generator, cluster_tol),
     }
     if data.rank_regular:
-        rho_b = DensityMatrix(twirl_hermitian(s.psi_lambda.projector(), p))
-        drho_b = twirl_hermitian(s.drho_lambda, p)
+        # the dephased pair in G's eigenbasis, where pinching is the block mask
+        a, b, mask = data.a, data.b, p.block_mask
+        rho_b = DensityMatrix(mask * np.outer(a, a.conj()))
+        drho_b = mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
         candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
     _gate(candidates, alice)
     if bob < 0.0:

@@ -398,9 +398,10 @@ class TestErrors:
         assert "rng_seed" in capsys.readouterr().err
         assert main(["optimize", "--config", param, "--out", out]) == 2
         assert "seeds" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main(["optimize", "--config", param, "--out", out, "--seed", "3"])
-        assert exc.value.code == 2
+        assert main(["optimize", "--config", param, "--out", out, "--seed", "3"]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert "--seed" in record["error"]["message"]
 
     def test_unknown_param_rejected(self, tmp_path):
         config = write_config(tmp_path, "bad2.json", {
@@ -460,6 +461,26 @@ class TestErrors:
         assert main(["check", "--config", config, f"--cluster-tol={value}"]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--cluster-tol", "abc"], ["--cluster-tol", "-1e-8"], ["--bogus"]],
+        ids=["cluster-tol-abc", "cluster-tol-separate-negative", "unknown-flag"],
+    )
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, extra):
+        # argparse's own errors get the documented JSON record, not its usage text
+        config = write_config(tmp_path, "ex3.json", _EX3)
+        assert main(["check", "--config", config, *extra]) == 2
+        err = capsys.readouterr().err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert "usage:" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--cluster-tol" in capsys.readouterr().out
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"

@@ -28,6 +28,7 @@ CASES = {
     "run_identity_k.csv": ("run", FIXTURES / "identity_k.json", "csv"),
     "run_example1_N.csv": ("run", GOLDEN / "example1_N.json", "csv"),
     "run_example1_coherent_lambda.csv": ("run", GOLDEN / "example1_coherent_lambda.json", "csv"),
+    "run_example1_alpha_sq.csv": ("run", GOLDEN / "example1_alpha_sq.json", "csv"),
     "run_example2_lambda.csv": ("run", GOLDEN / "example2_lambda.json", "csv"),
     "run_example2_N.csv": ("run", GOLDEN / "example2_N.json", "csv"),
     "run_example3_z.csv": ("run", GOLDEN / "example3_z.json", "csv"),

@@ -1,9 +1,20 @@
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
-from conftest import ROOT, SIGMA_X, SIGMA_Y, SIGMA_Z, haar_state, random_hermitian
+from conftest import (
+    ROOT,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    haar_state,
+    random_hermitian,
+    random_unitary,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlqfi import hilbert
 from twirlqfi.hilbert import (
@@ -18,7 +29,7 @@ from twirlqfi.hilbert import (
     sym_covariance,
     tensor,
 )
-from twirlqfi.models import example2_system, qrf_amplitudes, QrfStateSpec
+from twirlqfi.models import example1_scenario, example2_system, qrf_amplitudes, QrfStateSpec
 
 
 class TestTypes:
@@ -135,6 +146,72 @@ class TestEigh:
             assert recon <= 1e-10 * (1.0 + spread)
             ortho = np.max(np.abs(v.conj().T @ v - np.eye(dim)))
             assert ortho <= 1e-10
+
+
+# Block spectra come from this pool, so eigenvalues tie across blocks.
+_SPECTRUM_POOL = (-1.5, -0.25, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def block_diagonal_hermitian(draw):
+    """Hermitian matrix of 1-6 sized diagonal blocks: zero, diagonal or dense."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = sum(sizes)
+    matrix = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        start += size
+        kind = draw(st.sampled_from(["zero", "diagonal", "pool", "random"]))
+        if kind == "diagonal":
+            matrix[block, block] = np.diag(rng.choice(_SPECTRUM_POOL, size))
+        elif kind == "pool":
+            u = random_unitary(rng, size)
+            matrix[block, block] = (u * rng.choice(_SPECTRUM_POOL, size)) @ u.conj().T
+        elif kind == "random":
+            matrix[block, block] = random_hermitian(rng, size, scale=2.0).matrix
+    return HermitianOperator(matrix).matrix
+
+
+class TestBlockDiagonalEigh:
+    @settings(max_examples=200, deadline=None)
+    @given(block_diagonal_hermitian())
+    def test_block_diagonal_decomposition(self, matrix):
+        dim = matrix.shape[0]
+        w, v = hilbert.eigh_matrix(matrix)
+        scale = max(1.0, float(np.linalg.norm(matrix, 2)))
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-12
+        assert np.linalg.norm(matrix @ v - v * w, 2) <= 1e-12 * scale
+        assert np.max(np.abs(w - np.linalg.eigh(matrix)[0])) <= 1e-12 * scale
+
+    def test_blocks_come_from_the_exact_zeros(self):
+        matrix = np.zeros((7, 7), dtype=complex)
+        matrix[0, 2] = matrix[2, 0] = 1.0  # rows 0-2 are one block, row 1 is zero
+        matrix[3, 3] = 2.0
+        matrix[5, 6] = matrix[6, 5] = 1j  # row 4 is zero: a block of its own
+        assert hilbert._block_ends(matrix).tolist() == [3, 4, 5, 7]
+
+    @pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
+    def test_one_block_returns_the_lapack_arrays(self, shape):
+        matrix = random_hermitian(np.random.default_rng(29), 24).matrix
+        if shape == "tridiagonal":  # sparse, yet a single block
+            matrix = np.triu(np.tril(matrix, 1), -1)
+        w, v = hilbert.eigh_matrix(matrix)
+        w0, v0 = np.linalg.eigh(matrix)
+        assert np.array_equal(w, w0) and np.array_equal(v, v0)
+        assert v.flags.f_contiguous == v0.flags.f_contiguous
+
+    @pytest.mark.parametrize("alpha_sq", [4.1, 20.1, 40.1])
+    def test_example1_generators_match_lapack_exactly(self, alpha_sq):
+        # K and G are diagonal; LAPACK returns the stable-argsort permutation
+        qrf = qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(alpha_sq)))
+        s = example1_scenario(qrf, 0.0)
+        for op in (s.k_generator, s.g_generator):
+            w, v = hilbert.eigh_matrix(op.matrix)
+            w0, v0 = np.linalg.eigh(op.matrix)
+            assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
 class TestEigCache:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
@@ -10,9 +12,11 @@ from conftest import (
     random_unitary,
 )
 
+from twirlqfi import metrology
 from twirlqfi.channels import spectral_projectors, twirl, twirl_hermitian
-from twirlqfi.hilbert import HermitianOperator, StateVector, expectation
+from twirlqfi.hilbert import DensityMatrix, HermitianOperator, StateVector, expectation
 from twirlqfi.metrology import (
+    ConsistencyError,
     NonCommutingError,
     Scenario,
     check_max_loss,
@@ -447,6 +451,23 @@ class TestMixedStateQfi:
         qfi_mixed(twirl(rho, p), drho_b)
         assert eigh_calls == [6]
 
+    def test_eigenbasis_pair_matches_the_pinched_pair(self):
+        # report() builds the dephased pair in G's eigenbasis V as block-masked
+        # outer products of V^dag psi and V^dag dpsi; the QFI is the same
+        rng = np.random.default_rng(139)
+        for _ in range(20):
+            s = random_scenario(rng, int(rng.integers(4, 17)), degenerate_g=True)
+            p = spectral_projectors(s.g_generator)
+            a = p.basis.conj().T @ s.psi_lambda.amplitudes
+            b = p.basis.conj().T @ s.dpsi
+            rho_v = DensityMatrix(p.block_mask * np.outer(a, a.conj()))
+            drho_v = p.block_mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
+            pinched = qfi_mixed(twirl(s.rho_lambda, p), twirl_hermitian(s.drho_lambda, p))
+            assert qfi_mixed(rho_v, drho_v) == pytest.approx(pinched, abs=1e-9)
+            assert qfi_mixed(rho_v, drho_v) == pytest.approx(
+                qfi_twirled_pure(s, p), abs=1e-8 * max(1.0, pinched)
+            )
+
     def test_twirled_direction_indicator(self):
         s = example3(0.5, np.pi / 3)
         p = spectral_projectors(s.g_generator)
@@ -666,6 +687,29 @@ class TestReport:
         # only the two independent checks decompose again: G in
         # qfi_eigenvector_form and the dephased density matrix
         assert eigh_calls == [5, 5]
+
+    def test_diagonal_generators_decompose_in_small_blocks(self, eigh_calls, monkeypatch):
+        # example 1 has diagonal K and G with 2-fold clusters: no LAPACK call
+        # sees a block larger than 2 x 2, and report() still decomposes 4 times
+        lapack, blocks = np.linalg.eigh, []
+
+        def spy(matrix, *args, **kwargs):
+            blocks.append(matrix.shape[-1])
+            return lapack(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
+        report(s)
+        assert eigh_calls == [s.dim] * 4
+        assert blocks and max(blocks) <= 2
+
+    def test_mixed_state_value_is_gated(self, monkeypatch):
+        # the eigenbasis pair still feeds the consistency gate
+        original = metrology.qfi_mixed
+        monkeypatch.setattr(metrology, "qfi_mixed", lambda rho, drho: original(rho, drho) + 1e-3)
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
+        with pytest.raises(ConsistencyError, match="mixed_state"):
+            report(s)
 
     def test_lambda_independence_for_commuting_noise(self):
         rng = np.random.default_rng(167)
