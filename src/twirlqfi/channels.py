@@ -101,15 +101,11 @@ class ProjectorSet:
     def ranks(self) -> tuple[int, ...]:
         return tuple(b2 - b1 for b1, b2 in zip(self.bounds, self.bounds[1:]))
 
-    def cluster_columns(self, i: int) -> np.ndarray:
-        """Orthonormal eigenvector columns spanning cluster i."""
-        return self.basis[:, self.bounds[i] : self.bounds[i + 1]]
-
     @cached_property
     def projectors(self) -> list[HermitianOperator]:
         out = []
-        for i in range(self.n_projectors):
-            cols = self.cluster_columns(i)
+        for b1, b2 in zip(self.bounds, self.bounds[1:]):
+            cols = self.basis[:, b1:b2]
             out.append(HermitianOperator(cols @ cols.conj().T))
         return out
 

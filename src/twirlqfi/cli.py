@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -496,6 +497,11 @@ def cmd_load(cfg: RunConfig, quiet: bool) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises ConfigError on bad arguments, so they get the JSON error record."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent and reads -1e-8 as an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str):
         raise ConfigError(f"{self.prog}: {message}")

@@ -94,10 +94,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "StateVector") -> complex:
-        _check_dims(self.dim, other.dim)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 

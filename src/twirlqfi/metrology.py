@@ -396,7 +396,12 @@ def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
     return cov, mean_comm
 
 
-def _sld_and_qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> tuple[np.ndarray, float]:
+def _mixed_in_eigenbasis(rho: DensityMatrix, drho: np.ndarray) -> tuple[np.ndarray, float]:
+    """The SLD in rho's eigenbasis V, L' = W o R with R = V^dag drho V, and the QFI.
+
+    The SLD equation is checked on rho's support S as 2 R_SS = X + X^dag with
+    X = L'[S, :] V^dag rho V_S, from rho's own matrix, so it tests V as well.
+    """
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
     herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
@@ -411,64 +416,59 @@ def _sld_and_qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> tuple[np.ndarray
     mask = pair_sum > EPS_PROBABILITY
     weights[mask] = 2.0 / pair_sum[mask]
     qfi = float(np.sum(weights * np.abs(rotated) ** 2))
-    sld = basis @ (weights * rotated) @ basis.conj().T
-    return sld, qfi
-
-
-def _verify_sld(rho: DensityMatrix, drho: np.ndarray, sld: np.ndarray, qfi: float) -> None:
-    trace_value = float(np.real(np.sum(drho * sld.T)))  # Tr(drho L) in O(d^2)
+    sld = weights * rotated
+    trace_value = float(np.real(np.sum(rotated * sld.T)))  # Tr(drho L) in O(d^2)
     if abs(trace_value - qfi) > 1e-8 * (1.0 + abs(qfi)):
         raise ConsistencyError(
             f"Tr(drho L) = {trace_value!r} disagrees with QFI {qfi!r}"
         )
-    eigenvalues, basis = rho.eig
-    support = basis[:, eigenvalues > EPS_PROBABILITY]
-    residual = 2.0 * drho - sld @ rho.matrix - rho.matrix @ sld
-    projected = support.conj().T @ residual @ support
+    support = eigenvalues > EPS_PROBABILITY
+    y = basis.conj().T @ (rho.matrix @ basis[:, support])  # V^dag rho V_S
+    x = sld[support, :] @ y  # L' is Hermitian, so x^dag = Y^dag L'[:, S]
+    residual = 2.0 * rotated[np.ix_(support, support)] - x - x.conj().T
     scale = 1.0 + float(np.max(np.abs(drho)))
-    if float(np.max(np.abs(projected), initial=0.0)) > 1e-8 * scale:
+    if float(np.max(np.abs(residual), initial=0.0)) > 1e-8 * scale:
         raise ConsistencyError("SLD defining equation violated on the support")
+    return sld, qfi
 
 
 def qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> float:
     """QFI of a general density-matrix family from its eigendecomposition.
 
     2 sum_ij |<i|drho|j>|^2 / (p_i + p_j) over pairs with p_i + p_j above the
-    floor.  The SLD trace relation and defining equation are verified before
-    the value is returned.
+    floor.  The SLD trace relation and defining equation are verified in
+    rho's eigenbasis, the equation on rho's support against rho's own matrix.
     """
-    sld, qfi = _sld_and_qfi_mixed(rho, drho)
-    _verify_sld(rho, drho, sld, qfi)
-    return qfi
+    return _mixed_in_eigenbasis(rho, drho)[1]
 
 
 def sld_mixed(rho: DensityMatrix, drho: np.ndarray) -> HermitianOperator:
-    """Symmetric logarithmic derivative 2 <i|drho|j> / (p_i + p_j) |i><j|."""
-    sld, qfi = _sld_and_qfi_mixed(rho, drho)
-    _verify_sld(rho, drho, sld, qfi)
-    return HermitianOperator(sld)
+    """Symmetric logarithmic derivative 2 <i|drho|j> / (p_i + p_j) |i><j|.
+
+    Verified in rho's eigenbasis as in qfi_mixed, then rotated back once.
+    """
+    sld, _ = _mixed_in_eigenbasis(rho, drho)
+    basis = rho.eig[1]
+    return HermitianOperator(basis @ sld @ basis.conj().T)
 
 
 def sld_twirled(s: Scenario, p: ProjectorSet) -> HermitianOperator:
-    """SLD of the dephased pure family, built directly from the projectors.
+    """SLD of the dephased pure family, built in G's eigenbasis V.
 
     L = sum_i |phi_i><psi_i| + |psi_i><phi_i| with psi_i = P_i psi / sqrt(p_i)
-    and phi_i = (2 P_i dpsi - <psi_i|dpsi> psi_i) / sqrt(p_i).  The operator
-    is extended by zero on the orthogonal complement of the spanned space.
+    and phi_i = (2 P_i dpsi - <psi_i|dpsi> psi_i) / sqrt(p_i), extended by
+    zero off their span.  In V the sum is the cluster block mask applied to
+    one pair of outer products, rotated back once.
     """
     data = _clusters(s, p)
-    psi = s.psi_lambda.amplitudes
-    d = s.dim
-    sld = np.zeros((d, d), dtype=complex)
-    for i in np.flatnonzero(data.support):
-        cols = p.cluster_columns(int(i))
-        sqrt_p = np.sqrt(data.p[i])
-        psi_i = cols @ (cols.conj().T @ psi) / sqrt_p
-        proj_dpsi = cols @ (cols.conj().T @ s.dpsi)
-        a_i = complex(np.vdot(psi_i, s.dpsi))
-        phi_i = (2.0 * proj_dpsi - a_i * psi_i) / sqrt_p
-        sld += np.outer(phi_i, psi_i.conj()) + np.outer(psi_i, phi_i.conj())
-    return HermitianOperator(sld)
+    sizes = p.ranks()
+    inv_sqrt_p = np.divide(1.0, np.sqrt(data.p), out=np.zeros_like(data.p), where=data.support)
+    scale = np.repeat(inv_sqrt_p, sizes)  # 0 outside the support: psi_i = phi_i = 0
+    psi = scale * data.a
+    phi = scale * (2.0 * data.b - np.repeat(data.overlap, sizes) * scale * psi)
+    half = np.outer(phi, psi.conj())
+    sld = p.block_mask * (half + half.conj().T)
+    return HermitianOperator(p.basis @ sld @ p.basis.conj().T)
 
 
 def optimal_povm(
@@ -498,10 +498,11 @@ def classical_fisher(
         raise ValueError("POVM elements do not sum to the identity")
     fisher = 0.0
     for element in povm:
-        prob = float(np.real(np.trace(element.matrix @ rho.matrix)))
+        # Tr(O rho) and Tr(O drho) as entrywise sums, O(d^2) per element
+        prob = float(np.real(np.sum(element.matrix * rho.matrix.T)))
         if prob <= EPS_PROBABILITY:
             continue
-        dprob = float(np.real(np.trace(element.matrix @ drho)))
+        dprob = float(np.real(np.sum(element.matrix * drho.T)))
         fisher += dprob**2 / prob
     return fisher
 

@@ -463,17 +463,23 @@ class TestErrors:
         assert record["error"]["kind"] == "config"
 
     @pytest.mark.parametrize(
-        "extra",
-        [["--cluster-tol", "abc"], ["--cluster-tol", "-1e-8"], ["--bogus"]],
+        ("extra", "reason"),
+        [
+            (["--cluster-tol", "abc"], "invalid float value"),
+            # a negative value with an exponent reaches the config check
+            (["--cluster-tol", "-1e-8"], "cluster_tol must be positive and finite"),
+            (["--bogus"], "unrecognized arguments"),
+        ],
         ids=["cluster-tol-abc", "cluster-tol-separate-negative", "unknown-flag"],
     )
-    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, extra):
+    def test_bad_arguments_are_config_errors(self, tmp_path, capsys, extra, reason):
         # argparse's own errors get the documented JSON record, not its usage text
         config = write_config(tmp_path, "ex3.json", _EX3)
         assert main(["check", "--config", config, *extra]) == 2
         err = capsys.readouterr().err
         record = json.loads(err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
+        assert reason in record["error"]["message"]
         assert "usage:" not in err
 
     def test_help_still_exits_zero(self, capsys):

@@ -7,10 +7,13 @@ from conftest import (
     commuting_pair,
     haar_state,
     random_degenerate_hermitian,
+    random_density,
     random_hermitian,
     random_scenario,
     random_unitary,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twirlqfi import metrology
 from twirlqfi.channels import spectral_projectors, twirl, twirl_hermitian
@@ -111,6 +114,33 @@ def explicit_kernel_residual(s, p):
         if prob > 1e-12:
             complement -= np.outer(v, v.conj()) / prob
     return float(np.linalg.norm(complement @ s.dpsi))
+
+
+def naive_twirled_sld(s, p):
+    """sum_i |phi_i><psi_i| + h.c. from projector matrices, cluster by cluster."""
+    psi = s.psi_lambda.amplitudes
+    sld = np.zeros((s.dim, s.dim), dtype=complex)
+    for proj in p.projectors:
+        prob = np.real(np.vdot(psi, proj.matrix @ psi))
+        if prob <= 1e-12:
+            continue
+        psi_i = proj.matrix @ psi / np.sqrt(prob)
+        phi_i = (2.0 * proj.matrix @ s.dpsi - np.vdot(psi_i, s.dpsi) * psi_i) / np.sqrt(prob)
+        sld += np.outer(phi_i, psi_i.conj()) + np.outer(psi_i, phi_i.conj())
+    return sld
+
+
+def eigenbasis_pair(s, p):
+    """The dephased pair as report() builds it, in G's eigenbasis."""
+    a = p.basis.conj().T @ s.psi_lambda.amplitudes
+    b = p.basis.conj().T @ s.dpsi
+    rho = DensityMatrix(p.block_mask * np.outer(a, a.conj()))
+    return rho, p.block_mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
+
+
+def random_traceless(rng, dim):
+    h = random_hermitian(rng, dim).matrix
+    return h - np.trace(h) / dim * np.eye(dim)
 
 
 def finite_difference_drho(s, step=1e-5):
@@ -458,15 +488,53 @@ class TestMixedStateQfi:
         for _ in range(20):
             s = random_scenario(rng, int(rng.integers(4, 17)), degenerate_g=True)
             p = spectral_projectors(s.g_generator)
-            a = p.basis.conj().T @ s.psi_lambda.amplitudes
-            b = p.basis.conj().T @ s.dpsi
-            rho_v = DensityMatrix(p.block_mask * np.outer(a, a.conj()))
-            drho_v = p.block_mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
+            rho_v, drho_v = eigenbasis_pair(s, p)
             pinched = qfi_mixed(twirl(s.rho_lambda, p), twirl_hermitian(s.drho_lambda, p))
             assert qfi_mixed(rho_v, drho_v) == pytest.approx(pinched, abs=1e-9)
             assert qfi_mixed(rho_v, drho_v) == pytest.approx(
                 qfi_twirled_pure(s, p), abs=1e-8 * max(1.0, pinched)
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_matches_the_textbook_sum(self, dim, data):
+        rank = data.draw(st.integers(1, dim))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        u = random_unitary(rng, dim)
+        weights = np.zeros(dim)
+        weights[:rank] = rng.uniform(0.1, 1.0, size=rank)
+        rho = DensityMatrix((u * (weights / weights.sum())) @ u.conj().T)
+        drho = random_traceless(rng, dim)
+        w, v = np.linalg.eigh(rho.matrix)
+        rotated = v.conj().T @ drho @ v
+        pair_sum = w[:, None] + w[None, :]
+        above = pair_sum > 1e-12
+        expected = float(np.sum(2.0 * np.abs(rotated[above]) ** 2 / pair_sum[above]))
+        assert abs(qfi_mixed(rho, drho) - expected) <= 1e-10 * max(1.0, expected)
+        sld = sld_mixed(rho, drho).matrix
+        support = v[:, w > 1e-12]
+        residual = 2.0 * drho - sld @ rho.matrix - rho.matrix @ sld
+        assert np.max(np.abs(support.conj().T @ residual @ support)) <= 1e-8
+
+    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "example1-dephased"])
+    def test_verification_fires_on_perturbed_eigenvectors(self, case):
+        # the SLD equation is tested against rho's own matrix, so eigenvectors
+        # that are off by 1e-6 fail it although R and L' stay consistent
+        rng = np.random.default_rng(141)
+        if case == "example1-dephased":
+            s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
+            rho, drho = eigenbasis_pair(s, spectral_projectors(s.g_generator))
+        else:
+            rho = random_density(rng, 6, rank=6 if case == "full-rank" else 3)
+            drho = random_traceless(rng, 6)
+        for compute in (qfi_mixed, sld_mixed):
+            fresh = DensityMatrix(rho.matrix)
+            compute(fresh, drho)
+            w, v = fresh.eig
+            noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+            vars(fresh)["eig"] = (w, v + 1e-6 * noise)
+            with pytest.raises(ConsistencyError, match="SLD defining equation"):
+                compute(fresh, drho)
 
     def test_twirled_direction_indicator(self):
         s = example3(0.5, np.pi / 3)
@@ -516,6 +584,23 @@ class TestSld:
             assert np.max(np.abs(support.conj().T @ residual @ support)) <= 1e-8
             # matches the eigendecomposition route entrywise
             assert np.max(np.abs(sld - sld_mixed(rho_b, drho_b).matrix)) <= 1e-8
+
+    def test_matches_the_explicit_cluster_sum(self):
+        rng = np.random.default_rng(143)
+        scenarios = [
+            random_scenario(rng, int(rng.integers(2, 13)), degenerate_g=True) for _ in range(20)
+        ]
+        cases = [(s, spectral_projectors(s.g_generator)) for s in scenarios]
+        # psi0 misses G's middle eigenspace, so at lambda = 0 that p_i is 0
+        g = HermitianOperator(np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]).astype(complex))
+        untouched = Scenario(StateVector([1.0, 0.5j, 0, 0, 0, 0.3]), random_hermitian(rng, 6), g)
+        cases.append((untouched, spectral_projectors(g)))
+        assert np.linalg.norm(untouched.psi_lambda.amplitudes[2:5]) < 1e-12
+        cases.append((random_scenario(rng, 6), trivial_projectors(6)))
+        for s, p in cases:
+            sld = sld_twirled(s, p).matrix
+            expected = naive_twirled_sld(s, p)
+            assert np.max(np.abs(sld - expected)) <= 1e-12 * max(1.0, np.linalg.norm(expected, 2))
 
     def test_uniform_probe_sld_structure(self):
         n, lam = 5, 0.8
