@@ -31,11 +31,14 @@ CASES = {
     "run_example1_alpha_sq.csv": ("run", GOLDEN / "example1_alpha_sq.json", "csv"),
     "run_example2_lambda.csv": ("run", GOLDEN / "example2_lambda.json", "csv"),
     "run_example2_N.csv": ("run", GOLDEN / "example2_N.json", "csv"),
+    "run_example2_lambda_sector.csv": ("run", GOLDEN / "example2_lambda_sector.json", "csv"),
     "run_example3_z.csv": ("run", GOLDEN / "example3_z.json", "csv"),
     "run_example3_z.json": ("run", GOLDEN / "example3_z.json", "json"),
+    "run_example3_lambda.csv": ("run", GOLDEN / "example3_lambda.json", "csv"),
     "run_custom_d16.csv": ("run", GOLDEN / "custom_d16.json", "csv"),
     "check_counterexample.json": ("check", FIXTURES / "counterexample.json", "json"),
     "check_identity_k.json": ("check", FIXTURES / "identity_k.json", "json"),
+    "check_example1_coherent.json": ("check", GOLDEN / "example1_coherent_point.json", "json"),
     "check_counterexample.txt": ("check", FIXTURES / "counterexample.json", None),
     "optimize_N12.csv": ("optimize", GOLDEN / "optimize_N12.json", "csv"),
 }
