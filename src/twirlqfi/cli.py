@@ -6,10 +6,15 @@ through flags and the config file, never the environment, and identical
 configs produce byte-identical output files (floats are written with
 shortest round-trip formatting, columns in a frozen order).
 
-The config is validated once, when it loads: value types, and for a custom
-scenario the shapes, the [re, im] number pairs, finite Hermitian generators
-and nonzero norm, so `load` rejects a custom scenario exactly when `run` and
-`check` would.
+The config is validated once, when it loads: finite numbers, and for a
+custom scenario the shapes, the [re, im] number pairs, finite Hermitian
+generators and nonzero norm, so `load` rejects a custom scenario exactly
+when `run` and `check` would.
+
+Every scenario kind is one lambda-independent system (psi0, K, G) that each
+point moves to its lambda with Scenario.with_lambda.  A lambda sweep builds
+the system once, so K and G are decomposed once per sweep; a sweep over N,
+alpha_sq or z builds it again at each point.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 On failure a machine-readable JSON error record goes to stderr.
@@ -31,7 +36,6 @@ from .hilbert import HermitianOperator, StateVector
 from .metrology import DEFAULT_CONDITION_TOL, Scenario, report
 from .models import (
     QrfStateSpec,
-    TruncationError,
     example1_qfi_closed_form,
     example1_scenario,
     example2_system,
@@ -104,7 +108,7 @@ class RunConfig:
     params: dict
     out_path: str | None
     out_format: str
-    custom: Scenario | None  # validated once, at load, with params' lambda
+    custom: Scenario | None  # custom's (psi0, K, G), validated once, at load
 
 
 def _require(condition: bool, message: str) -> None:
@@ -190,8 +194,8 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             f"scenario {scenario} cannot sweep {s['variable']!r}",
         )
         _require(
-            _is_number(s["start"]) and _is_number(s["stop"]),
-            "sweep start and stop must be numbers",
+            all(_is_number(s[key]) and math.isfinite(s[key]) for key in ("start", "stop")),
+            "sweep start and stop must be finite numbers",
         )
         points = s["points"]
         _require(_is_number(points, int) and points >= 1, "sweep points must be an integer >= 1")
@@ -202,7 +206,7 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     unknown = set(params) - _ALLOWED_PARAMS[scenario]
     _require(not unknown, f"unknown params for {scenario}: {sorted(unknown)}")
     for key, value in params.items():
-        _require(_is_number(value), f"param {key} must be a number")
+        _require(_is_number(value) and math.isfinite(value), f"param {key} must be a finite number")
 
     qrf = _parse_qrf(raw["qrf"]) if raw.get("qrf") is not None else None
 
@@ -261,60 +265,69 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
     )
 
 
-def _build_point(cfg: RunConfig, variable: str | None, value: float):
-    """Scenario plus the resolved parameter record for one sweep point."""
-    params = dict(cfg.params)
-    if variable is not None:
-        params[variable] = value
-    lam = float(params.get("lambda", 0.0))
-    cluster_tol = float(params.get("cluster_tol", DEFAULT_CLUSTER_TOL))
+def _system(cfg: RunConfig, variable: str, params: dict) -> tuple[Scenario, dict]:
+    """The lambda-independent system at one point and its resolved non-lambda params."""
+    kind = cfg.scenario
+    if kind == "custom":
+        return cfg.custom, {}
+    _require(
+        kind != "example1" or cfg.qrf is not None or {"N", "alpha_sq"} & params.keys(),
+        "example1 needs a qrf spec or an N/alpha_sq parameter",
+    )
+    _require(kind != "example3" or "z" in params, "example3 needs a z parameter (fixed or swept)")
     try:
-        if cfg.scenario == "example1":
+        if kind == "example1":
             if variable == "N" or (cfg.qrf is None and "N" in params):
                 spec = QrfStateSpec.uniform(int(round(params["N"])))
             elif variable == "alpha_sq" or (cfg.qrf is None and "alpha_sq" in params):
                 spec = QrfStateSpec.coherent(math.sqrt(params["alpha_sq"]))
-            elif cfg.qrf is not None:
-                spec = cfg.qrf
             else:
-                raise ConfigError("example1 needs a qrf spec or an N/alpha_sq parameter")
+                spec = cfg.qrf
             # 0 or absent: qrf_amplitudes picks the truncation
             qrf = qrf_amplitudes(spec, int(params.get("truncation", 0)) or None)
-            scenario = example1_scenario(qrf, lam)
-            resolved = {"lambda": lam, "truncation": qrf.dim}
+            resolved = {"truncation": qrf.dim}
             if variable in ("N", "alpha_sq"):
                 resolved[variable] = params[variable]
-        elif cfg.scenario == "example2":
+            return example1_scenario(qrf), resolved
+        if kind == "example2":
             n_fock = int(round(params.get("N", 4)))
             n_total_max = int(round(params.get("n_total_max", n_fock)))
             # omega and kappa default in example2_system only
             given = {key: float(params[key]) for key in ("omega", "kappa") if key in params}
             system = example2_system(n_total_max=n_total_max, **given)
             qrf = qrf_amplitudes(QrfStateSpec.uniform(n_fock), n_fock)
-            scenario = system.scenario(qrf, lam)
-            resolved = {
-                "lambda": lam,
-                "N": n_fock,
-                "omega": system.omega,
-                "kappa": system.kappa,
-                "n_total_max": n_total_max,
-            }
-        elif cfg.scenario == "example3":
-            z = float(params["z"]) if "z" in params else None
-            _require(z is not None, "example3 needs a z parameter (fixed or swept)")
-            x = float(params.get("x", 0.0))
-            y = float(params.get("y", math.sqrt(max(0.0, 1.0 - z * z - x * x))))
-            system = example3_system((x, y, z))
-            scenario = system.scenario(lam)
-            resolved = {"lambda": lam, "x": x, "y": y, "z": z}
-        else:
-            scenario = cfg.custom.with_lambda(lam)
-            resolved = {"lambda": lam}
-    except (ConfigError,):
-        raise
-    except (ValueError, TruncationError) as exc:
+            return system.scenario(qrf), {"N": n_fock, "omega": system.omega,
+                                          "kappa": system.kappa, "n_total_max": n_total_max}
+        z = float(params["z"])
+        x = float(params.get("x", 0.0))
+        y = float(params.get("y", math.sqrt(max(0.0, 1.0 - z * z - x * x))))
+        return example3_system((x, y, z)).scenario(), {"x": x, "y": y, "z": z}
+    except ValueError as exc:  # a TruncationError too
         raise ConfigError(f"invalid parameters: {exc}") from exc
-    return scenario, resolved, cluster_tol
+
+
+def _reports(cfg: RunConfig):
+    """(variable, value, resolved params, report) at each point of the run.
+
+    Without a sweep the run is one point of a lambda sweep.  The system is
+    built once for a lambda sweep and at every point of any other sweep;
+    each point takes its lambda through Scenario.with_lambda.
+    """
+    variable, grid = "lambda", [cfg.params.get("lambda", 0.0)]
+    if cfg.sweep is not None:
+        variable, grid = cfg.sweep.variable, cfg.sweep.grid()
+        if variable == "N":
+            grid = np.rint(grid)
+    cluster_tol = float(cfg.params.get("cluster_tol", DEFAULT_CLUSTER_TOL))
+    params = dict(cfg.params)
+    system = None
+    for value in map(float, grid):
+        params[variable] = value
+        if system is None or variable != "lambda":
+            system, resolved = _system(cfg, variable, params)
+        lam = float(params.get("lambda", 0.0))
+        rep = report(system.with_lambda(lam), cluster_tol)
+        yield variable, value, {"lambda": lam, **resolved}, rep
 
 
 def _record(cfg: RunConfig, point: int, variable: str, value, resolved, rep) -> dict:
@@ -366,27 +379,11 @@ def _write_records(records: list[dict], path: str, fmt: str) -> None:
             fh.write("\n")
 
 
-def _sweep_points(cfg: RunConfig):
-    if cfg.sweep is None:
-        yield None, float(cfg.params.get("lambda", 0.0))
-        return
-    grid = cfg.sweep.grid()
-    if cfg.sweep.variable == "N":
-        grid = np.rint(grid)
-    for value in grid:
-        yield cfg.sweep.variable, float(value)
-
-
 def cmd_run(cfg: RunConfig, quiet: bool) -> int:
     _require(cfg.out_path is not None, "run needs an output path (config or --out)")
     swept = cfg.sweep.variable if cfg.sweep is not None else None
     _require(swept != "mean_energy", "mean_energy is swept only by optimize")
-    records = []
-    for point, (variable, value) in enumerate(_sweep_points(cfg)):
-        var = variable if variable is not None else "lambda"
-        scenario, resolved, cluster_tol = _build_point(cfg, variable, value)
-        rep = report(scenario, cluster_tol)
-        records.append(_record(cfg, point, var, value, resolved, rep))
+    records = [_record(cfg, point, *values) for point, values in enumerate(_reports(cfg))]
     _write_records(records, cfg.out_path, cfg.out_format)
     if not quiet:
         print(f"wrote {len(records)} record(s) to {cfg.out_path}")
@@ -395,8 +392,7 @@ def cmd_run(cfg: RunConfig, quiet: bool) -> int:
 
 def cmd_check(cfg: RunConfig, quiet: bool, fmt: str | None) -> int:
     _require(cfg.sweep is None, "check expects a single-point config (no sweep)")
-    scenario, resolved, cluster_tol = _build_point(cfg, None, 0.0)
-    rep = report(scenario, cluster_tol)
+    _, _, resolved, rep = next(_reports(cfg))
     residual_real, residual_kernel = rep.max_loss_residuals
     tol = DEFAULT_CONDITION_TOL
     payload = {

@@ -119,8 +119,14 @@ class TestRun:
                 example2_qfi_closed_form(4, float(row["value"])), abs=1e-6
             )
 
-    def test_custom_lambda_sweep_decomposes_generators_once(self, tmp_path, eigh_calls):
-        payload, _, _, _ = random_custom_config(np.random.default_rng(59), 6, 0.0)
+    @pytest.mark.parametrize("kind", ["custom", "example1", "example2", "example3"])
+    def test_lambda_sweep_decomposes_generators_once(self, tmp_path, eigh_calls, kind):
+        payload = {
+            "custom": random_custom_config(np.random.default_rng(59), 6, 0.0)[0],
+            "example1": {"scenario": "example1", "qrf": {"kind": "coherent", "alpha": 1.0}},
+            "example2": {"scenario": "example2", "params": {"N": 3, "n_total_max": 5}},
+            "example3": {"scenario": "example3", "params": {"z": 0.4}},
+        }[kind]
         payload["sweep"] = {"variable": "lambda", "start": 0.1, "stop": 2.1, "points": 5}
         config = write_config(tmp_path, "sweep.json", payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "s.csv"),
@@ -128,6 +134,17 @@ class TestRun:
         # K and G once for the sweep, then per point the two independent
         # checks: G in qfi_eigenvector_form and the dephased density matrix
         assert len(eigh_calls) == 2 + 5 * 2
+
+    def test_n_sweep_rebuilds_the_system_at_each_point(self, tmp_path, eigh_calls):
+        config = write_config(tmp_path, "n.json", {
+            "scenario": "example2",
+            "params": {"lambda": 0.9},
+            "sweep": {"variable": "N", "start": 2, "stop": 5, "points": 4},
+        })
+        assert main(["run", "--config", config, "--out", str(tmp_path / "n.csv"),
+                     "--quiet"]) == 0
+        # each N is a new K and G, decomposed at its point
+        assert len(eigh_calls) == 4 * 4
 
     @pytest.mark.parametrize("r, truncation", [(0.8, 64), (1.2, 128)])
     def test_auto_truncation_doubles_past_first_guess(self, tmp_path, r, truncation):
@@ -328,6 +345,10 @@ MALFORMED = {
                           "qrf": {"kind": "explicit", "amplitudes": 5}},
     "sweep-start-null": {**_EX3, "sweep": {**_SWEEP, "start": None}},
     "sweep-start-string": {**_EX3, "sweep": {**_SWEEP, "start": "a"}},
+    "sweep-stop-infinity": {"scenario": "example2",
+                            "sweep": {"variable": "N", "start": 2, "stop": math.inf,
+                                      "points": 3}},
+    "lambda-nan": {**_EX3, "params": {**_EX3["params"], "lambda": math.nan}},
     "sweep-stop-bool": {**_EX3, "sweep": {**_SWEEP, "stop": True}},
     "sweep-points-bool": {**_EX3, "sweep": {**_SWEEP, "points": True}},
     "sweep-variable-list": {**_EX3, "sweep": {**_SWEEP, "variable": ["lambda"]}},

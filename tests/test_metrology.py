@@ -808,6 +808,24 @@ class TestReport:
         ]
         assert max(values) - min(values) <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+    def test_floors_scale_with_the_clean_qfi(self, scale):
+        # rounding in QFIs of size c^2 is about 1e-16 c^2, which absolute
+        # 1e-9 floors on the loss and on a negative dephased QFI rejected
+        rng = np.random.default_rng(181)
+        no_noise = HermitianOperator(np.eye(6, dtype=complex))
+        for _ in range(20):
+            k = HermitianOperator(scale * random_hermitian(rng, 6).matrix)
+            lam = float(rng.uniform(-np.pi, np.pi))
+            rep = report(Scenario(haar_state(rng, 6), k, no_noise, lam))
+            assert abs(rep.loss) <= 1e-9 * rep.alice_qfi
+        s = counterexample_scenario(0.4)
+        k = HermitianOperator(scale * s.k_generator.matrix)
+        rep = report(Scenario(s.fiducial, k, s.g_generator, s.lam))
+        assert rep.alice_qfi == pytest.approx(scale**2, rel=1e-12)
+        assert rep.bob_qfi <= 1e-9 * rep.alice_qfi
+        assert rep.max_loss
+
     def test_rank_change_point_does_not_crash(self):
         # at lambda = 0 the dephased family of the direction indicator changes
         # rank; the report must stay internally consistent (mixed-state
