@@ -17,7 +17,9 @@ eigh_matrix follows the block structure of its matrix: it finds the
 contiguous diagonal blocks from the exact zeros and decomposes each block on
 its own, so a diagonal generator, or a state dephased in its generator's
 eigenbasis, costs the sum of its blocks' cubes rather than d^3.  A matrix
-that is one block takes the same single LAPACK call as a dense one.
+that is one block takes the same single LAPACK call as a dense one.  The
+same block scan and grouping of blocks by size serve metrology.qfi_mixed,
+which evaluates a (rho, drho) pair block by block.
 """
 
 from __future__ import annotations
@@ -176,6 +178,17 @@ def _block_ends(matrix: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.maximum.accumulate(last) == np.arange(d)) + 1
 
 
+def _blocks_by_size(ends: np.ndarray) -> list[np.ndarray]:
+    """Row indices of the diagonal blocks ending at `ends`, grouped by size.
+
+    One (blocks, size) integer array per distinct size, ascending, so each
+    group can go to numpy as one stacked operation.
+    """
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
+    return [starts[sizes == size, None] + np.arange(size) for size in np.unique(sizes)]
+
+
 def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a matrix.
 
@@ -188,16 +201,13 @@ def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     d = matrix.shape[0]
     ends = _block_ends(matrix)
-    starts = np.concatenate(([0], ends[:-1]))
-    sizes = ends - starts
     w = np.empty(d)
     blocks = []  # (row indices of each block of one size, their eigenvectors)
     try:
         if ends.size == 1:
             w, v = np.linalg.eigh(matrix)
             return w, v
-        for size in np.unique(sizes):
-            index = starts[sizes == size, None] + np.arange(size)
+        for index in _blocks_by_size(ends):
             block_w, block_v = np.linalg.eigh(matrix[index[:, :, None], index[:, None, :]])
             w[index] = block_w
             blocks.append((index, block_v))

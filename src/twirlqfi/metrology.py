@@ -20,7 +20,7 @@ differences appear only in tests, as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,6 +35,8 @@ from .hilbert import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    _block_ends,
+    _blocks_by_size,
     _check_dims,
     commutator,
     eigh_matrix,
@@ -88,27 +90,52 @@ class NonCommutingError(ValueError):
     """An operation restricted to commuting generators got a non-commuting pair."""
 
 
+@dataclass(frozen=True, eq=False)
+class _GeneratorProducts:
+    """{G, K} and GK - KG of one generator pair, each formed once, on first use.
+
+    GK - KG is kept as the exact matrix, so commuting generators give an
+    exact zero <[G, K]> rather than rounding.
+    """
+
+    k: HermitianOperator
+    g: HermitianOperator
+
+    @cached_property
+    def matrices(self) -> tuple[HermitianOperator, np.ndarray]:
+        gk, kg = self.g.matrix @ self.k.matrix, self.k.matrix @ self.g.matrix
+        return HermitianOperator(gk + kg), gk - kg
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """Fiducial state, encoding generator K, noise generator G and lambda."""
+    """Fiducial state, encoding generator K, noise generator G and lambda.
+
+    with_lambda copies share K, G and the products of the pair.
+    """
 
     fiducial: StateVector
     k_generator: HermitianOperator
     g_generator: HermitianOperator
     lam: float = 0.0
+    _products: _GeneratorProducts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dims(self.fiducial.dim, self.k_generator.dim, self.g_generator.dim)
         if not np.isfinite(self.lam):
             raise ValueError("lambda must be finite")
         object.__setattr__(self, "lam", float(self.lam))
+        products = _GeneratorProducts(self.k_generator, self.g_generator)
+        object.__setattr__(self, "_products", products)
 
     @property
     def dim(self) -> int:
         return self.fiducial.dim
 
     def with_lambda(self, lam: float) -> "Scenario":
-        return Scenario(self.fiducial, self.k_generator, self.g_generator, lam)
+        moved = Scenario(self.fiducial, self.k_generator, self.g_generator, lam)
+        object.__setattr__(moved, "_products", self._products)
+        return moved
 
     @cached_property
     def psi_lambda(self) -> StateVector:
@@ -199,8 +226,9 @@ class _ClusterData:
 
 
 def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) -> _ClusterData:
-    a = basis.conj().T @ psi
-    b = basis.conj().T @ dpsi
+    basis_dag = basis.conj().T
+    a = basis_dag @ psi
+    b = basis_dag @ dpsi
     p, overlap, weight = [], [], []
     for b1, b2 in zip(bounds, bounds[1:]):
         seg_a, seg_b = a[b1:b2], b[b1:b2]
@@ -386,47 +414,92 @@ def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
     """(Cov(G, K), <[G, K]>) on the evolved state.
 
     Necessary one-directional implications: no loss forces Cov(G, K) = 0 and
-    max loss forces <[G, K]> = 0.  Neither converse holds.
+    max loss forces <[G, K]> = 0.  Neither converse holds.  The matrices
+    {G, K} and GK - KG are formed once per generator pair and shared by the
+    scenario's with_lambda copies, so a point costs two matrix-vector products.
     """
     _check_dims(s.dim, p.dim)
     g, k, state = s.g_generator, s.k_generator, s.psi_lambda
-    # GK and KG once each, for both {G, K} and [G, K]
-    gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
-    half_anti = expectation(HermitianOperator(gk + kg), state) / 2.0
+    anti, comm = s._products.matrices
+    half_anti = expectation(anti, state) / 2.0
     cov = half_anti - expectation(g, state) * expectation(k, state)
     psi = state.amplitudes
-    mean_comm = complex(np.vdot(psi, (gk - kg) @ psi))
+    mean_comm = complex(np.vdot(psi, comm @ psi))
     return cov, mean_comm
 
 
-def _mixed_in_eigenbasis(rho: DensityMatrix, drho: np.ndarray) -> tuple[np.ndarray, float]:
+def _pair_blocks(rho: DensityMatrix, drho: np.ndarray):
+    """The diagonal blocks of the pair (rho, drho), stacked by size.
+
+    The blocks are the contiguous ones of the union of both nonzero patterns
+    (drho may couple blocks of rho that rho's exact zeros separate).  Each
+    eigenvector column of rho belongs to the block that holds its largest
+    entry, and a block that does not get as many columns as it has rows
+    raises ConsistencyError.  Yields, per block size, the columns of V that
+    each block owns, in ascending order, and the blocks of V, rho and drho;
+    a pair that is one block yields views of the whole arrays.
+    """
+    basis = rho.eig[1]
+    ends = _block_ends((rho.matrix != 0) | (drho != 0))
+    if ends.size == 1:
+        yield np.arange(rho.dim)[None], basis[None], rho.matrix[None], drho[None]
+        return
+    owner = np.searchsorted(ends, np.argmax(np.abs(basis), axis=0), side="right")
+    if np.any(np.bincount(owner, minlength=ends.size) != np.diff(ends, prepend=0)):
+        raise ConsistencyError("eigenvectors of rho do not follow its diagonal blocks")
+    # block by block: block k's columns sit at the positions of its rows
+    columns = np.argsort(owner, kind="stable")
+    for index in _blocks_by_size(ends):
+        cols = columns[index]
+        rows = index[:, :, None], index[:, None, :]
+        yield cols, basis[index[:, :, None], cols[:, None, :]], rho.matrix[rows], drho[rows]
+
+
+def _mixed_in_eigenbasis(
+    rho: DensityMatrix, drho: np.ndarray
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
     """The SLD in rho's eigenbasis V, L' = W o R with R = V^dag drho V, and the QFI.
 
-    The SLD equation is checked on rho's support S as 2 R_SS = X + X^dag with
-    X = L'[S, :] V^dag rho V_S, from rho's own matrix, so it tests V as well.
+    Evaluated on the diagonal blocks of the pair, blocks of one size as
+    stacked matmuls; L' comes back as (columns of V, L' on them) per group
+    of blocks.  A pair that is one block takes the dense products.
+
+    The SLD equation is checked on each block's support S as
+    2 R_SS = X + X^dag with X = L'[S, :] V_k^dag rho_kk V_k[:, S], from rho's
+    own matrix, so it tests V as well.
     """
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
+    scale = max(1.0, float(np.max(np.abs(drho))))
     herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
-    if herm_drift > 1e-9:
+    if herm_drift > 1e-9 * scale:
         raise ValueError(f"drho is not Hermitian (max drift {herm_drift:.3e})")
-    if abs(np.trace(drho)) > 1e-9:
+    if abs(np.trace(drho)) > 1e-9 * scale:
         raise ValueError("drho must be traceless (derivative of a unit-trace family)")
-    eigenvalues, basis = rho.eig
-    rotated = basis.conj().T @ drho @ basis
-    pair_sum = eigenvalues[:, None] + eigenvalues[None, :]
-    weights = np.zeros_like(pair_sum)
-    mask = pair_sum > EPS_PROBABILITY
-    weights[mask] = 2.0 / pair_sum[mask]
-    qfi = float(np.sum(weights * np.abs(rotated) ** 2))
-    sld = weights * rotated
-    support = eigenvalues > EPS_PROBABILITY
-    y = basis.conj().T @ (rho.matrix @ basis[:, support])  # V^dag rho V_S
-    x = sld[support, :] @ y  # L' is Hermitian, so x^dag = Y^dag L'[:, S]
-    residual = 2.0 * rotated[np.ix_(support, support)] - x - x.conj().T
-    scale = 1.0 + float(np.max(np.abs(drho)))
-    if float(np.max(np.abs(residual), initial=0.0)) > 1e-8 * scale:
-        raise ConsistencyError("SLD defining equation violated on the support")
+    eigenvalues = rho.eig[0]
+    qfi, sld = 0.0, []
+    for cols, v, rho_kk, drho_kk in _pair_blocks(rho, drho):
+        v_dag = v.conj().transpose(0, 2, 1)
+        rotated = v_dag @ drho_kk @ v
+        w = eigenvalues[cols]
+        pair_sum = w[:, :, None] + w[:, None, :]
+        weights = np.zeros_like(pair_sum)
+        mask = pair_sum > EPS_PROBABILITY
+        weights[mask] = 2.0 / pair_sum[mask]
+        qfi += float(np.sum(weights * np.abs(rotated) ** 2))
+        block_sld = weights * rotated
+        sld.append((cols, block_sld))
+        # eigenvalues ascend, so each block's support is its last columns; the
+        # group is checked from its widest support on, other columns masked
+        support = w > EPS_PROBABILITY
+        first = w.shape[1] - int(support.sum(axis=1).max())
+        on = support[:, first:]
+        y = v_dag @ (rho_kk @ v[:, :, first:])  # V_k^dag rho_kk V_k,S
+        x = block_sld[:, first:, :] @ y  # L' is Hermitian, so x^dag = Y^dag L'[:, S]
+        residual = 2.0 * rotated[:, first:, first:] - x - x.conj().transpose(0, 2, 1)
+        residual *= on[:, :, None] & on[:, None, :]
+        if float(np.max(np.abs(residual), initial=0.0)) > 1e-8 * scale:
+            raise ConsistencyError("SLD defining equation violated on the support")
     return sld, qfi
 
 
@@ -434,8 +507,10 @@ def qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> float:
     """QFI of a general density-matrix family from its eigendecomposition.
 
     2 sum_ij |<i|drho|j>|^2 / (p_i + p_j) over pairs with p_i + p_j above the
-    floor.  The SLD defining equation is verified in rho's eigenbasis, on
-    rho's support against rho's own matrix.
+    floor.  The sum runs block by block over the diagonal blocks of the pair
+    (rho, drho), so a block-diagonal pair, a dephased state say, costs the
+    sum of its blocks' cubes rather than d^3.  The SLD defining equation is
+    verified in rho's eigenbasis, on rho's support against rho's own matrix.
     """
     return _mixed_in_eigenbasis(rho, drho)[1]
 
@@ -443,9 +518,13 @@ def qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> float:
 def sld_mixed(rho: DensityMatrix, drho: np.ndarray) -> HermitianOperator:
     """Symmetric logarithmic derivative 2 <i|drho|j> / (p_i + p_j) |i><j|.
 
-    Verified in rho's eigenbasis as in qfi_mixed, then rotated back once.
+    Verified in rho's eigenbasis as in qfi_mixed, block by block; the blocks
+    are scattered into one matrix and rotated back once.
     """
-    sld, _ = _mixed_in_eigenbasis(rho, drho)
+    blocks, _ = _mixed_in_eigenbasis(rho, drho)
+    sld = np.zeros((rho.dim, rho.dim), dtype=complex)
+    for cols, block_sld in blocks:
+        sld[cols[:, :, None], cols[:, None, :]] = block_sld
     basis = rho.eig[1]
     return HermitianOperator(basis @ sld @ basis.conj().T)
 
@@ -529,10 +608,11 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       drho_B = M o (b a^dag + a b^dag) with a = V^dag psi, b = V^dag dpsi
       (o is the entrywise product).  The QFI and the SLD equation do not
       change under V, so leaving out the rotation back loses nothing; the
-      check still takes its own eigendecomposition of rho_B (block by
-      block, since rho_B is block diagonal), the mixed-state formula and
-      the SLD defining equation, none of which the projector-overlap value
-      uses.  The mixed-state check is skipped at rank-change points of the
+      check still takes its own eigendecomposition of rho_B, the
+      mixed-state formula and the SLD defining equation, none of which the
+      projector-overlap value uses.  All three run block by block over the
+      diagonal blocks of (rho_B, drho_B), which are the clusters or finer,
+      so the check costs the sum of the blocks' cubes rather than d^3.  The mixed-state check is skipped at rank-change points of the
       dephased family (a zero-probability eigenspace receiving derivative
       weight), where the mixed-state QFI is genuinely discontinuous.
 

@@ -143,6 +143,56 @@ def random_traceless(rng, dim):
     return h - np.trace(h) / dim * np.eye(dim)
 
 
+def block_diagonal_pair(rng, blocks):
+    """A block-diagonal density matrix and a traceless drho on coarser blocks.
+
+    `blocks` lists, per diagonal block of drho, the (size, rank) of each of
+    rho's finer blocks inside it.  drho is dense on its blocks, so it couples
+    rho's blocks there; a rank-0 block of rho is exactly zero.
+    """
+    fine = [part for block in blocks for part in block]
+    dim = sum(size for size, _ in fine)
+    rho = np.zeros((dim, dim), dtype=complex)
+    drho = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for size, rank in fine:
+        u = random_unitary(rng, size)
+        weights = np.zeros(size)
+        weights[:rank] = rng.uniform(0.1, 1.0, size=rank)
+        rho[start : start + size, start : start + size] = (u * weights) @ u.conj().T
+        start += size
+    start = 0
+    for block in blocks:
+        size = sum(part for part, _ in block)
+        drho[start : start + size, start : start + size] = random_hermitian(rng, size).matrix
+        start += size
+    return DensityMatrix(rho / np.trace(rho).real), drho - np.trace(drho) / dim * np.eye(dim)
+
+
+@st.composite
+def block_structures(draw):
+    """1-5 blocks of size 1-7, each split into at most two blocks of rho."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 7))
+        cut = draw(st.integers(0, size - 1))  # 0: rho does not split this block
+        parts = [cut, size - cut] if cut else [size]
+        blocks.append([(part, draw(st.integers(0, part))) for part in parts])
+    if not any(rank for block in blocks for _, rank in block):
+        blocks[0][0] = (blocks[0][0][0], 1)
+    return blocks
+
+
+def textbook_sld(rho, drho):
+    """The QFI and the SLD from a dense eigendecomposition of rho's matrix."""
+    w, v = np.linalg.eigh(rho.matrix)
+    rotated = v.conj().T @ drho @ v
+    pair_sum = w[:, None] + w[None, :]
+    weights = np.divide(2.0, pair_sum, out=np.zeros_like(pair_sum), where=pair_sum > 1e-12)
+    qfi = float(np.sum(weights * np.abs(rotated) ** 2))
+    return qfi, v @ (weights * rotated) @ v.conj().T
+
+
 def finite_difference_drho(s, step=1e-5):
     lo = s.with_lambda(s.lam - step).rho_lambda.matrix
     hi = s.with_lambda(s.lam + step).rho_lambda.matrix
@@ -505,18 +555,43 @@ class TestMixedStateQfi:
         weights[:rank] = rng.uniform(0.1, 1.0, size=rank)
         rho = DensityMatrix((u * (weights / weights.sum())) @ u.conj().T)
         drho = random_traceless(rng, dim)
-        w, v = np.linalg.eigh(rho.matrix)
-        rotated = v.conj().T @ drho @ v
-        pair_sum = w[:, None] + w[None, :]
-        above = pair_sum > 1e-12
-        expected = float(np.sum(2.0 * np.abs(rotated[above]) ** 2 / pair_sum[above]))
+        expected, _ = textbook_sld(rho, drho)
         assert abs(qfi_mixed(rho, drho) - expected) <= 1e-10 * max(1.0, expected)
         sld = sld_mixed(rho, drho).matrix
+        w, v = np.linalg.eigh(rho.matrix)
         support = v[:, w > 1e-12]
         residual = 2.0 * drho - sld @ rho.matrix - rho.matrix @ sld
         assert np.max(np.abs(support.conj().T @ residual @ support)) <= 1e-8
 
-    @pytest.mark.parametrize("case", ["full-rank", "rank-deficient", "example1-dephased"])
+    @settings(max_examples=100, deadline=None)
+    @given(block_structures(), st.integers(0, 2**32 - 1))
+    def test_block_diagonal_pairs_match_the_dense_sum(self, blocks, seed):
+        # blocks of one size are evaluated as one stack, with ranks that
+        # differ from block to block, and drho couples blocks of rho
+        rho, drho = block_diagonal_pair(np.random.default_rng(seed), blocks)
+        expected, expected_sld = textbook_sld(rho, drho)
+        tol = 1e-10 * max(1.0, expected)
+        assert abs(qfi_mixed(rho, drho) - expected) <= tol
+        assert np.max(np.abs(sld_mixed(rho, drho).matrix - expected_sld)) <= tol
+
+    def test_eigenvectors_must_follow_the_blocks(self):
+        # columns are assigned to the pair's blocks by their largest entry; a
+        # basis that mixes two blocks cannot be used block by block.  The two
+        # mixed columns have equal moduli entry by entry, so both land in one
+        # block, which then holds one column too many
+        rho, drho = block_diagonal_pair(np.random.default_rng(143), [[(3, 3)], [(3, 3)]])
+        w, v = rho.eig
+        i, j = np.argmax(np.abs(v[0])), np.argmax(np.abs(v[3]))  # one column of each block
+        mixed = v.copy()
+        mixed[:, i] = (v[:, i] + v[:, j]) / np.sqrt(2)
+        mixed[:, j] = (v[:, i] - v[:, j]) / np.sqrt(2)
+        vars(rho)["eig"] = (w, mixed)
+        with pytest.raises(ConsistencyError, match="do not follow its diagonal blocks"):
+            qfi_mixed(rho, drho)
+
+    @pytest.mark.parametrize(
+        "case", ["full-rank", "rank-deficient", "example1-dephased", "multi-block"]
+    )
     def test_verification_fires_on_perturbed_eigenvectors(self, case):
         # the SLD equation is tested against rho's own matrix, so eigenvectors
         # that are off by 1e-6 fail it although R and L' stay consistent
@@ -524,6 +599,9 @@ class TestMixedStateQfi:
         if case == "example1-dephased":
             s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
             rho, drho = eigenbasis_pair(s, spectral_projectors(s.g_generator))
+        elif case == "multi-block":
+            blocks = [[(2, 1), (1, 1)], [(3, 2)], [(1, 0), (2, 2)], [(3, 3)]]
+            rho, drho = block_diagonal_pair(rng, blocks)
         else:
             rho = random_density(rng, 6, rank=6 if case == "full-rank" else 3)
             drho = random_traceless(rng, 6)
@@ -808,10 +886,12 @@ class TestReport:
         ]
         assert max(values) - min(values) <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e6, 1e8])
     def test_floors_scale_with_the_clean_qfi(self, scale):
         # rounding in QFIs of size c^2 is about 1e-16 c^2, which absolute
-        # 1e-9 floors on the loss and on a negative dephased QFI rejected
+        # 1e-9 floors on the loss and on a negative dephased QFI rejected;
+        # at 1e8 the dephased drho's Hermiticity drift and trace (about
+        # 1e-16 |drho|) exceeded absolute 1e-9 floors too
         rng = np.random.default_rng(181)
         no_noise = HermitianOperator(np.eye(6, dtype=complex))
         for _ in range(20):
