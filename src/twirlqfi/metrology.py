@@ -436,14 +436,10 @@ def _pair_blocks(rho: DensityMatrix, drho: np.ndarray):
     eigenvector column of rho belongs to the block that holds its largest
     entry, and a block that does not get as many columns as it has rows
     raises ConsistencyError.  Yields, per block size, the columns of V that
-    each block owns, in ascending order, and the blocks of V, rho and drho;
-    a pair that is one block yields views of the whole arrays.
+    each block owns, in ascending order, and the blocks of V, rho and drho.
     """
     basis = rho.eig[1]
     ends = _block_ends((rho.matrix != 0) | (drho != 0))
-    if ends.size == 1:
-        yield np.arange(rho.dim)[None], basis[None], rho.matrix[None], drho[None]
-        return
     owner = np.searchsorted(ends, np.argmax(np.abs(basis), axis=0), side="right")
     if np.any(np.bincount(owner, minlength=ends.size) != np.diff(ends, prepend=0)):
         raise ConsistencyError("eigenvectors of rho do not follow its diagonal blocks")
@@ -462,7 +458,7 @@ def _mixed_in_eigenbasis(
 
     Evaluated on the diagonal blocks of the pair, blocks of one size as
     stacked matmuls; L' comes back as (columns of V, L' on them) per group
-    of blocks.  A pair that is one block takes the dense products.
+    of blocks.
 
     The SLD equation is checked on each block's support S as
     2 R_SS = X + X^dag with X = L'[S, :] V_k^dag rho_kk V_k[:, S], from rho's
@@ -470,7 +466,8 @@ def _mixed_in_eigenbasis(
     """
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
-    scale = max(1.0, float(np.max(np.abs(drho))))
+    max_drho = float(np.max(np.abs(drho)))
+    scale = max(1.0, max_drho)
     herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
     if herm_drift > 1e-9 * scale:
         raise ValueError(f"drho is not Hermitian (max drift {herm_drift:.3e})")
@@ -498,7 +495,7 @@ def _mixed_in_eigenbasis(
         x = block_sld[:, first:, :] @ y  # L' is Hermitian, so x^dag = Y^dag L'[:, S]
         residual = 2.0 * rotated[:, first:, first:] - x - x.conj().transpose(0, 2, 1)
         residual *= on[:, :, None] & on[:, None, :]
-        if float(np.max(np.abs(residual), initial=0.0)) > 1e-8 * scale:
+        if float(np.max(np.abs(residual), initial=0.0)) > 1e-8 * (1.0 + max_drho):
             raise ConsistencyError("SLD defining equation violated on the support")
     return sld, qfi
 
@@ -612,9 +609,10 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       mixed-state formula and the SLD defining equation, none of which the
       projector-overlap value uses.  All three run block by block over the
       diagonal blocks of (rho_B, drho_B), which are the clusters or finer,
-      so the check costs the sum of the blocks' cubes rather than d^3.  The mixed-state check is skipped at rank-change points of the
-      dephased family (a zero-probability eigenspace receiving derivative
-      weight), where the mixed-state QFI is genuinely discontinuous.
+      so the check costs the sum of the blocks' cubes rather than d^3.  The
+      mixed-state check is skipped at rank-change points of the dephased
+      family (a zero-probability eigenspace receiving derivative weight),
+      where the mixed-state QFI is genuinely discontinuous.
 
     A dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is rounding
     and reads 0.
