@@ -60,21 +60,6 @@ def _check_dims(*dims: int) -> int:
     return first
 
 
-def _frozen_array(values, shape_kind: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if shape_kind == "vector":
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("expected a non-empty 1-d amplitude array")
-    else:
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError("expected a non-empty square matrix")
-    # a NaN would pass every tolerance check below: NaN > tol is False
-    if not np.isfinite(arr).all():
-        raise ValueError("entries must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state.  Normalization is enforced at construction."""
@@ -107,7 +92,12 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _frozen_array(self.matrix, "matrix")
+        mat = np.array(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
+            raise ValueError("expected a non-empty square matrix")
+        # a NaN would pass the drift check below: NaN > tol is False
+        if not np.isfinite(mat).all():
+            raise ValueError("entries must be finite")
         drift = np.max(np.abs(mat - mat.conj().T))
         if drift > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")

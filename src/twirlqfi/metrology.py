@@ -94,17 +94,21 @@ class NonCommutingError(ValueError):
 class _GeneratorProducts:
     """{G, K} and GK - KG of one generator pair, each formed once, on first use.
 
-    GK - KG is kept as the exact matrix, so commuting generators give an
-    exact zero <[G, K]> rather than rounding.
+    {G, K} is (X + X^dag) / 2 with X = GK + KG, so it is exactly Hermitian.
+    X is a product of two validated operators, so its anti-Hermitian part is
+    rounding of size eps |G| |K| and is not checked.  GK - KG is kept as the
+    exact matrix, so commuting generators give an exact zero <[G, K]> rather
+    than rounding.
     """
 
     k: HermitianOperator
     g: HermitianOperator
 
     @cached_property
-    def matrices(self) -> tuple[HermitianOperator, np.ndarray]:
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         gk, kg = self.g.matrix @ self.k.matrix, self.k.matrix @ self.g.matrix
-        return HermitianOperator(gk + kg), gk - kg
+        anti = gk + kg
+        return 0.5 * (anti + anti.conj().T), gk - kg
 
 
 @dataclass(frozen=True)
@@ -421,9 +425,9 @@ def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
     _check_dims(s.dim, p.dim)
     g, k, state = s.g_generator, s.k_generator, s.psi_lambda
     anti, comm = s._products.matrices
-    half_anti = expectation(anti, state) / 2.0
-    cov = half_anti - expectation(g, state) * expectation(k, state)
     psi = state.amplitudes
+    half_anti = float(np.vdot(psi, anti @ psi).real) / 2.0
+    cov = half_anti - expectation(g, state) * expectation(k, state)
     mean_comm = complex(np.vdot(psi, comm @ psi))
     return cov, mean_comm
 

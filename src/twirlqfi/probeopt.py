@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import _example1_qfi_weights
+from .models import _example1_qfi_weights, _log_factorial
 
 __all__ = [
     "NORMALIZATION_ONLY",
@@ -108,9 +108,7 @@ def coherent_weight_profile(n_levels: int, mean: float) -> np.ndarray:
         weights[0] = 1.0
         return weights
     levels = np.arange(n_levels, dtype=float)
-    log_poisson = levels * math.log(mean) - mean - np.array(
-        [math.lgamma(k + 1.0) for k in levels]
-    )
+    log_poisson = levels * math.log(mean) - mean - _log_factorial(levels)
     weights = np.exp(log_poisson)
     return weights / weights.sum()
 

@@ -899,6 +899,23 @@ class TestReport:
             lam = float(rng.uniform(-np.pi, np.pi))
             rep = report(Scenario(haar_state(rng, 6), k, no_noise, lam))
             assert abs(rep.loss) <= 1e-9 * rep.alice_qfi
+        # two-fold clusters {0, 1, 2} in a Haar basis: GK + KG drifts from
+        # Hermitian by rounding of size 1e-16 c, which an absolute 1e-12
+        # check on {G, K} rejected from c = 1e4 on; with lambda / c the
+        # evolved state is the unscaled one, so each value scales exactly
+        clusters = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        for _ in range(20):
+            u = random_unitary(rng, 6)
+            g = HermitianOperator(u @ clusters @ u.conj().T)
+            k = random_hermitian(rng, 6)
+            psi0, lam = haar_state(rng, 6), float(rng.uniform(-np.pi, np.pi))
+            ref = report(Scenario(psi0, k, g, lam))
+            rep = report(Scenario(psi0, HermitianOperator(scale * k.matrix), g, lam / scale))
+            assert rep.alice_qfi == pytest.approx(scale**2 * ref.alice_qfi, rel=1e-12)
+            assert rep.bob_qfi == pytest.approx(
+                scale**2 * ref.bob_qfi, rel=1e-12, abs=1e-12 * rep.alice_qfi
+            )
+            assert rep.cov_gk == pytest.approx(scale * ref.cov_gk, rel=1e-12, abs=1e-12 * scale)
         s = counterexample_scenario(0.4)
         k = HermitianOperator(scale * s.k_generator.matrix)
         rep = report(Scenario(s.fiducial, k, s.g_generator, s.lam))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twirlqfi import models
 from twirlqfi.channels import spectral_projectors, twirl
 from twirlqfi.hilbert import StateVector
 from twirlqfi.metrology import qfi_twirled_pure, qfi_unitary
@@ -54,6 +55,21 @@ class TestQrfAmplitudes:
         expected = np.zeros(8)
         expected[0] = 1.0
         assert np.max(np.abs(state.amplitudes - expected)) == 0.0
+
+    @pytest.mark.parametrize("alpha_sq", [0.5, 20.0, 100.0])
+    def test_coherent_amplitudes_match_the_recurrence(self, alpha_sq):
+        # oracle: c_0 = exp(-alpha^2 / 2), c_n = c_{n-1} alpha / sqrt(n), with
+        # no log factorial, on the automatic truncation
+        alpha = math.sqrt(alpha_sq)
+        truncation = qrf_amplitudes(QrfStateSpec.coherent(alpha)).dim
+        expected = np.empty(truncation)
+        expected[0] = math.exp(-0.5 * alpha_sq)
+        for n in range(1, truncation):
+            expected[n] = expected[n - 1] * alpha / math.sqrt(n)
+        amps = models._coherent_amplitudes(alpha, truncation)
+        kept = expected >= 1e-300
+        rel = np.abs(amps[kept] - expected[kept]) / expected[kept]
+        assert np.max(rel) <= 1e-12
 
     def test_squeezed_vacuum_even_support(self):
         state = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
