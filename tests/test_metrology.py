@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from twirlqfi import metrology
 from twirlqfi.channels import spectral_projectors, twirl, twirl_hermitian
-from twirlqfi.hilbert import DensityMatrix, HermitianOperator, StateVector, expectation
+from twirlqfi.hilbert import (
+    DensityMatrix,
+    HermitianOperator,
+    StateVector,
+    expectation,
+    sym_covariance,
+)
 from twirlqfi.metrology import (
     ConsistencyError,
     NonCommutingError,
@@ -91,8 +97,6 @@ def naive_anticommutator_qfi(s, p):
 
 
 def naive_covariance_qfi(s, p):
-    from twirlqfi.hilbert import sym_covariance
-
     state = s.psi_lambda
     total = 4.0 * sym_covariance(s.k_generator, s.k_generator, state)
     for proj in p.projectors:
@@ -314,8 +318,25 @@ class TestDephasedQfiForms:
             ce, spectral_projectors(ce.g_generator)
         ) == pytest.approx(0.0, abs=1e-12)
         s3 = example3(0.5, 0.3)
-        with pytest.raises(NonCommutingError):
-            qfi_commuting_form(s3, spectral_projectors(s3.g_generator))
+        for scale in (1.0, 1e4, 1e8):
+            k = HermitianOperator(scale * s3.k_generator.matrix)
+            with pytest.raises(NonCommutingError):
+                qfi_commuting_form(
+                    Scenario(s3.fiducial, k, s3.g_generator, s3.lam),
+                    spectral_projectors(s3.g_generator),
+                )
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_commuting_form_scales_with_k(self, scale):
+        # rounding in GK - KG grows as c |K| |G| (up to 7e-8 at c = 1e8), so
+        # the commutation floor must scale with the generators
+        rng = np.random.default_rng(193)
+        for _ in range(10):
+            k, g = commuting_pair(rng, 6, n_clusters=3)
+            psi0, p = haar_state(rng, 6), spectral_projectors(g)
+            unit = qfi_commuting_form(Scenario(psi0, k, g, 0.3), p)
+            scaled = Scenario(psi0, HermitianOperator(scale * k.matrix), g, 0.3 / scale)
+            assert qfi_commuting_form(scaled, p) == pytest.approx(scale**2 * unit, rel=1e-12)
 
     def test_commuting_form_equals_sector_average(self):
         # H(G[rho]) = sum_i p_i * 4 Var_{rho_i}(K) in the commuting case
@@ -903,25 +924,54 @@ class TestReport:
         # Hermitian by rounding of size 1e-16 c, which an absolute 1e-12
         # check on {G, K} rejected from c = 1e4 on; with lambda / c the
         # evolved state is the unscaled one, so each value scales exactly
+        # K centered on psi0 has <K> = 0, so the imaginary rounding in <K>
+        # (about 1e-16 c) is not small against its value and must not raise
         clusters = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
         for _ in range(20):
             u = random_unitary(rng, 6)
             g = HermitianOperator(u @ clusters @ u.conj().T)
             k = random_hermitian(rng, 6)
             psi0, lam = haar_state(rng, 6), float(rng.uniform(-np.pi, np.pi))
-            ref = report(Scenario(psi0, k, g, lam))
-            rep = report(Scenario(psi0, HermitianOperator(scale * k.matrix), g, lam / scale))
-            assert rep.alice_qfi == pytest.approx(scale**2 * ref.alice_qfi, rel=1e-12)
-            assert rep.bob_qfi == pytest.approx(
-                scale**2 * ref.bob_qfi, rel=1e-12, abs=1e-12 * rep.alice_qfi
-            )
-            assert rep.cov_gk == pytest.approx(scale * ref.cov_gk, rel=1e-12, abs=1e-12 * scale)
+            centered = HermitianOperator(k.matrix - expectation(k, psi0) * np.eye(6))
+            for k in (k, centered):
+                ref = report(Scenario(psi0, k, g, lam))
+                rep = report(Scenario(psi0, HermitianOperator(scale * k.matrix), g, lam / scale))
+                assert rep.alice_qfi == pytest.approx(scale**2 * ref.alice_qfi, rel=1e-12)
+                assert rep.bob_qfi == pytest.approx(
+                    scale**2 * ref.bob_qfi, rel=1e-12, abs=1e-12 * rep.alice_qfi
+                )
+                assert rep.cov_gk == pytest.approx(
+                    scale * ref.cov_gk, rel=1e-12, abs=1e-12 * scale
+                )
         s = counterexample_scenario(0.4)
         k = HermitianOperator(scale * s.k_generator.matrix)
         rep = report(Scenario(s.fiducial, k, s.g_generator, s.lam))
         assert rep.alice_qfi == pytest.approx(scale**2, rel=1e-12)
         assert rep.bob_qfi <= 1e-9 * rep.alice_qfi
         assert rep.max_loss
+
+    @pytest.mark.parametrize("scale", [1e4, 1e8])
+    def test_products_of_the_generators_scale_with_k(self, scale):
+        # {G, K} and both SLDs are formed from validated operators, so their
+        # anti-Hermitian rounding grows as c and must not meet an absolute
+        # drift check.  With lambda / c each value scales as c
+        rng = np.random.default_rng(191)
+        clusters = np.diag([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
+        for _ in range(10):
+            u = random_unitary(rng, 6)
+            g = HermitianOperator(u @ clusters @ u.conj().T)
+            k = random_hermitian(rng, 6)
+            psi0, lam = haar_state(rng, 6), float(rng.uniform(-np.pi, np.pi))
+            ref = Scenario(psi0, k, g, lam)
+            s = Scenario(psi0, HermitianOperator(scale * k.matrix), g, lam / scale)
+            p = spectral_projectors(g)
+            assert sym_covariance(g, s.k_generator, s.psi_lambda) == pytest.approx(
+                scale * sym_covariance(g, k, ref.psi_lambda), rel=1e-12
+            )
+            for sld in (sld_twirled, lambda x, p: sld_mixed(*eigenbasis_pair(x, p))):
+                unit = sld(ref, p).matrix
+                error = np.max(np.abs(sld(s, p).matrix - scale * unit))
+                assert error <= 1e-12 * scale * np.max(np.abs(unit))
 
     def test_rank_change_point_does_not_crash(self):
         # at lambda = 0 the dephased family of the direction indicator changes
