@@ -18,11 +18,13 @@ contiguous diagonal blocks from the exact zeros and decomposes each block on
 its own, so a diagonal generator, or a state dephased in its generator's
 eigenbasis, costs the sum of its blocks' cubes rather than d^3.  The same
 block scan and grouping of blocks by size serve metrology.qfi_mixed,
-which evaluates a (rho, drho) pair block by block.
+which evaluates a (rho, drho) pair block by block.  The scan never permutes:
+a caller whose operator conserves a quantity orders its basis by that quantity
+(models.example2_system orders its labels by total excitation).
 
-HermitianOperator checks Hermiticity on outside input only: a matrix formed
-from validated operators (an anticommutator, an SLD) passes through
-_hermitian_part first, since its drift is rounding that grows with its size.
+HermitianOperator checks Hermiticity on outside input only, relative to
+max(1, max|A|): a matrix formed from validated operators (an anticommutator,
+an SLD) passes through _hermitian_part first, since its drift is rounding.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix; tiny anti-Hermitian drift (< 1e-12) is symmetrized away."""
+    """Hermitian matrix; anti-Hermitian drift up to 1e-12 * max(1, max|A|) is symmetrized away."""
 
     matrix: np.ndarray
 
@@ -100,8 +102,9 @@ class HermitianOperator:
         # a NaN would pass the drift check below: NaN > tol is False
         if not np.isfinite(mat).all():
             raise ValueError("entries must be finite")
+        # max|A| is read only once the absolute bound fails
         drift = np.max(np.abs(mat - mat.conj().T))
-        if drift > HERMITICITY_TOL:
+        if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * np.max(np.abs(mat)):
             raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
         sym = _hermitian_part(mat)
         sym.setflags(write=False)

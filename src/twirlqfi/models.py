@@ -367,7 +367,8 @@ class Example2System:
 
     The Hamiltonian omega (n_a + n_b) + kappa (a^dag b + b^dag a) conserves
     total excitation number, so the restriction to the sector is exact for
-    fiducial states supported inside it.
+    fiducial states supported inside it.  Labels (m, n) run by total m + n, then
+    m, so H is one contiguous tridiagonal block per total and eigh_matrix splits it.
     """
 
     omega: float
@@ -443,20 +444,15 @@ def example2_system(omega: float = 1.0, kappa: float = 1.0 / math.sqrt(2.0),
         raise ValueError("need omega > kappa > 0")
     if n_total_max < 1:
         raise ValueError("n_total_max must be at least 1")
-    d = n_total_max + 1
-    lowering, raising, number = fock_ops(d)
-    eye = np.eye(d, dtype=complex)
-    h_full = omega * (np.kron(number, eye) + np.kron(eye, number)) + kappa * (
-        np.kron(raising, lowering) + np.kron(lowering, raising)
-    )
-    k_full = np.kron(number, eye)
-    labels = tuple((m, n) for m in range(d) for n in range(d - m))
-    idx = [m * d + n for m, n in labels]
-    h_sector = HermitianOperator(h_full[np.ix_(idx, idx)])
-    k_sector = HermitianOperator(k_full[np.ix_(idx, idx)])
-    expected = sorted(
-        (omega + kappa) * m + (omega - kappa) * n for m, n in labels
-    )
+    labels = tuple((m, s - m) for s in range(n_total_max + 1) for m in range(s + 1))
+    m, n = np.array(labels, dtype=float).T
+    # a^dag b takes (m, n) to (m + 1, n - 1), the next label of its block
+    h = np.diag(omega * (m + n))
+    i = np.arange(len(labels) - 1)
+    h[i, i + 1] = h[i + 1, i] = kappa * (np.sqrt(m[:-1] + 1.0) * np.sqrt(n[:-1]))
+    h_sector = HermitianOperator(h)
+    k_sector = HermitianOperator(np.diag(m))
+    expected = np.sort((omega + kappa) * m + (omega - kappa) * n)
     gaps = np.diff(expected)
     if np.any(gaps <= 1e-8 * (1.0 + expected[-1] - expected[0])):
         raise ValueError(

@@ -512,7 +512,7 @@ class TestErrors:
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "entry.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "twirlqfi", "run",
+            [sys.executable, "-W", "error", "-m", "twirlqfi", "run",
              "--config", str(FIXTURES / "counterexample.json"),
              "--out", str(out), "--quiet"],
             capture_output=True, text=True, env=src_env(),

@@ -1,4 +1,8 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter.
+
+The interpreter runs with -W error: pytest's filterwarnings does not reach a
+subprocess, and a demo should not raise a numpy warning either.
+"""
 
 import subprocess
 import sys
@@ -16,7 +20,7 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
     completed = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT,
         env=src_env(),
         capture_output=True,

@@ -51,6 +51,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @staticmethod
+    def scaled_generator(seed, c):
+        """c U diag(0..5) U^dag for a Haar U: Hermitian up to rounding of size eps c."""
+        u = random_unitary(np.random.default_rng(seed), 6)
+        return c * u @ np.diag(np.arange(6.0)) @ u.conj().T
+
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_drift_bound_scales_with_the_entries(self, seed, c):
+        mat = self.scaled_generator(seed, c)
+        assert np.max(np.abs(mat - mat.conj().T)) > hilbert.HERMITICITY_TOL
+        op = HermitianOperator(mat)
+        assert np.max(np.abs(op.matrix - mat)) <= 1e-15 * c
+
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e8])
+    def test_relative_asymmetry_rejected_at_every_scale(self, c):
+        mat = self.scaled_generator(0, c)
+        mat[0, 1] += 1e-9 * np.max(np.abs(mat))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            HermitianOperator(mat)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_non_finite_entries_rejected(self, value):
         # a NaN drift passes `drift > tol`, so finiteness is checked on its own

@@ -5,8 +5,8 @@ import pytest
 
 from twirlqfi import models
 from twirlqfi.channels import spectral_projectors, twirl
-from twirlqfi.hilbert import StateVector
-from twirlqfi.metrology import qfi_twirled_pure, qfi_unitary
+from twirlqfi.hilbert import HermitianOperator, StateVector, _block_ends
+from twirlqfi.metrology import Scenario, qfi_twirled_pure, qfi_unitary, report
 from twirlqfi.models import (
     QrfStateSpec,
     TruncationError,
@@ -218,7 +218,63 @@ class TestKummer:
             kummer_m(0.0, 1.0)
 
 
+def two_mode_reference(omega, kappa, labels):
+    """H and K built on the full (n+1)^2-dimensional two-mode space by np.kron
+    of fock_ops, then sliced to the sector's labels."""
+    d = max(m + n for m, n in labels) + 1
+    lowering, raising, number = fock_ops(d)
+    eye = np.eye(d, dtype=complex)
+    h_full = omega * (np.kron(number, eye) + np.kron(eye, number)) + kappa * (
+        np.kron(raising, lowering) + np.kron(lowering, raising)
+    )
+    k_full = np.kron(number, eye)
+    idx = [m * d + n for m, n in labels]
+    return (HermitianOperator(h_full[np.ix_(idx, idx)]),
+            HermitianOperator(k_full[np.ix_(idx, idx)]))
+
+
 class TestExample2System:
+    @pytest.mark.parametrize("n_total_max", [1, 5, 30])
+    def test_hamiltonian_splits_into_one_block_per_total(self, n_total_max):
+        system = example2_system(n_total_max=n_total_max)
+        totals = np.arange(1, n_total_max + 2)
+        assert np.array_equal(_block_ends(system.hamiltonian.matrix),
+                              totals * (totals + 1) // 2)
+
+    @pytest.mark.parametrize("omega, kappa", [(1.0, 1.0 / math.sqrt(2.0)), (1.3, 0.37)])
+    @pytest.mark.parametrize("n_total_max", [1, 4, 12])
+    def test_matches_the_two_mode_construction(self, omega, kappa, n_total_max):
+        system = example2_system(omega, kappa, n_total_max)
+        h, k = two_mode_reference(omega, kappa, system.labels)
+        assert np.array_equal(system.hamiltonian.matrix, h.matrix)
+        assert np.array_equal(system.k_generator.matrix, k.matrix)
+
+    @pytest.mark.parametrize("n_total_max", [4, 12])
+    def test_report_does_not_depend_on_the_label_order(self, n_total_max):
+        # the same (psi0, K, G) in m-major label order, where G is not split
+        system = example2_system(n_total_max=n_total_max)
+        qrf = qrf_amplitudes(QrfStateSpec.uniform(n_total_max), n_total_max)
+        base = system.scenario(qrf)
+        order = sorted(range(system.dim), key=system.labels.__getitem__)
+        grid = np.ix_(order, order)
+        permuted = Scenario(
+            fiducial=StateVector(base.fiducial.amplitudes[order]),
+            k_generator=HermitianOperator(system.k_generator.matrix[grid]),
+            g_generator=HermitianOperator(system.hamiltonian.matrix[grid]),
+        )
+        assert len(_block_ends(permuted.g_generator.matrix)) < n_total_max
+
+        def values(r):
+            return [r.alice_qfi, r.bob_qfi, r.loss, r.cov_gk, r.mean_commutator.real,
+                    r.mean_commutator.imag, r.no_loss_residual, *r.max_loss_residuals]
+
+        for lam in (0.0, 0.4, 0.9, math.pi / 2, 2.2, math.pi):
+            ours, theirs = report(base.with_lambda(lam)), report(permuted.with_lambda(lam))
+            assert (ours.no_loss, ours.max_loss) == (theirs.no_loss, theirs.max_loss)
+            for got, want in zip(values(ours), values(theirs)):
+                # relative, with the unit QFI scale as floor for values that are zero
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (lam, got, want)
+
     def test_single_excitation_eigenvalues(self):
         system = example2_system(n_total_max=3)
         w = np.linalg.eigvalsh(system.hamiltonian.matrix)
