@@ -17,8 +17,10 @@ eigh_matrix follows the block structure of its matrix: it finds the
 contiguous diagonal blocks from the exact zeros and decomposes each block on
 its own, so a diagonal generator, or a state dephased in its generator's
 eigenbasis, costs the sum of its blocks' cubes rather than d^3.  The same
-block scan and grouping of blocks by size serve metrology.qfi_mixed,
-which evaluates a (rho, drho) pair block by block.  The scan never permutes:
+block scan and grouping of blocks by size serve three paths in metrology:
+qfi_mixed, which evaluates a (rho, drho) pair block by block; the products
+GK and KG of a generator pair, formed on the pair's joint blocks; and the
+per-cluster sums, grouped by cluster size.  The scan never permutes:
 a caller whose operator conserves a quantity orders its basis by that quantity
 (models.example2_system orders its labels by total excitation).
 

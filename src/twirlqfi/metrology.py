@@ -97,6 +97,11 @@ class _GeneratorProducts:
     {G, K} is the Hermitian part of X = GK + KG, whose anti-Hermitian part
     is rounding of size eps |G| |K|.  GK - KG is kept as the exact matrix, so
     commuting generators give an exact zero <[G, K]> rather than rounding.
+
+    GK and KG are formed on the contiguous diagonal blocks of the joint
+    nonzero pattern of (G, K), so a pair costs sum_i r_i^3 over its block
+    sizes r_i: d for diagonal generators, d^3 for a dense pair (one block).
+    Outside the blocks both products are exact zeros.
     """
 
     k: HermitianOperator
@@ -104,7 +109,14 @@ class _GeneratorProducts:
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        gk, kg = self.g.matrix @ self.k.matrix, self.k.matrix @ self.g.matrix
+        g, k = self.g.matrix, self.k.matrix
+        gk, kg = np.zeros_like(g), np.zeros_like(g)
+        # GK and KG vanish off the joint diagonal blocks of (G, K); blocks of
+        # one size go through one stacked matmul, a dense pair is one block
+        for index in _blocks_by_size(_block_ends((g != 0) | (k != 0))):
+            rows = index[:, :, None], index[:, None, :]
+            g_b, k_b = g[rows], k[rows]
+            gk[rows], kg[rows] = g_b @ k_b, k_b @ g_b
         return _hermitian_part(gk + kg), gk - kg
 
 
@@ -230,20 +242,24 @@ def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) 
     basis_dag = basis.conj().T
     a = basis_dag @ psi
     b = basis_dag @ dpsi
-    p, overlap, weight = [], [], []
-    for b1, b2 in zip(bounds, bounds[1:]):
-        seg_a, seg_b = a[b1:b2], b[b1:b2]
-        p.append(float(np.real(np.vdot(seg_a, seg_a))))
-        overlap.append(complex(np.vdot(seg_a, seg_b)))
-        weight.append(float(np.real(np.vdot(seg_b, seg_b))))
-    p, overlap = np.array(p), np.array(overlap)
+    n = len(bounds) - 1
+    p, weight, overlap = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    # the clusters of one size r at once, each sum a stacked (1 x r)(r x 1)
+    # matmul; tests hold p, the overlap and the weight to np.vdot's bits
+    for index in _blocks_by_size(np.asarray(bounds[1:])):
+        cluster = np.searchsorted(bounds, index[:, 0])  # bounds[i] is cluster i's first row
+        seg_a, seg_b = a[index][:, :, None], b[index][:, :, None]
+        a_dag, b_dag = seg_a.conj().transpose(0, 2, 1), seg_b.conj().transpose(0, 2, 1)
+        p[cluster] = np.real(a_dag @ seg_a)[:, 0, 0]
+        overlap[cluster] = (a_dag @ seg_b)[:, 0, 0]
+        weight[cluster] = np.real(b_dag @ seg_b)[:, 0, 0]
     # dpsi minus its projection onto each P_i psi, in eigenbasis coordinates.
     # The norm is taken of the vector itself: ||dpsi||^2 - sum |overlap|^2 / p
     # loses about 1e-8 ||dpsi|| to cancellation, the size of the condition
     # tolerance.
     coeff = np.divide(overlap, p, out=np.zeros_like(overlap), where=p > EPS_PROBABILITY)
     residual = b - np.repeat(coeff, np.diff(bounds)) * a
-    return _ClusterData(a, b, p, overlap, np.array(weight), float(np.linalg.norm(residual)))
+    return _ClusterData(a, b, p, overlap, weight, float(np.linalg.norm(residual)))
 
 
 def _clusters(s: Scenario, p: ProjectorSet) -> _ClusterData:
@@ -419,8 +435,10 @@ def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
 
     Necessary one-directional implications: no loss forces Cov(G, K) = 0 and
     max loss forces <[G, K]> = 0.  Neither converse holds.  The matrices
-    {G, K} and GK - KG are formed once per generator pair and shared by the
-    scenario's with_lambda copies, so a point costs two matrix-vector products.
+    {G, K} and GK - KG are formed once per generator pair, at sum_i r_i^3
+    over the joint diagonal blocks of (G, K) (d^3 only for a dense pair),
+    and shared by the scenario's with_lambda copies, so a point costs two
+    matrix-vector products.
     """
     _check_dims(s.dim, p.dim)
     g, k, state = s.g_generator, s.k_generator, s.psi_lambda
@@ -471,12 +489,19 @@ def _mixed_in_eigenbasis(
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
     max_drho = float(np.max(np.abs(drho)))
-    scale = max(1.0, max_drho)
+    floor = 1e-9 * max(1.0, max_drho)
     herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
-    if herm_drift > 1e-9 * scale:
-        raise ValueError(f"drho is not Hermitian (max drift {herm_drift:.3e})")
-    if abs(np.trace(drho)) > 1e-9 * scale:
-        raise ValueError("drho must be traceless (derivative of a unit-trace family)")
+    if herm_drift > floor:
+        raise ValueError(
+            f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
+            f" = {floor:.3e})"
+        )
+    trace = abs(np.trace(drho))
+    if trace > floor:
+        raise ValueError(
+            "drho must be traceless (derivative of a unit-trace family; "
+            f"|Tr drho| = {trace:.3e}, floor 1e-9 max(1, max|drho|) = {floor:.3e})"
+        )
     eigenvalues = rho.eig[0]
     qfi, sld = 0.0, []
     for cols, v, rho_kk, drho_kk in _pair_blocks(rho, drho):
@@ -619,7 +644,9 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       where the mixed-state QFI is genuinely discontinuous.
 
     A dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is rounding
-    and reads 0.
+    and reads 0.  qfi_mixed's input floors on drho_B (Hermiticity, trace)
+    guard a caller's drho; report() builds drho_B itself, so a failure there
+    raises ConsistencyError naming the mixed_state stage and the floor.
 
     The anticommutator and covariance forms and the two loss forms rearrange
     the same per-eigenspace sums; their agreement is asserted in tests and in
@@ -641,7 +668,11 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
         a, b, mask = data.a, data.b, p.block_mask
         rho_b = DensityMatrix(mask * np.outer(a, a.conj()))
         drho_b = mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
-        candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
+        try:
+            candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
+        except ValueError as exc:
+            # report() built this pair itself: a failed input floor is its own rounding
+            raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc
     _gate(candidates, alice)
     if bob < 0.0:
         if bob < -1e-9 * max(1.0, alice):

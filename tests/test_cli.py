@@ -452,6 +452,17 @@ class TestErrors:
         assert record["error"]["kind"] == "config"
         assert "4096" in record["error"]["message"]
 
+    def test_internal_floor_failure_is_a_numerical_error(self, tmp_path, capsys):
+        # report()'s own dephased pair fails the trace floor at K x 1e8
+        payload = json.loads((FIXTURES / "counterexample.json").read_text())
+        payload["k_matrix"][2][2] = [1e8, 0.0]
+        payload["params"] = {"lambda": 0.4e-8}
+        config = write_config(tmp_path, "scaled.json", payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "numerical"
+        assert "mixed_state" in record["error"]["message"]
+
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 4
 

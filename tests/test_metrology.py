@@ -21,6 +21,7 @@ from twirlqfi.hilbert import (
     DensityMatrix,
     HermitianOperator,
     StateVector,
+    _hermitian_part,
     expectation,
     sym_covariance,
 )
@@ -524,6 +525,67 @@ class TestNecessaryConditions:
         assert abs(cov) <= 1e-10  # no loss forces vanishing covariance
 
 
+def generator_pairs():
+    """(K, G) pairs for the products of the generators, by name."""
+    rng = np.random.default_rng(197)
+    pairs = {}
+    for alpha_sq in (2.0, 20.0, 60.0):
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(alpha_sq))))
+        pairs[f"example1_alpha_sq_{alpha_sq:g}"] = s.k_generator, s.g_generator
+    for n in (6, 30):
+        system = example2_system(n_total_max=n)
+        pairs[f"example2_n{n}"] = system.k_generator, system.hamiltonian
+    s = counterexample_scenario(0.4)
+    pairs["counterexample"] = s.k_generator, s.g_generator
+    pairs["dense_d256"] = random_hermitian(rng, 256), random_degenerate_hermitian(rng, 256, 64)
+    return pairs
+
+
+def vdot_cluster_sums(a, b, bounds):
+    """p, the overlap and dpsi_weight, one np.vdot per cluster and sum."""
+    segments = [(a[b1:b2], b[b1:b2]) for b1, b2 in zip(bounds, bounds[1:])]
+    p = np.array([np.real(np.vdot(seg_a, seg_a)) for seg_a, _ in segments])
+    overlap = np.array([np.vdot(seg_a, seg_b) for seg_a, seg_b in segments])
+    weight = np.array([np.real(np.vdot(seg_b, seg_b)) for _, seg_b in segments])
+    return p, overlap, weight
+
+
+class TestBlockwiseSums:
+    """Products and sums formed block by block carry the dense bits."""
+
+    @pytest.mark.parametrize(
+        "k, g", [pytest.param(*pair, id=name) for name, pair in generator_pairs().items()]
+    )
+    def test_generator_products_match_the_dense_products(self, k, g):
+        anti, comm = metrology._GeneratorProducts(k, g).matrices
+        gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
+        assert np.array_equal(anti, _hermitian_part(gk + kg))
+        assert np.array_equal(comm, gk - kg)
+
+    @pytest.mark.parametrize("case", ["mixed_sizes", "example2_n30"])
+    def test_cluster_sums_match_per_cluster_vdot(self, case):
+        rng = np.random.default_rng(199)
+        if case == "mixed_sizes":
+            sizes = np.concatenate((np.arange(1, 17), rng.integers(1, 17, size=24)))
+            rng.shuffle(sizes)
+            bounds = [0, *np.cumsum(sizes).tolist()]
+            basis, k = random_unitary(rng, bounds[-1]), random_hermitian(rng, bounds[-1])
+            psi = haar_state(rng, bounds[-1]).amplitudes
+            dpsi = -1j * (k.matrix @ psi)
+        else:
+            system = example2_system(n_total_max=30)
+            s = system.scenario(qrf_amplitudes(QrfStateSpec.uniform(30), 30), 0.7)
+            p = spectral_projectors(s.g_generator)
+            assert p.ranks() == (1,) * 496
+            basis, bounds = p.basis, p.bounds
+            psi, dpsi = s.psi_lambda.amplitudes, s.dpsi
+        data = metrology._segment_sums(basis, bounds, psi, dpsi)
+        p_ref, overlap_ref, weight_ref = vdot_cluster_sums(data.a, data.b, bounds)
+        assert np.array_equal(data.p, p_ref)
+        assert np.array_equal(data.overlap, overlap_ref)
+        assert np.array_equal(data.dpsi_weight, weight_ref)
+
+
 class TestMixedStateQfi:
     def test_pure_state_consistency(self):
         rng = np.random.default_rng(127)
@@ -972,6 +1034,17 @@ class TestReport:
                 unit = sld(ref, p).matrix
                 error = np.max(np.abs(sld(s, p).matrix - scale * unit))
                 assert error <= 1e-12 * scale * np.max(np.abs(unit))
+
+    def test_own_mixed_state_pair_failing_a_floor_is_a_consistency_error(self):
+        # K x 1e8 at lambda / 1e8: drho_B is itself rounding (max|drho_B| is
+        # |Tr drho_B|), so the trace floor, which guards a caller's drho,
+        # rejects report()'s own pair; it reads as a typed internal failure
+        # until the floors scale with the operands
+        s = counterexample_scenario(0.4)
+        k = HermitianOperator(1e8 * s.k_generator.matrix)
+        with pytest.raises(ConsistencyError, match=r"mixed_state .*traceless.*floor") as info:
+            report(Scenario(s.fiducial, k, s.g_generator, s.lam / 1e8))
+        assert isinstance(info.value.__cause__, ValueError)
 
     def test_rank_change_point_does_not_crash(self):
         # at lambda = 0 the dephased family of the direction indicator changes
