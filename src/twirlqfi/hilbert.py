@@ -17,15 +17,17 @@ eigh_matrix follows the block structure of its matrix: it finds the
 contiguous diagonal blocks from the exact zeros and decomposes each block on
 its own, so a diagonal generator, or a state dephased in its generator's
 eigenbasis, costs the sum of its blocks' cubes rather than d^3.  The same
-block scan and grouping of blocks by size serve three paths in metrology:
-qfi_mixed, which evaluates a (rho, drho) pair block by block; the products
-GK and KG of a generator pair, formed on the pair's joint blocks; and the
-per-cluster sums, grouped by cluster size.  The scan never permutes:
+block scan and grouping of blocks by size serve _products, which forms
+{A, B} and AB - BA on the joint blocks of a pair for commutator,
+anticommutator and a scenario's generator products, and two paths in
+metrology: qfi_mixed, which evaluates a (rho, drho) pair block by block, and
+the per-cluster sums, grouped by cluster size.  The scan never permutes:
 a caller whose operator conserves a quantity orders its basis by that quantity
 (models.example2_system orders its labels by total excitation).
 
 HermitianOperator checks Hermiticity on outside input only, relative to
-max(1, max|A|): a matrix formed from validated operators (an anticommutator,
+max(1, max|A|), and reads the drift from the Hermitian part it keeps, so A^dag
+is formed once: a matrix formed from validated operators (an anticommutator,
 an SLD) passes through _hermitian_part first, since its drift is rounding.
 """
 
@@ -98,17 +100,18 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
+        mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValueError("expected a non-empty square matrix")
         # a NaN would pass the drift check below: NaN > tol is False
         if not np.isfinite(mat).all():
             raise ValueError("entries must be finite")
-        # max|A| is read only once the absolute bound fails
-        drift = np.max(np.abs(mat - mat.conj().T))
+        sym = _hermitian_part(mat)  # a new array, so the input is not copied
+        # 2|A - sym| is |A - A^dag| up to eps |A|; max|A| is read only once
+        # the absolute bound fails
+        drift = 2.0 * np.max(np.abs(mat - sym))
         if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * np.max(np.abs(mat)):
             raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
-        sym = _hermitian_part(mat)
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 
@@ -162,8 +165,10 @@ def tensor(a, b):
 
 
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
-    """(X + X^dag) / 2, exactly Hermitian: entries (i, j) and (j, i) add the same pair."""
-    return 0.5 * (x + x.conj().T)
+    """(X + X^dag) / 2 over the last two axes, so of a matrix or of each
+    matrix in a stack; exactly Hermitian: entries (i, j) and (j, i) add the
+    same pair."""
+    return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
 def _block_ends(matrix: np.ndarray) -> np.ndarray:
@@ -189,6 +194,29 @@ def _blocks_by_size(ends: np.ndarray) -> list[np.ndarray]:
     starts = np.concatenate(([0], ends[:-1]))
     sizes = ends - starts
     return [starts[sizes == size, None] + np.arange(size) for size in np.unique(sizes)]
+
+
+def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """({A, B}, AB - BA) of two Hermitian matrices, block by block.
+
+    One scan of the joint nonzero pattern finds the contiguous diagonal
+    blocks; AB and BA are formed per block, blocks of one size as one stacked
+    matmul, so a pair costs sum_i r_i^3 over its block sizes r_i: d for
+    diagonal matrices, d^3 for a dense pair (one block).  {A, B} is the
+    Hermitian part of X = AB + BA, taken per block, whose anti-Hermitian part
+    is rounding of size eps |A| |B|; AB - BA is kept exact, so a commuting
+    pair gives the zero matrix.  Outside the blocks both are exact zeros.
+    BA is formed, not read as (AB)^dag, which differs in its last bits.
+    """
+    # np.zeros leaves the pages outside the blocks to the OS's lazy zero
+    # fill; zeros_like would write every entry
+    anti, comm = np.zeros(a.shape, a.dtype), np.zeros(a.shape, a.dtype)
+    for index in _blocks_by_size(_block_ends((a != 0) | (b != 0))):
+        rows = index[:, :, None], index[:, None, :]
+        # each block gathered per product, so no block copy outlives it
+        ab, ba = a[rows] @ b[rows], b[rows] @ a[rows]
+        anti[rows], comm[rows] = _hermitian_part(ab + ba), ab - ba
+    return anti, comm
 
 
 def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,27 +253,36 @@ def eigh(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expectation(op: HermitianOperator, state) -> float:
-    """<psi|op|psi> or Tr(op rho).  op.matrix is exactly Hermitian, so the
-    imaginary part is rounding of size eps |op| and is dropped unchecked."""
+    """<psi|op|psi> or Tr(op rho), both O(d^2).  op.matrix is exactly
+    Hermitian, so the imaginary part is rounding of size eps |op| and is
+    dropped unchecked."""
     if isinstance(state, StateVector):
         _check_dims(op.dim, state.dim)
         return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)).real
     if isinstance(state, DensityMatrix):
         _check_dims(op.dim, state.dim)
-        return complex(np.trace(op.matrix @ state.matrix)).real
+        return float(np.real(np.sum(op.matrix * state.matrix.T)))
     raise TypeError("state must be a StateVector or DensityMatrix")
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """ab - ba (anti-Hermitian, returned as a raw matrix)."""
+    """ab - ba (anti-Hermitian, returned as a raw matrix).
+
+    Formed on the joint diagonal blocks of (a, b): sum_i r_i^3 over the block
+    sizes r_i, d^3 for a dense pair.
+    """
     _check_dims(a.dim, b.dim)
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
+    return _products(a.matrix, b.matrix)[1]
 
 
 def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """ab + ba, symmetrized: its anti-Hermitian part is rounding, not checked."""
+    """ab + ba, symmetrized: its anti-Hermitian part is rounding, not checked.
+
+    Formed on the joint diagonal blocks of (a, b): sum_i r_i^3 over the block
+    sizes r_i, d^3 for a dense pair.
+    """
     _check_dims(a.dim, b.dim)
-    return HermitianOperator(_hermitian_part(a.matrix @ b.matrix + b.matrix @ a.matrix))
+    return HermitianOperator(_products(a.matrix, b.matrix)[0])
 
 
 def sym_covariance(a: HermitianOperator, b: HermitianOperator, state) -> float:

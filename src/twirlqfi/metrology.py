@@ -39,6 +39,7 @@ from .hilbert import (
     _blocks_by_size,
     _check_dims,
     _hermitian_part,
+    _products,
     eigh_matrix,
     expectation,
 )
@@ -92,32 +93,15 @@ class NonCommutingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class _GeneratorProducts:
-    """{G, K} and GK - KG of one generator pair, each formed once, on first use.
-
-    {G, K} is the Hermitian part of X = GK + KG, whose anti-Hermitian part
-    is rounding of size eps |G| |K|.  GK - KG is kept as the exact matrix, so
-    commuting generators give an exact zero <[G, K]> rather than rounding.
-
-    GK and KG are formed on the contiguous diagonal blocks of the joint
-    nonzero pattern of (G, K), so a pair costs sum_i r_i^3 over its block
-    sizes r_i: d for diagonal generators, d^3 for a dense pair (one block).
-    Outside the blocks both products are exact zeros.
-    """
+    """{G, K} and GK - KG of one generator pair, formed once, on first use,
+    by hilbert._products, and shared by a scenario's with_lambda copies."""
 
     k: HermitianOperator
     g: HermitianOperator
 
     @cached_property
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        g, k = self.g.matrix, self.k.matrix
-        gk, kg = np.zeros_like(g), np.zeros_like(g)
-        # GK and KG vanish off the joint diagonal blocks of (G, K); blocks of
-        # one size go through one stacked matmul, a dense pair is one block
-        for index in _blocks_by_size(_block_ends((g != 0) | (k != 0))):
-            rows = index[:, :, None], index[:, None, :]
-            g_b, k_b = g[rows], k[rows]
-            gk[rows], kg[rows] = g_b @ k_b, k_b @ g_b
-        return _hermitian_part(gk + kg), gk - kg
+        return _products(self.g.matrix, self.k.matrix)
 
 
 @dataclass(frozen=True)
@@ -177,6 +161,11 @@ class Scenario:
         return np.outer(self.dpsi, psi.conj()) + np.outer(psi, self.dpsi.conj())
 
 
+def _qfi_floor(alice_qfi: float) -> float:
+    """1e-9 max(1, alice_qfi), the size of rounding in QFIs that large."""
+    return 1e-9 * max(1.0, alice_qfi)
+
+
 @dataclass(frozen=True)
 class QfiReport:
     """Aggregated clean/dephased QFI, loss, and theorem diagnostics.
@@ -198,7 +187,7 @@ class QfiReport:
     max_loss_residuals: tuple[float, float]
 
     def __post_init__(self) -> None:
-        floor = 1e-9 * max(1.0, self.alice_qfi)
+        floor = _qfi_floor(self.alice_qfi)
         if abs(self.loss - (self.alice_qfi - self.bob_qfi)) > floor:
             raise ValueError("loss must equal alice_qfi - bob_qfi")
         if not (-floor <= self.loss <= self.alice_qfi + floor):
@@ -646,7 +635,9 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     A dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is rounding
     and reads 0.  qfi_mixed's input floors on drho_B (Hermiticity, trace)
     guard a caller's drho; report() builds drho_B itself, so a failure there
-    raises ConsistencyError naming the mixed_state stage and the floor.
+    raises ConsistencyError naming the mixed_state stage and the floor.  So
+    does a loss outside 0 <= loss <= alice_qfi by more than QfiReport's floor
+    (the loss_invariant stage), which QfiReport itself reports as ValueError.
 
     The anticommutator and covariance forms and the two loss forms rearrange
     the same per-eigenspace sums; their agreement is asserted in tests and in
@@ -675,7 +666,7 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
             raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc
     _gate(candidates, alice)
     if bob < 0.0:
-        if bob < -1e-9 * max(1.0, alice):
+        if bob < -_qfi_floor(alice):
             raise ConsistencyError(f"dephased QFI came out negative: {bob!r}")
         bob = 0.0
     if alice < 0.0:
@@ -683,13 +674,19 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
             raise ConsistencyError(f"clean QFI came out negative: {alice!r}")
         alice = 0.0
 
+    loss, floor = alice - bob, _qfi_floor(alice)
+    if not -floor <= loss <= alice + floor:
+        raise ConsistencyError(
+            f"loss_invariant: loss {loss!r} violates 0 <= loss <= alice_qfi ({alice!r})"
+            f" beyond the floor 1e-9 max(1, alice_qfi) = {floor:.3e}"
+        )
     cov_gk, mean_comm = necessary_conditions(s, p)
     no_loss_res = _no_loss_residual(s, data)
     max_loss_res = _max_loss_residuals(data)
     return QfiReport(
         alice_qfi=alice,
         bob_qfi=bob,
-        loss=alice - bob,
+        loss=loss,
         no_loss=no_loss_res <= DEFAULT_CONDITION_TOL,
         max_loss=max(max_loss_res) <= DEFAULT_CONDITION_TOL,
         cov_gk=cov_gk,

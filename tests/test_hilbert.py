@@ -10,6 +10,7 @@ from conftest import (
     SIGMA_Y,
     SIGMA_Z,
     haar_state,
+    random_density,
     random_hermitian,
     random_unitary,
 )
@@ -303,6 +304,15 @@ class TestExpectation:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             expectation(HermitianOperator(SIGMA_Z), StateVector(np.ones(3)))
+
+    @pytest.mark.parametrize("rank", [8, 3])
+    def test_density_matrix_trace_matches_the_eigenbasis_sum(self, rank):
+        # Tr(A rho) = sum_i w_i <v_i|A|v_i> over rho's eigenpairs (w_i, v_i)
+        rng = np.random.default_rng(11 + rank)
+        rho, op = random_density(rng, 8, rank), random_hermitian(rng, 8)
+        w, v = rho.eig
+        expected = float(np.sum(w * np.real(np.einsum("ji,jk,ki->i", v.conj(), op.matrix, v))))
+        assert expectation(op, rho) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
 class TestCommutators:

@@ -22,6 +22,8 @@ from twirlqfi.hilbert import (
     HermitianOperator,
     StateVector,
     _hermitian_part,
+    anticommutator,
+    commutator,
     expectation,
     sym_covariance,
 )
@@ -550,17 +552,46 @@ def vdot_cluster_sums(a, b, bounds):
     return p, overlap, weight
 
 
+PER_GENERATOR_PAIR = pytest.mark.parametrize(
+    "k, g", [pytest.param(*pair, id=name) for name, pair in generator_pairs().items()]
+)
+
+
 class TestBlockwiseSums:
     """Products and sums formed block by block carry the dense bits."""
 
-    @pytest.mark.parametrize(
-        "k, g", [pytest.param(*pair, id=name) for name, pair in generator_pairs().items()]
-    )
+    @PER_GENERATOR_PAIR
     def test_generator_products_match_the_dense_products(self, k, g):
         anti, comm = metrology._GeneratorProducts(k, g).matrices
         gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
         assert np.array_equal(anti, _hermitian_part(gk + kg))
         assert np.array_equal(comm, gk - kg)
+
+    @PER_GENERATOR_PAIR
+    def test_public_products_match_the_dense_products(self, k, g):
+        for a, b in ((g, k), (k, g)):
+            ab, ba = a.matrix @ b.matrix, b.matrix @ a.matrix
+            assert np.array_equal(commutator(a, b), ab - ba)
+            assert np.array_equal(anticommutator(a, b).matrix, _hermitian_part(ab + ba))
+
+    @PER_GENERATOR_PAIR
+    def test_hermitian_part_of_a_stack_matches_each_matrix(self, k, g):
+        stack = np.stack((g.matrix @ k.matrix, k.matrix @ g.matrix, k.matrix))
+        sym = _hermitian_part(stack)
+        assert all(np.array_equal(sym[i], _hermitian_part(x)) for i, x in enumerate(stack))
+
+    @PER_GENERATOR_PAIR
+    def test_hermitian_operator_keeps_the_hermitian_part(self, k, g):
+        # GK + KG is Hermitian up to rounding, so its drift is symmetrized away
+        x = g.matrix @ k.matrix + k.matrix @ g.matrix
+        strided = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=complex)
+        strided[:, ::2] = x
+        read_only = x.copy()
+        read_only.setflags(write=False)
+        for matrix in (strided[:, ::2], read_only):
+            op = HermitianOperator(matrix)
+            assert np.array_equal(op.matrix, _hermitian_part(x))
+            assert not np.shares_memory(op.matrix, matrix)
 
     @pytest.mark.parametrize("case", ["mixed_sizes", "example2_n30"])
     def test_cluster_sums_match_per_cluster_vdot(self, case):
@@ -1045,6 +1076,18 @@ class TestReport:
         with pytest.raises(ConsistencyError, match=r"mixed_state .*traceless.*floor") as info:
             report(Scenario(s.fiducial, k, s.g_generator, s.lam / 1e8))
         assert isinstance(info.value.__cause__, ValueError)
+
+    def test_loss_outside_its_bounds_is_a_consistency_error(self):
+        # K = 1e4 I has alice = bob = 0, but both cancel to rounding of size
+        # eps c^2: loss = -5.96e-8 against the floor 1e-9 max(1, alice).  It
+        # reads as a typed internal failure until the floors scale with K
+        g = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex))
+        k = HermitianOperator(1e4 * np.eye(6, dtype=complex))
+        s = Scenario(haar_state(np.random.default_rng(6), 6), k, g, 0.5)
+        with pytest.raises(ConsistencyError, match=r"loss_invariant: .*floor"):
+            report(s)
+        with pytest.raises(ValueError, match="violates 0 <= loss"):
+            metrology.QfiReport(0.0, 6e-8, -6e-8, True, True, 0.0, 0j, 0.0, (0.0, 0.0))
 
     def test_rank_change_point_does_not_crash(self):
         # at lambda = 0 the dephased family of the direction indicator changes
