@@ -13,8 +13,11 @@ when `run` and `check` would.
 
 Every scenario kind is one lambda-independent system (psi0, K, G) that each
 point moves to its lambda with Scenario.with_lambda.  A lambda sweep builds
-the system once, so K and G are decomposed once per sweep; a sweep over N,
-alpha_sq or z builds it again at each point.
+the system once, so K and G are decomposed once per sweep, and so is G's
+second decomposition for report()'s eigenvector gate; only the dephased
+state is decomposed at each point, 3 + P eigendecompositions for P points.
+A sweep over N, alpha_sq or z builds the system again at each point, so
+each point makes 4.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 On failure a machine-readable JSON error record goes to stderr.

@@ -171,18 +171,21 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().swapaxes(-1, -2))
 
 
-def _block_ends(matrix: np.ndarray) -> np.ndarray:
-    """Exclusive ends of the contiguous diagonal blocks of a square matrix.
+def _block_ends(nonzero: np.ndarray) -> np.ndarray:
+    """Exclusive ends of the contiguous diagonal blocks of a square pattern.
 
-    Every entry outside the blocks is exactly zero.  One O(d^2) pass: the
-    running maximum of each row's last nonzero column (at least the row
-    itself) closes a block at the rows where it equals the row index.
+    `nonzero` is the boolean nonzero pattern the caller built (a matrix is
+    read as its own pattern), and every entry outside the blocks is False.
+    One O(d^2) pass that writes nothing into the pattern: the running
+    maximum of each row's last True column (at least the row itself) closes
+    a block at the rows where it equals the row index.
     """
-    d = matrix.shape[0]
-    nonzero = matrix != 0
-    np.fill_diagonal(nonzero, True)
-    last = d - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.flatnonzero(np.maximum.accumulate(last) == np.arange(d)) + 1
+    nonzero = np.asarray(nonzero, dtype=bool)  # no copy of a boolean pattern
+    rows = np.arange(nonzero.shape[0])
+    last = rows[-1] - np.argmax(nonzero[:, ::-1], axis=1)
+    # a row with no True entry reads as its last column: it ends at itself
+    last = np.where(nonzero[rows, last], np.maximum(last, rows), rows)
+    return np.flatnonzero(np.maximum.accumulate(last) == rows) + 1
 
 
 def _blocks_by_size(ends: np.ndarray) -> list[np.ndarray]:
@@ -232,7 +235,7 @@ def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w = np.empty(d)
     blocks = []  # (row indices of each block of one size, their eigenvectors)
     try:
-        for index in _blocks_by_size(_block_ends(matrix)):
+        for index in _blocks_by_size(_block_ends(matrix != 0)):
             block_w, block_v = np.linalg.eigh(matrix[index[:, :, None], index[:, None, :]])
             w[index] = block_w
             blocks.append((index, block_v))

@@ -131,9 +131,9 @@ class TestRun:
         config = write_config(tmp_path, "sweep.json", payload)
         assert main(["run", "--config", config, "--out", str(tmp_path / "s.csv"),
                      "--quiet"]) == 0
-        # K and G once for the sweep, then per point the two independent
-        # checks: G in qfi_eigenvector_form and the dephased density matrix
-        assert len(eigh_calls) == 2 + 5 * 2
+        # K, G and the eigenvector gate's G once for the sweep, then per point
+        # the dephased density matrix
+        assert len(eigh_calls) == 3 + 5
 
     def test_n_sweep_rebuilds_the_system_at_each_point(self, tmp_path, eigh_calls):
         config = write_config(tmp_path, "n.json", {

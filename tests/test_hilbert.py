@@ -215,6 +215,17 @@ class TestBlockDiagonalEigh:
         matrix[5, 6] = matrix[6, 5] = 1j  # row 4 is zero: a block of its own
         assert hilbert._block_ends(matrix).tolist() == [3, 4, 5, 7]
 
+    def test_block_scan_reads_a_pattern_without_writing_it(self):
+        # callers pass the nonzero pattern they built; a read-only one would
+        # raise on any write, and the diagonal stays as the caller left it
+        matrix = np.zeros((7, 7), dtype=complex)
+        matrix[0, 2] = matrix[2, 0] = 1.0
+        matrix[5, 6] = matrix[6, 5] = 1j
+        pattern = matrix != 0
+        pattern.setflags(write=False)
+        assert hilbert._block_ends(pattern).tolist() == [3, 4, 5, 7]
+        assert np.array_equal(pattern, matrix != 0)
+
     @pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
     def test_one_block_returns_the_lapack_arrays(self, shape):
         matrix = random_hermitian(np.random.default_rng(29), 24).matrix

@@ -961,9 +961,64 @@ class TestReport:
         assert moved.g_generator.eig is s.g_generator.eig
         eigh_calls.clear()
         report(moved)
-        # only the two independent checks decompose again: G in
-        # qfi_eigenvector_form and the dephased density matrix
-        assert eigh_calls == [5, 5]
+        # the eigenvector gate's G is shared with s, so only the dephased
+        # density matrix decomposes again
+        assert eigh_calls == [5]
+
+    @pytest.mark.parametrize("case", ["dense_clustered", "example2"])
+    def test_sweep_gate_equals_a_fresh_scenario(self, case):
+        rng = np.random.default_rng(211)
+        if case == "dense_clustered":
+            s = Scenario(haar_state(rng, 48), random_hermitian(rng, 48),
+                         random_degenerate_hermitian(rng, 48, 12))
+        else:
+            system = example2_system(n_total_max=8)
+            s = system.scenario(qrf_amplitudes(QrfStateSpec.uniform(8), 8))
+        k, g = s.k_generator.matrix, s.g_generator.matrix
+        for lam in np.linspace(-2.0, 2.0, 5):
+            moved = s.with_lambda(lam)
+            fresh = Scenario(s.fiducial, HermitianOperator(k), HermitianOperator(g), lam)
+            assert qfi_eigenvector_form(moved, moved.g_generator) == qfi_eigenvector_form(
+                fresh, fresh.g_generator
+            )
+
+    def test_gate_decomposition_is_one_per_generator_pair(self, eigh_calls):
+        rng = np.random.default_rng(223)
+        s = random_scenario(rng, 6, degenerate_g=True)
+        other = Scenario(s.fiducial, random_hermitian(rng, 6), s.g_generator, 0.4)
+        first, second = s.with_lambda(0.4), s.with_lambda(1.1)
+        for moved in (first, second, other):
+            moved.psi_lambda  # K decomposed here, not in the gate
+        eigh_calls.clear()
+        qfi_eigenvector_form(first, first.g_generator)
+        qfi_eigenvector_form(second, second.g_generator)
+        assert first._products.gate_eig is second._products.gate_eig
+        assert eigh_calls == [6]
+        # another pair, even with the same G object, decomposes G for itself
+        qfi_eigenvector_form(other, other.g_generator)
+        assert other._products.gate_eig is not first._products.gate_eig
+        assert eigh_calls == [6, 6]
+        # a generator other than the scenario's own is decomposed afresh
+        qfi_eigenvector_form(first, HermitianOperator(s.g_generator.matrix))
+        assert eigh_calls == [6, 6, 6]
+
+    @pytest.mark.parametrize("case", ["dense_clustered", "example1"])
+    def test_gate_fires_on_a_perturbed_shared_decomposition(self, case):
+        # the gate reads the pair's cached decomposition at every point, so a
+        # wrong one still fails report() after the first point of a sweep
+        rng = np.random.default_rng(229)
+        if case == "example1":
+            s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
+        else:
+            s = Scenario(haar_state(rng, 12), random_hermitian(rng, 12),
+                         random_degenerate_hermitian(rng, 12, 4), 0.7)
+        report(s)
+        moved = s.with_lambda(1.9)
+        w, v = moved._products.gate_eig
+        noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+        vars(moved._products)["gate_eig"] = (w, v + 1e-3 * noise)
+        with pytest.raises(ConsistencyError, match="eigenvector="):
+            report(moved)
 
     def test_diagonal_generators_decompose_in_small_blocks(self, eigh_calls, monkeypatch):
         # example 1 has diagonal K and G with 2-fold clusters: no LAPACK call
