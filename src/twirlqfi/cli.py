@@ -135,11 +135,9 @@ def _complex_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
         set(map(type, pairs.flat)) <= {int, float},
         f"{where}: complex entries must be [re, im] number pairs",
     )
-    # filled part by part: re + 1j * im would turn a -0.0 real part into +0.0
-    out = np.empty(shape, dtype=complex)
-    out.real = pairs[..., 0]
-    out.imag = pairs[..., 1]
-    return out
+    # each [re, im] pair read as one complex number, not formed as
+    # re + 1j * im, which would turn a -0.0 real part into +0.0
+    return pairs.astype(float).view(complex).reshape(shape)
 
 
 def _parse_qrf(raw) -> QrfStateSpec:

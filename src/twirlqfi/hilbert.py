@@ -68,7 +68,7 @@ def _check_dims(*dims: int) -> int:
     return first
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized pure state.  Normalization is enforced at construction."""
 
@@ -93,7 +93,7 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Hermitian matrix; anti-Hermitian drift up to 1e-12 * max(1, max|A|) is symmetrized away."""
 

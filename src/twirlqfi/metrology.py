@@ -113,11 +113,12 @@ class _GeneratorProducts:
         return w, v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Fiducial state, encoding generator K, noise generator G and lambda.
 
-    with_lambda copies share K, G and the products of the pair.
+    with_lambda copies share K, G and the products of the pair.  Compared by
+    identity, as its fields hold arrays.
     """
 
     fiducial: StateVector
@@ -170,39 +171,43 @@ class Scenario:
         return np.outer(self.dpsi, psi.conj()) + np.outer(psi, self.dpsi.conj())
 
 
-def _qfi_floor(alice_qfi: float) -> float:
-    """1e-9 max(1, alice_qfi), the size of rounding in QFIs that large."""
-    return 1e-9 * max(1.0, alice_qfi)
+def _rounding_floor(scale: float) -> float:
+    """1e-9 max(1, scale), the size of rounding in quantities of that scale."""
+    return 1e-9 * max(1.0, scale)
 
 
 @dataclass(frozen=True)
 class QfiReport:
-    """Aggregated clean/dephased QFI, loss, and theorem diagnostics.
+    """Clean/dephased QFI and theorem diagnostics, as report() measures them.
 
-    no_loss and max_loss compare no_loss_residual and the larger of
-    max_loss_residuals (real, kernel) with DEFAULT_CONDITION_TOL.  The
-    invariants loss = alice_qfi - bob_qfi and 0 <= loss <= alice_qfi hold to
+    Derives loss = alice_qfi - bob_qfi, and no_loss and max_loss by comparing
+    no_loss_residual and the larger of max_loss_residuals (real, kernel) with
+    DEFAULT_CONDITION_TOL.  0 <= loss <= alice_qfi must hold to
     1e-9 max(1, alice_qfi), the size of rounding in QFIs that large.
     """
 
     alice_qfi: float
     bob_qfi: float
-    loss: float
-    no_loss: bool
-    max_loss: bool
+    loss: float = field(init=False)
+    no_loss: bool = field(init=False)
+    max_loss: bool = field(init=False)
     cov_gk: float
     mean_commutator: complex
     no_loss_residual: float
     max_loss_residuals: tuple[float, float]
 
     def __post_init__(self) -> None:
-        floor = _qfi_floor(self.alice_qfi)
-        if abs(self.loss - (self.alice_qfi - self.bob_qfi)) > floor:
-            raise ValueError("loss must equal alice_qfi - bob_qfi")
-        if not (-floor <= self.loss <= self.alice_qfi + floor):
+        loss, floor = self.alice_qfi - self.bob_qfi, _rounding_floor(self.alice_qfi)
+        if not -floor <= loss <= self.alice_qfi + floor:
             raise ValueError(
-                f"loss {self.loss!r} violates 0 <= loss <= alice_qfi ({self.alice_qfi!r})"
+                f"loss {loss!r} violates 0 <= loss <= alice_qfi ({self.alice_qfi!r})"
+                f" beyond the floor 1e-9 max(1, alice_qfi) = {floor:.3e}"
             )
+        object.__setattr__(self, "loss", loss)
+        object.__setattr__(self, "no_loss", self.no_loss_residual <= DEFAULT_CONDITION_TOL)
+        object.__setattr__(
+            self, "max_loss", max(self.max_loss_residuals) <= DEFAULT_CONDITION_TOL
+        )
 
 
 @dataclass(frozen=True)
@@ -274,8 +279,7 @@ def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
     dpsi = np.asarray(dpsi, dtype=complex)
     _check_dims(psi.dim, dpsi.size)
     ov = complex(np.vdot(psi.amplitudes, dpsi))
-    scale = max(1.0, float(np.linalg.norm(dpsi)))
-    if abs(ov.real) > 1e-9 * scale:
+    if abs(ov.real) > _rounding_floor(float(np.linalg.norm(dpsi))):
         raise ValueError(
             f"<psi|dpsi> = {ov} is not purely imaginary; not a unitary family"
         )
@@ -329,7 +333,7 @@ def qfi_commuting_form(s: Scenario, p: ProjectorSet) -> float:
     """
     k, g = s.k_generator.matrix, s.g_generator.matrix
     comm_norm = float(np.max(np.abs(s._products.matrices[1])))
-    if comm_norm > 1e-9 * max(1.0, float(np.max(np.abs(k)) * np.max(np.abs(g)))):
+    if comm_norm > _rounding_floor(float(np.max(np.abs(k)) * np.max(np.abs(g)))):
         raise NonCommutingError(
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
         )
@@ -490,7 +494,7 @@ def _mixed_in_eigenbasis(
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
     max_drho = float(np.max(np.abs(drho)))
-    floor = 1e-9 * max(1.0, max_drho)
+    floor = _rounding_floor(max_drho)
     herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
     if herm_drift > floor:
         raise ValueError(
@@ -618,6 +622,13 @@ def _gate(values: dict[str, float], scale: float) -> None:
         raise ConsistencyError(f"QFI formulas disagree beyond the gate: {detail}")
 
 
+def _clamped(name: str, value: float, floor: float) -> float:
+    """A QFI below zero by at most floor is rounding and reads 0; further below raises."""
+    if value < -floor:
+        raise ConsistencyError(f"{name} QFI came out negative: {value!r}")
+    return 0.0 if value < 0.0 else value
+
+
 def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     """Full diagnostic report for a scenario.
 
@@ -652,12 +663,14 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       family (a zero-probability eigenspace receiving derivative weight),
       where the mixed-state QFI is genuinely discontinuous.
 
-    A dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is rounding
-    and reads 0.  qfi_mixed's input floors on drho_B (Hermiticity, trace)
-    guard a caller's drho; report() builds drho_B itself, so a failure there
-    raises ConsistencyError naming the mixed_state stage and the floor.  So
-    does a loss outside 0 <= loss <= alice_qfi by more than QfiReport's floor
-    (the loss_invariant stage), which QfiReport itself reports as ValueError.
+    A clean or dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is
+    rounding and reads 0; one further below raises ConsistencyError.
+    QfiReport derives the loss and both verdicts from what is measured here.
+    qfi_mixed's input floors on drho_B (Hermiticity, trace) guard a caller's drho;
+    report() builds drho_B itself, so a failure there raises
+    ConsistencyError naming the mixed_state stage and the floor.  So does a
+    loss outside QfiReport's bounds (the loss_invariant stage), with
+    QfiReport's ValueError as the cause.
 
     The anticommutator and covariance forms and the two loss forms rearrange
     the same per-eigenspace sums; their agreement is asserted in tests and in
@@ -685,32 +698,12 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
             # report() built this pair itself: a failed input floor is its own rounding
             raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc
     _gate(candidates, alice)
-    if bob < 0.0:
-        if bob < -_qfi_floor(alice):
-            raise ConsistencyError(f"dephased QFI came out negative: {bob!r}")
-        bob = 0.0
-    if alice < 0.0:
-        if alice < -1e-9:
-            raise ConsistencyError(f"clean QFI came out negative: {alice!r}")
-        alice = 0.0
-
-    loss, floor = alice - bob, _qfi_floor(alice)
-    if not -floor <= loss <= alice + floor:
-        raise ConsistencyError(
-            f"loss_invariant: loss {loss!r} violates 0 <= loss <= alice_qfi ({alice!r})"
-            f" beyond the floor 1e-9 max(1, alice_qfi) = {floor:.3e}"
-        )
+    floor = _rounding_floor(alice)
+    bob, alice = _clamped("dephased", bob, floor), _clamped("clean", alice, floor)
     cov_gk, mean_comm = necessary_conditions(s, p)
-    no_loss_res = _no_loss_residual(s, data)
-    max_loss_res = _max_loss_residuals(data)
-    return QfiReport(
-        alice_qfi=alice,
-        bob_qfi=bob,
-        loss=loss,
-        no_loss=no_loss_res <= DEFAULT_CONDITION_TOL,
-        max_loss=max(max_loss_res) <= DEFAULT_CONDITION_TOL,
-        cov_gk=cov_gk,
-        mean_commutator=mean_comm,
-        no_loss_residual=no_loss_res,
-        max_loss_residuals=max_loss_res,
-    )
+    residuals = _no_loss_residual(s, data), _max_loss_residuals(data)
+    try:
+        return QfiReport(alice, bob, cov_gk, mean_comm, *residuals)
+    except ValueError as exc:
+        # report() measured both QFIs itself: a loss out of bounds is its own rounding
+        raise ConsistencyError(f"loss_invariant: {exc}") from exc

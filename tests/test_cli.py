@@ -86,6 +86,20 @@ class TestRun:
             n = float(row["value"])
             assert float(row["bob_qfi"]) == pytest.approx(1 - 1 / n, abs=1e-9)
 
+    def test_explicit_probe_matches_uniform_superposition(self, tmp_path):
+        sweep = {"variable": "lambda", "start": 0.0, "stop": 1.0, "points": 5}
+        explicit = {"kind": "explicit", "amplitudes": [[1, 0], [1, 0], [1, 0], [1, 0]]}
+        uniform = {"kind": "uniform_superposition", "N": 4}
+        for name, qrf in (("explicit", explicit), ("uniform", uniform)):
+            config = write_config(tmp_path, f"{name}.json", {
+                "scenario": "example1", "qrf": qrf, "sweep": sweep,
+            })
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["run", "--config", config, "--out", out, "--quiet"]) == 0
+        explicit_csv = (tmp_path / "explicit.csv").read_bytes()
+        assert explicit_csv == (tmp_path / "uniform.csv").read_bytes()
+        assert len(read_csv(tmp_path / "explicit.csv")) == 5
+
     def test_direction_indicator_sweep_matches_closed_form(self, tmp_path):
         config = write_config(tmp_path, "ex3.json", {
             "scenario": "example3",
@@ -343,6 +357,7 @@ _SWEEP = {"variable": "lambda", "start": 0.0, "stop": 1.0, "points": 2}
 MALFORMED = {
     "amplitudes-number": {"scenario": "example1",
                           "qrf": {"kind": "explicit", "amplitudes": 5}},
+    "explicit-without-amplitudes": {"scenario": "example1", "qrf": {"kind": "explicit"}},
     "sweep-start-null": {**_EX3, "sweep": {**_SWEEP, "start": None}},
     "sweep-start-string": {**_EX3, "sweep": {**_SWEEP, "start": "a"}},
     "sweep-stop-infinity": {"scenario": "example2",
@@ -451,6 +466,17 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert "4096" in record["error"]["message"]
+
+    def test_explicit_probe_beyond_truncation_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, "long.json", {
+            "scenario": "example1",
+            "qrf": {"kind": "explicit", "amplitudes": [[1, 0]] * 4},
+            "params": {"truncation": 3},
+        })
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert "explicit amplitudes exceed the requested truncation" in record["error"]["message"]
 
     def test_internal_floor_failure_is_a_numerical_error(self, tmp_path, capsys):
         # report()'s own dephased pair fails the trace floor at K x 1e8

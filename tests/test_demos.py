@@ -1,9 +1,11 @@
 """Every script under demos/ runs to completion in a fresh interpreter.
 
 The interpreter runs with -W error: pytest's filterwarnings does not reach a
-subprocess, and a demo should not raise a numpy warning either.
+subprocess, and a demo should not raise a numpy warning either.  The
+README's library quick start runs in this process, under filterwarnings.
 """
 
+import re
 import subprocess
 import sys
 
@@ -29,3 +31,13 @@ def test_demo_runs(demo):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip()
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    alice, bob, loss, no_loss, max_loss = capsys.readouterr().out.split()
+    assert float(loss) == float(alice) - float(bob)
+    assert {no_loss, max_loss} <= {"True", "False"}

@@ -91,6 +91,15 @@ class TestTypes:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))  # positivity
 
+    def test_operators_and_states_compare_by_identity(self):
+        # array fields make a field-wise __eq__ raise and leave no __hash__
+        a, b = HermitianOperator(np.eye(2)), HermitianOperator(np.eye(2))
+        rho = DensityMatrix(np.eye(2) / 2)
+        psi = StateVector(np.ones(2))
+        assert a == a and a != b and rho != DensityMatrix(np.eye(2) / 2)
+        assert psi != StateVector(np.ones(2))
+        assert len({a, b, rho, psi}) == 4
+
     def test_density_matrix_is_a_hermitian_operator(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
         assert isinstance(rho, HermitianOperator)

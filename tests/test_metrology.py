@@ -1142,7 +1142,54 @@ class TestReport:
         with pytest.raises(ConsistencyError, match=r"loss_invariant: .*floor"):
             report(s)
         with pytest.raises(ValueError, match="violates 0 <= loss"):
-            metrology.QfiReport(0.0, 6e-8, -6e-8, True, True, 0.0, 0j, 0.0, (0.0, 0.0))
+            metrology.QfiReport(0.0, 6e-8, 0.0, 0j, 0.0, (0.0, 0.0))
+
+    # (K scale, stages that must occur among seeds 0-9) for K = c I on
+    # G = diag(0, 1, 1, 2, 3, 3) at lambda = 0.5: alice = bob = 0 in exact
+    # arithmetic, each a cancellation of size eps c^2, so every internal
+    # check trips somewhere until the floors scale with K
+    SCALED_IDENTITY_STAGES = {
+        1e3: {"clean"},
+        1e4: {"dephased", "clean", "loss_invariant"},
+        1e6: {"gate"},
+        1e8: {"mixed_state", "gate"},
+    }
+    STAGE_MESSAGES = {
+        "clean": "clean QFI came out negative",
+        "dephased": "dephased QFI came out negative",
+        "loss_invariant": "loss_invariant: ",
+        "gate": "disagree beyond the gate",
+        "mixed_state": "mixed_state check",
+    }
+
+    @pytest.mark.parametrize("c", sorted(SCALED_IDENTITY_STAGES))
+    def test_scaled_identity_fails_only_as_consistency_errors(self, c):
+        g = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex))
+        k = HermitianOperator(c * np.eye(6, dtype=complex))
+        stages = set()
+        for seed in range(10):
+            s = Scenario(haar_state(np.random.default_rng(seed), 6), k, g, 0.5)
+            try:
+                rep = report(s)
+            except ConsistencyError as exc:
+                found = [n for n, m in self.STAGE_MESSAGES.items() if m in str(exc)]
+                assert len(found) == 1, str(exc)
+                if found[0] in ("loss_invariant", "mixed_state"):
+                    assert isinstance(exc.__cause__, ValueError)
+                stages.update(found)
+            else:
+                assert rep.alice_qfi >= 0.0 and rep.bob_qfi >= 0.0
+        assert self.SCALED_IDENTITY_STAGES[c] <= stages
+
+    def test_report_derives_the_loss_and_both_verdicts(self):
+        above = 2 * metrology.DEFAULT_CONDITION_TOL
+        rep = metrology.QfiReport(2.0, 1.5, 0.1, 0j, above, (0.0, 1e-9))
+        assert (rep.loss, rep.no_loss, rep.max_loss) == (0.5, False, True)
+        assert repr(rep).startswith(
+            "QfiReport(alice_qfi=2.0, bob_qfi=1.5, loss=0.5, no_loss=False, max_loss=True,"
+        )
+        rep = metrology.QfiReport(2.0, 2.0, 0.0, 0j, 0.0, (above, 0.0))
+        assert (rep.loss, rep.no_loss, rep.max_loss) == (0.0, True, False)
 
     def test_rank_change_point_does_not_crash(self):
         # at lambda = 0 the dephased family of the direction indicator changes
