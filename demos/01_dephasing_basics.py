@@ -13,8 +13,9 @@ from twirlqfi import (
     check_max_loss,
     check_no_loss,
     counterexample_scenario,
-    example3_system,
+    example3_scenario,
     finite_time_average,
+    necessary_conditions,
     qfi_anticommutator_form,
     qfi_covariance_form,
     qfi_eigenvector_form,
@@ -27,12 +28,12 @@ from twirlqfi import (
     twirl_hermitian,
 )
 
-system = example3_system((0.0, np.sqrt(0.75), 0.5))
-scenario = system.scenario(lam=1.1)
+scenario = example3_scenario((0.0, np.sqrt(0.75), 0.5), lam=1.1)
 
 print("== spin-1/2 direction indicator, axis (0, sqrt(3)/2, 1/2), lambda = 1.1 ==")
+eigenvalues, _ = scenario.g_generator.eig  # decomposed once, cached on the operator
 projectors = spectral_projectors(scenario.g_generator)
-print(f"noise eigenvalues: {projectors.eigenvalues}, ranks {projectors.ranks()}")
+print(f"noise eigenvalues: {eigenvalues}, ranks {projectors.ranks()}")
 
 rho_b = twirl(scenario.rho_lambda, projectors)
 print("\ndephased state (coherences are gone):")
@@ -55,8 +56,9 @@ for t_max in (10.0, 100.0, 1000.0):
 
 print("\n== the zero-covariance counterexample ==")
 ce = counterexample_scenario(lam=0.7)
-rep = report(ce)
-print(f"Cov(G, K) = {rep.cov_gk:.3e} (vanishes), yet dephased QFI = {rep.bob_qfi:.3e}")
+cov_gk, mean_comm = necessary_conditions(ce)
+print(f"Cov(G, K) = {cov_gk:.3e} (vanishes), <[G, K]> = {abs(mean_comm):.3e}")
+print(f"yet dephased QFI = {report(ce).bob_qfi:.3e}")
 p_ce = spectral_projectors(ce.g_generator)
 print(f"no_loss predicate : {check_no_loss(ce, p_ce)}")
 print(f"max_loss predicate: {check_max_loss(ce, p_ce)}  (everything is lost)")

@@ -16,7 +16,7 @@ from twirlqfi import (
     example3_alice_qfi,
     example3_bob_qfi,
     example3_sld_diag,
-    example3_system,
+    example3_scenario,
     optimal_povm,
     sld_twirled,
     spectral_projectors,
@@ -36,8 +36,7 @@ print("z = 1 encodes nothing to begin with; in between the dephasing bites")
 print("harder as lambda approaches +-pi.\n")
 
 z, lam = 0.5, np.pi / 3
-system = example3_system((0.0, np.sqrt(1 - z * z), z))
-scenario = system.scenario(lam)
+scenario = example3_scenario((0.0, np.sqrt(1 - z * z), z), lam)
 projectors = spectral_projectors(scenario.g_generator)
 sld = sld_twirled(scenario, projectors)
 upper, lower = example3_sld_diag(z, lam)

@@ -15,7 +15,6 @@ from .hilbert import (
     StateVector,
     anticommutator,
     commutator,
-    eigh,
     expectation,
     sym_covariance,
     tensor,
@@ -46,7 +45,6 @@ from .metrology import (
 )
 from .models import (
     Example2System,
-    Example3System,
     QrfStateSpec,
     TruncationError,
     coherent_qfi_asymptote,
@@ -59,7 +57,7 @@ from .models import (
     example3_alice_qfi,
     example3_bob_qfi,
     example3_sld_diag,
-    example3_system,
+    example3_scenario,
     fock_ops,
     kummer_m,
     mean_occupation,

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, HermitianOperator, _check_dims, eigh
+from .hilbert import DensityMatrix, HermitianOperator, _check_dims
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -174,7 +174,7 @@ def finite_time_average(
         raise ValueError("steps must be at least 2")
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    w, v = eigh(g)
+    w, v = g.eig
     delta = w[:, None] - w[None, :]
     factors = _trapezoid_phase_factors(delta, t_max, steps)
     rotated = v.conj().T @ rho.matrix @ v

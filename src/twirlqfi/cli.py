@@ -13,11 +13,9 @@ when `run` and `check` would.
 
 Every scenario kind is one lambda-independent system (psi0, K, G) that each
 point moves to its lambda with Scenario.with_lambda.  A lambda sweep builds
-the system once, so K and G are decomposed once per sweep, and so is G's
-second decomposition for report()'s eigenvector gate; only the dephased
-state is decomposed at each point, 3 + P eigendecompositions for P points.
-A sweep over N, alpha_sq or z builds the system again at each point, so
-each point makes 4.
+the system once, so each decomposition made once per generator pair is made
+once per sweep; a sweep over N, alpha_sq or z builds the system again at
+each point.  report()'s docstring counts the eigendecompositions in both.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
 On failure a machine-readable JSON error record goes to stderr.
@@ -42,7 +40,7 @@ from .models import (
     example1_qfi_closed_form,
     example1_scenario,
     example2_system,
-    example3_system,
+    example3_scenario,
     qrf_amplitudes,
 )
 from .probeopt import (
@@ -302,7 +300,7 @@ def _system(cfg: RunConfig, variable: str, params: dict) -> tuple[Scenario, dict
         z = float(params["z"])
         x = float(params.get("x", 0.0))
         y = float(params.get("y", math.sqrt(max(0.0, 1.0 - z * z - x * x))))
-        return example3_system((x, y, z)).scenario(), {"x": x, "y": y, "z": z}
+        return example3_scenario((x, y, z)), {"x": x, "y": y, "z": z}
     except ValueError as exc:  # a TruncationError too
         raise ConfigError(f"invalid parameters: {exc}") from exc
 
@@ -352,12 +350,9 @@ def _record(cfg: RunConfig, point: int, variable: str, value, resolved, rep) -> 
 
 
 def _format_cell(value) -> str:
+    """A record value (a Python bool, int, float or str) as a CSV cell."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
@@ -371,12 +366,8 @@ def _write_records(records: list[dict], path: str, fmt: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     else:
-        cleaned = [
-            {k: (bool(v) if isinstance(v, (bool, np.bool_)) else v) for k, v in r.items()}
-            for r in records
-        ]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"records": cleaned}, fh, indent=2)
+            json.dump({"records": records}, fh, indent=2)
             fh.write("\n")
 
 

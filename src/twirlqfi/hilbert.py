@@ -44,7 +44,6 @@ __all__ = [
     "HermitianOperator",
     "DensityMatrix",
     "tensor",
-    "eigh",
     "expectation",
     "commutator",
     "anticommutator",
@@ -248,11 +247,6 @@ def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for index, block_v in blocks:
         v[index[:, :, None], column[index][:, None, :]] = block_v
     return w[order], v
-
-
-def eigh(op: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of op (cached)."""
-    return op.eig
 
 
 def expectation(op: HermitianOperator, state) -> float:

@@ -106,7 +106,8 @@ class _GeneratorProducts:
 
     @cached_property
     def gate_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """G by its own eigh_matrix call, not read from G.eig; read-only."""
+        """G by its own eigh_matrix call, not read from G.eig (report() says
+        why); read-only."""
         w, v = eigh_matrix(self.g.matrix)
         w.setflags(write=False)
         v.setflags(write=False)
@@ -370,10 +371,8 @@ def qfi_eigenvector_form(
     """
     _check_dims(s.dim, g.dim)
     # G's own eigh_matrix call, made once per generator pair and shared by the
-    # with_lambda copies; another g is decomposed afresh.  That call returns
-    # g.eig's bits, so report()'s gate on it checks the clustering and the
-    # cluster sums at each point, not the decomposition (its removal waits on
-    # a benchmark pin of four eigh_matrix calls per fresh report())
+    # with_lambda copies (report()'s docstring says what its gate checks);
+    # another g is decomposed afresh
     w, v = s._products.gate_eig if g is s.g_generator else eigh_matrix(g.matrix)
     bounds = cluster_eigenvalues(w, cluster_tol)
     return _twirled_qfi(s, _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi))
@@ -435,22 +434,23 @@ def check_max_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_
     return max(max_loss_residuals(s, p)) <= tol
 
 
-def necessary_conditions(s: Scenario, p: ProjectorSet) -> tuple[float, complex]:
+def necessary_conditions(s: Scenario) -> tuple[float, complex]:
     """(Cov(G, K), <[G, K]>) on the evolved state.
 
     Necessary one-directional implications: no loss forces Cov(G, K) = 0 and
     max loss forces <[G, K]> = 0.  Neither converse holds.  The matrices
     {G, K} and GK - KG are formed once per generator pair, at sum_i r_i^3
     over the joint diagonal blocks of (G, K) (d^3 only for a dense pair),
-    and shared by the scenario's with_lambda copies, so a point costs two
-    matrix-vector products.
+    and shared by the scenario's with_lambda copies.  <K> is read from the
+    scenario's dpsi = -i K psi, so beyond dpsi a point costs three
+    matrix-vector products: {G, K} psi, (GK - KG) psi and G psi.
     """
-    _check_dims(s.dim, p.dim)
-    g, k, state = s.g_generator, s.k_generator, s.psi_lambda
     anti, comm = s._products.matrices
+    state = s.psi_lambda
     psi = state.amplitudes
     half_anti = float(np.vdot(psi, anti @ psi).real) / 2.0
-    cov = half_anti - expectation(g, state) * expectation(k, state)
+    k_mean = -float(np.imag(np.vdot(psi, s.dpsi)))  # <psi|dpsi> = -i <K>
+    cov = half_anti - expectation(s.g_generator, state) * k_mean
     mean_comm = complex(np.vdot(psi, comm @ psi))
     return cov, mean_comm
 
@@ -644,10 +644,11 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
       That decomposition is a separate eigh_matrix call made once per (K, G)
       pair and shared by the with_lambda copies, so a P-point lambda sweep
       makes 3 + P eigh_matrix calls (K, G and the gate's G once, rho_B below
-      at each point) and a fresh report() makes 4.  The call returns G.eig's
-      bits, so the gate checks the clustering and the sums, not the
-      decomposition; its removal waits on the benchmark's pin of four calls
-      per fresh report().
+      at each point) and a fresh report() makes 4, as does each point of a
+      sweep that builds a new system (over N, alpha_sq or z in the CLI).
+      The call returns G.eig's bits, so the gate checks the clustering and
+      the sums, not the decomposition; its removal waits on the benchmark's
+      pin of four calls per fresh report().
     * the dephased QFI against qfi_mixed of the dephased density matrix
       rho_B.  That pair is built in G's eigenbasis V, where
       the pinching is the cluster block mask M: rho_B = M o (a a^dag) and
@@ -700,7 +701,7 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     _gate(candidates, alice)
     floor = _rounding_floor(alice)
     bob, alice = _clamped("dephased", bob, floor), _clamped("clean", alice, floor)
-    cov_gk, mean_comm = necessary_conditions(s, p)
+    cov_gk, mean_comm = necessary_conditions(s)
     residuals = _no_loss_residual(s, data), _max_loss_residuals(data)
     try:
         return QfiReport(alice, bob, cov_gk, mean_comm, *residuals)

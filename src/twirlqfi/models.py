@@ -40,8 +40,7 @@ __all__ = [
     "Example2System",
     "example2_system",
     "example2_qfi_closed_form",
-    "Example3System",
-    "example3_system",
+    "example3_scenario",
     "example3_alice_qfi",
     "example3_bob_qfi",
     "example3_sld_diag",
@@ -83,7 +82,8 @@ class QrfStateSpec:
 
     kind selects the family; only the fields that family needs may be set.
     A squeezed, displaced vacuum takes (alpha, r) directly, or (alpha,
-    x_fraction) with x = alpha^2 / <N> from which the squeezing follows.
+    x_fraction) with x = alpha^2 / <N> from which the squeezing follows;
+    x_fraction < 1 needs alpha > 0, since alpha = 0 leaves r undetermined.
     """
 
     kind: str
@@ -119,6 +119,8 @@ class QrfStateSpec:
             raise ValueError("squeezing parameter r must be non-negative here")
         if self.x_fraction is not None and not 0.0 < self.x_fraction <= 1.0:
             raise ValueError("x_fraction must lie in (0, 1]")
+        if self.x_fraction is not None and self.x_fraction < 1.0 and self.alpha == 0.0:
+            raise ValueError("x_fraction < 1 with alpha = 0 leaves r undetermined")
         if self.kind == EXPLICIT and len(self.amplitudes) == 0:
             raise ValueError("explicit amplitudes must be non-empty")
 
@@ -151,10 +153,6 @@ class QrfStateSpec:
         if self.r is not None:
             return self.r
         if self.x_fraction is not None:
-            if self.x_fraction == 1.0:
-                return 0.0
-            if self.alpha == 0.0:
-                raise ValueError("x_fraction < 1 with alpha = 0 leaves r undetermined")
             return math.asinh(self.alpha * math.sqrt(1.0 / self.x_fraction - 1.0))
         return 0.0
 
@@ -525,28 +523,17 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Example3System:
-    """Spin-1/2 rotated around a unit axis, dephased around z."""
-
-    axis: tuple[float, float, float]
-    k_generator: HermitianOperator
-    g_generator: HermitianOperator
-    fiducial: StateVector
-
-    def scenario(self, lam: float = 0.0) -> Scenario:
-        return Scenario(self.fiducial, self.k_generator, self.g_generator, lam)
-
-
-def example3_system(axis) -> Example3System:
+def example3_scenario(axis, lam: float = 0.0) -> Scenario:
     """K = (1/2) axis . sigma, G = sigma_z / 2, fiducial |0>."""
     x, y, z = (float(v) for v in axis)
     if abs(x * x + y * y + z * z - 1.0) > 1e-10:
         raise ValueError("rotation axis must be a unit vector")
-    k = HermitianOperator(0.5 * (x * _SIGMA_X + y * _SIGMA_Y + z * _SIGMA_Z))
-    g = HermitianOperator(0.5 * _SIGMA_Z)
-    psi0 = StateVector(np.array([1.0, 0.0]))
-    return Example3System(axis=(x, y, z), k_generator=k, g_generator=g, fiducial=psi0)
+    return Scenario(
+        fiducial=StateVector(np.array([1.0, 0.0])),
+        k_generator=HermitianOperator(0.5 * (x * _SIGMA_X + y * _SIGMA_Y + z * _SIGMA_Z)),
+        g_generator=HermitianOperator(0.5 * _SIGMA_Z),
+        lam=lam,
+    )
 
 
 def example3_alice_qfi(z: float) -> float:

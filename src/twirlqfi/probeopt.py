@@ -79,14 +79,15 @@ class OptProblem:
             raise ValueError("energy_target is only meaningful with fixed_mean_energy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptResult:
     """Best probe found, its QFI, the search log and its certificate.
 
     trace holds one (step, qfi) entry per bracket of the energy multiplier,
     the qfi of that bracket's mixture; the last entry is qfi.  The optimum
     exceeds qfi by at most gap (inf when no certificate was formed).
-    converged means energy_residual <= tol and gap <= tol.
+    converged means energy_residual <= tol and gap <= tol.  Compared by
+    identity, as amplitudes is an array.
     """
 
     amplitudes: np.ndarray

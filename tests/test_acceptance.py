@@ -42,7 +42,7 @@ from twirlqfi.models import (
     example2_system,
     example3_alice_qfi,
     example3_bob_qfi,
-    example3_system,
+    example3_scenario,
     qrf_amplitudes,
 )
 from twirlqfi.probeopt import (
@@ -115,9 +115,9 @@ def test_criterion_04_direction_indicator_grid():
         ]
         for z in z_grid:
             y = math.sqrt(max(0.0, 1.0 - z * z))
-            system = example3_system((0.0, y, z))
+            system = example3_scenario((0.0, y, z))
             for lam in lam_grid:
-                s = system.scenario(float(lam))
+                s = system.with_lambda(float(lam))
                 rep = report(s)
                 assert rep.alice_qfi == pytest.approx(example3_alice_qfi(z), abs=1e-9)
                 assert rep.bob_qfi == pytest.approx(
@@ -211,8 +211,8 @@ def test_criterion_08_sld_contracts():
         scenarios.append(example1_scenario(sq, 0.7))
         system = example2_system(n_total_max=4)
         scenarios.append(system.scenario(qrf_amplitudes(QrfStateSpec.uniform(4), 4), 0.7))
-        ex3 = example3_system((0.0, math.sqrt(0.75), 0.5))
-        scenarios.append(ex3.scenario(math.pi / 3))
+        ex3 = example3_scenario((0.0, math.sqrt(0.75), 0.5), math.pi / 3)
+        scenarios.append(ex3)
         for s in scenarios:
             p = spectral_projectors(s.g_generator)
             sld = sld_twirled(s, p).matrix
@@ -224,7 +224,7 @@ def test_criterion_08_sld_contracts():
             w, v = rho_b.eig
             support = v[:, w > 1e-12]
             assert np.max(np.abs(support.conj().T @ residual @ support)) <= 1e-8
-        povm = optimal_povm(sld_twirled(ex3.scenario(math.pi / 3), spectral_projectors(ex3.g_generator)))
+        povm = optimal_povm(sld_twirled(ex3, spectral_projectors(ex3.g_generator)))
         mats = sorted((p.matrix.real for p in povm), key=lambda m: m[0, 0])
         assert np.allclose(mats[0], np.diag([0.0, 1.0]), atol=1e-10)
         assert np.allclose(mats[1], np.diag([1.0, 0.0]), atol=1e-10)

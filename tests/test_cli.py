@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import ROOT, src_env
 
-from twirlqfi.cli import _complex_array, load_config, main
+from twirlqfi.cli import ConfigError, _complex_array, load_config, main
 from twirlqfi.hilbert import HermitianOperator, StateVector
 from twirlqfi.models import example2_qfi_closed_form, example3_bob_qfi
 
@@ -477,6 +477,18 @@ class TestErrors:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
         assert "explicit amplitudes exceed the requested truncation" in record["error"]["message"]
+
+    def test_unrealizable_squeezed_probe_rejected_at_load(self, tmp_path, capsys):
+        config = write_config(tmp_path, "squeezed.json", {
+            "scenario": "example1",
+            "qrf": {"kind": "squeezed_displaced", "alpha": 0.0, "x_fraction": 0.5},
+        })
+        with pytest.raises(ConfigError, match="invalid qrf spec: .* leaves r undetermined"):
+            load_config(config)
+        assert main(["check", "--config", config]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["message"].startswith("invalid qrf spec: ")
 
     def test_internal_floor_failure_is_a_numerical_error(self, tmp_path, capsys):
         # report()'s own dephased pair fails the trace floor at K x 1e8

@@ -25,7 +25,6 @@ from twirlqfi.hilbert import (
     StateVector,
     anticommutator,
     commutator,
-    eigh,
     expectation,
     sym_covariance,
     tensor,
@@ -138,11 +137,11 @@ class TestTensor:
 
 class TestEigh:
     def test_sigma_z(self):
-        w, _ = eigh(HermitianOperator(SIGMA_Z))
+        w, _ = HermitianOperator(SIGMA_Z).eig
         assert np.allclose(w, [-1.0, 1.0])
 
     def test_sigma_x_eigenvectors(self):
-        w, v = eigh(HermitianOperator(SIGMA_X))
+        w, v = HermitianOperator(SIGMA_X).eig
         assert np.allclose(w, [-1.0, 1.0])
         minus, plus = v[:, 0], v[:, 1]
         for vec, expected in ((minus, [1, -1]), (plus, [1, 1])):
@@ -155,7 +154,7 @@ class TestEigh:
         # oracle: H = (w + k) m + (w - k) n over m + n <= 2
         omega, kappa = 1.0, 1.0 / np.sqrt(2.0)
         system = example2_system(omega, kappa, n_total_max=2)
-        w, _ = eigh(system.hamiltonian)
+        w, _ = system.hamiltonian.eig
         expected = sorted(
             (omega + kappa) * m + (omega - kappa) * n
             for m in range(3)
@@ -171,7 +170,7 @@ class TestEigh:
         for _ in range(1000):
             dim = int(rng.integers(2, 65))
             op = random_hermitian(rng, dim, scale=float(rng.uniform(0.5, 3.0)))
-            w, v = eigh(op)
+            w, v = op.eig
             spread = float(w[-1] - w[0])
             recon = np.max(np.abs(op.matrix - (v * w) @ v.conj().T))
             assert recon <= 1e-10 * (1.0 + spread)
@@ -260,12 +259,12 @@ class TestEigCache:
     def test_each_operator_decomposes_once(self, eigh_calls):
         op = HermitianOperator(SIGMA_X)
         first = op.eig
-        assert eigh(op) is first and op.eig is first
+        assert op.eig is first
         assert eigh_calls == [2]
 
     def test_density_matrix_validation_holds_its_decomposition(self, eigh_calls):
         rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
-        assert eigh(rho) is rho.eig
+        assert rho.eig is rho.eig
         assert eigh_calls == [2]
 
     def test_arrays_are_read_only(self):

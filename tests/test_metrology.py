@@ -58,7 +58,7 @@ from twirlqfi.models import (
     example2_system,
     example3_bob_qfi,
     example3_sld_diag,
-    example3_system,
+    example3_scenario,
     qrf_amplitudes,
 )
 
@@ -69,7 +69,7 @@ def trivial_projectors(dim):
 
 def example3(z, lam, x=0.0):
     y = np.sqrt(max(0.0, 1.0 - z * z - x * x))
-    return example3_system((x, y, z)).scenario(lam)
+    return example3_scenario((x, y, z), lam)
 
 
 # --- independent oracles: every formula rebuilt from materialized projectors
@@ -477,7 +477,7 @@ class TestNecessaryConditions:
     def test_counterexample_not_sufficient(self):
         s = counterexample_scenario(0.7)
         p = spectral_projectors(s.g_generator)
-        cov, _ = necessary_conditions(s, p)
+        cov, _ = necessary_conditions(s)
         assert abs(cov) <= 1e-12
         assert qfi_twirled_pure(s, p) <= 1e-10  # zero covariance, yet total loss
 
@@ -487,7 +487,7 @@ class TestNecessaryConditions:
             qrf = qrf_amplitudes(QrfStateSpec.uniform(n), n)
             for lam in (0.0, 0.9, 2.2):
                 s = system.scenario(qrf, lam)
-                cov, _ = necessary_conditions(s, spectral_projectors(s.g_generator))
+                cov, _ = necessary_conditions(s)
                 assert cov == pytest.approx(0.25, abs=1e-9)
 
     def test_interacting_oscillator_commutator_estimate(self):
@@ -495,7 +495,7 @@ class TestNecessaryConditions:
         system = example2_system(n_total_max=n)
         qrf = qrf_amplitudes(QrfStateSpec.uniform(n), n)
         s = system.scenario(qrf, np.pi / 2)
-        _, mean_comm = necessary_conditions(s, spectral_projectors(s.g_generator))
+        _, mean_comm = necessary_conditions(s)
         approx = (2.0 * system.kappa / 3.0) * np.sqrt(n) * abs(np.sin(s.lam))
         assert abs(mean_comm) == pytest.approx(approx, rel=0.15)
         # exact magnitude: kappa * sum(sqrt(n)) / N * |sin lambda|
@@ -513,17 +513,17 @@ class TestNecessaryConditions:
             for lam in (0.0, 0.4, 1.3, 2.9)
         ] + [counterexample_scenario(lam) for lam in (0.0, 0.7, 2.1)]
         for s in scenarios:
-            _, mean_comm = necessary_conditions(s, spectral_projectors(s.g_generator))
+            _, mean_comm = necessary_conditions(s)
             assert mean_comm == 0j
 
     def test_implications_on_extreme_scenarios(self):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, 0.4)
         p = spectral_projectors(s.g_generator)
-        _, mean_comm = necessary_conditions(s, p)
+        _, mean_comm = necessary_conditions(s)
         assert abs(mean_comm) <= 1e-10  # max loss forces vanishing commutator
         s0 = example3(0.0, 0.8)
-        cov, _ = necessary_conditions(s0, spectral_projectors(s0.g_generator))
+        cov, _ = necessary_conditions(s0)
         assert abs(cov) <= 1e-10  # no loss forces vanishing covariance
 
 

@@ -19,7 +19,7 @@ from twirlqfi.models import (
     example2_system,
     example3_alice_qfi,
     example3_bob_qfi,
-    example3_system,
+    example3_scenario,
     fock_ops,
     kummer_m,
     mean_occupation,
@@ -101,6 +101,14 @@ class TestQrfAmplitudes:
             kind="squeezed_displaced", alpha=1.0, x_fraction=1.0 / mean
         )
         assert via_x.squeezing() == pytest.approx(0.7, abs=1e-12)
+
+    def test_unrealizable_x_fraction_rejected_at_construction(self):
+        # with alpha = 0 the displacement carries no energy, so no r gives
+        # x_fraction < 1; x_fraction = 1 is the vacuum, r = 0
+        with pytest.raises(ValueError, match="leaves r undetermined"):
+            QrfStateSpec(kind="squeezed_displaced", alpha=0.0, x_fraction=0.5)
+        vacuum = QrfStateSpec(kind="squeezed_displaced", alpha=0.0, x_fraction=1.0)
+        assert vacuum.squeezing() == 0.0
 
     def test_insufficient_truncation_reports_estimate(self):
         with pytest.raises(TruncationError) as err:
@@ -353,9 +361,9 @@ class TestExample2ClosedForm:
 
 class TestExample3:
     def test_x_axis_rotation_lossless(self):
-        system = example3_system((1.0, 0.0, 0.0))
+        system = example3_scenario((1.0, 0.0, 0.0))
         for lam in (0.4, 1.3, 2.9):
-            s = system.scenario(lam)
+            s = system.with_lambda(lam)
             p = spectral_projectors(s.g_generator)
             assert qfi_twirled_pure(s, p) == pytest.approx(1.0, abs=1e-12)
             rho_b = twirl(s.rho_lambda, p).matrix
@@ -365,16 +373,14 @@ class TestExample3:
             assert np.max(np.abs(rho_b - expected)) <= 1e-12
 
     def test_tilted_axis_population(self):
-        system = example3_system((0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)))
         lam = 1.1
-        s = system.scenario(lam)
+        s = example3_scenario((0.0, 1 / math.sqrt(2), 1 / math.sqrt(2)), lam)
         rho_b = twirl(s.rho_lambda, spectral_projectors(s.g_generator)).matrix
         p1 = 0.5 * math.sin(lam / 2) ** 2
         assert np.max(np.abs(rho_b - np.diag([1 - p1, p1]))) <= 1e-12
 
     def test_z_axis_rotation_never_encodes(self):
-        system = example3_system((0.0, 0.0, 1.0))
-        s = system.scenario(0.9)
+        s = example3_scenario((0.0, 0.0, 1.0), 0.9)
         assert qfi_unitary(s.fiducial, s.k_generator) == pytest.approx(0.0, abs=1e-12)
         assert qfi_twirled_pure(
             s, spectral_projectors(s.g_generator)
@@ -407,7 +413,7 @@ class TestExample3:
 
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError):
-            example3_system((1.0, 1.0, 0.0))
+            example3_scenario((1.0, 1.0, 0.0))
 
 
 class TestCounterexample:

@@ -12,6 +12,7 @@ from twirlqfi.models import QrfStateSpec, example1_qfi_closed_form, qrf_amplitud
 from twirlqfi.probeopt import (
     FIXED_MEAN_ENERGY,
     OptProblem,
+    OptResult,
     _recursion,
     _sample,
     coherent_weight_profile,
@@ -287,6 +288,23 @@ class TestOptimizeProbe:
             assert sample.mu == mu
             assert sample.q.tolist() == np.eye(n)[level].tolist()
             assert (sample.energy, sample.qfi) == (level, 0.0)
+
+    def test_infeasible_hi_falls_back_to_nonnegative_costs(self):
+        # a given hi that is not dual feasible is replaced by the smallest mu
+        # with every c_n = mu + nu n >= 0, and the bisection ends where it
+        # would have from that hi
+        n, nu = 6, 0.3
+        assert _recursion(-5.0, nu, n) is None
+        fallback = _sample(nu, -10.0, -5.0, n)
+        direct = _sample(nu, -10.0, max(0.0, -nu * (n - 1)), n)
+        assert fallback.mu == direct.mu
+        assert fallback.q.tolist() == direct.q.tolist()
+
+    def test_results_compare_by_identity(self):
+        first = OptResult(np.ones(2), 1.0, (), True, 0.0)
+        second = OptResult(np.ones(2), 1.0, (), True, 0.0)
+        assert first != second and first == first
+        assert len({first, second}) == 2
 
     def test_never_below_an_slsqp_oracle(self):
         for n_levels in range(2, 25):
