@@ -43,7 +43,7 @@ print("\nall dephased-QFI forms must agree:")
 print(f"  projector-overlap form : {qfi_twirled_pure(scenario, projectors):.12f}")
 print(f"  anticommutator form    : {qfi_anticommutator_form(scenario, projectors):.12f}")
 print(f"  covariance form        : {qfi_covariance_form(scenario, projectors):.12f}")
-print(f"  eigenvector form       : {qfi_eigenvector_form(scenario, scenario.g_generator):.12f}")
+print(f"  eigenvector form       : {qfi_eigenvector_form(scenario):.12f}")
 drho_b = twirl_hermitian(scenario.drho_lambda, projectors)
 print(f"  mixed-state form       : {qfi_mixed(rho_b, drho_b):.12f}")
 print(f"clean (unitary) QFI      : {qfi_unitary(scenario.fiducial, scenario.k_generator):.12f}")

@@ -21,6 +21,7 @@ from .hilbert import (
 )
 from .metrology import (
     ConsistencyError,
+    Generators,
     NonCommutingError,
     QfiReport,
     Scenario,

@@ -11,10 +11,10 @@ custom scenario the shapes, the [re, im] number pairs, finite Hermitian
 generators and nonzero norm, so `load` rejects a custom scenario exactly
 when `run` and `check` would.
 
-Every scenario kind is one lambda-independent system (psi0, K, G) that each
-point moves to its lambda with Scenario.with_lambda.  A lambda sweep builds
-the system once, so each decomposition made once per generator pair is made
-once per sweep; a sweep over N, alpha_sq or z builds the system again at
+Every scenario kind is one lambda-independent system (psi0, K, G); each
+point is psi0 at its lambda on the system's Generators pair at cluster_tol.
+A lambda sweep builds both once, so the scenarios on one pair share each
+per-pair decomposition; a sweep over N, alpha_sq or z builds them again at
 each point.  report()'s docstring counts the eigendecompositions in both.
 
 Exit codes: 0 success, 2 config error, 3 numerical error, 4 I/O error.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channels import DEFAULT_CLUSTER_TOL
 from .hilbert import HermitianOperator, StateVector
-from .metrology import DEFAULT_CONDITION_TOL, Scenario, report
+from .metrology import DEFAULT_CONDITION_TOL, Generators, Scenario, report
 from .models import (
     QrfStateSpec,
     example1_qfi_closed_form,
@@ -309,8 +309,8 @@ def _reports(cfg: RunConfig):
     """(variable, value, resolved params, report) at each point of the run.
 
     Without a sweep the run is one point of a lambda sweep.  The system is
-    built once for a lambda sweep and at every point of any other sweep;
-    each point takes its lambda through Scenario.with_lambda.
+    built once for a lambda sweep and at every point of any other sweep,
+    with one Generators pair at cluster_tol that puts psi0 at each lambda.
     """
     variable, grid = "lambda", [cfg.params.get("lambda", 0.0)]
     if cfg.sweep is not None:
@@ -324,8 +324,9 @@ def _reports(cfg: RunConfig):
         params[variable] = value
         if system is None or variable != "lambda":
             system, resolved = _system(cfg, variable, params)
+            pair = Generators(system.k_generator, system.g_generator, cluster_tol)
         lam = float(params.get("lambda", 0.0))
-        rep = report(system.with_lambda(lam), cluster_tol)
+        rep = report(pair.scenario(system.fiducial, lam))
         yield variable, value, {"lambda": lam, **resolved}, rep
 
 

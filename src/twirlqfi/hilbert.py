@@ -8,7 +8,7 @@ and frequencies are dimensionless.
 
 Each operator decomposes itself at most once: `HermitianOperator.eig` calls
 eigh_matrix on first access and caches the result, and every holder of the
-operator (a Scenario and its with_lambda copies, say) shares the same
+operator (the scenarios on one generator pair, say) shares the same
 read-only arrays.  Two threads reaching a first access together may both
 compute it; the results are identical, so that is harmless.  Every
 eigendecomposition in the library goes through eigh_matrix.

@@ -49,6 +49,7 @@ __all__ = [
     "DEFAULT_CONDITION_TOL",
     "ConsistencyError",
     "NonCommutingError",
+    "Generators",
     "Scenario",
     "QfiReport",
     "qfi_pure",
@@ -92,58 +93,66 @@ class NonCommutingError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class _GeneratorProducts:
-    """What one generator pair needs at every lambda, formed once, on first
-    use, and shared by a scenario's with_lambda copies: {G, K} and GK - KG
-    by hilbert._products, and G decomposed for report()'s eigenvector gate."""
+class Generators:
+    """The generator pair (K, G) and what every psi0 and lambda on it share.
+
+    G's eigenspaces, clustered at cluster_tol, define the dephasing channel.
+    {G, K}, GK - KG and report()'s eigenvector gate are formed on first use;
+    scenario() puts a fiducial state on the pair.  Compared by identity.
+    """
 
     k: HermitianOperator
     g: HermitianOperator
+    cluster_tol: float = DEFAULT_CLUSTER_TOL
+
+    def __post_init__(self) -> None:
+        _check_dims(self.k.dim, self.g.dim)
 
     @cached_property
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+    def products(self) -> tuple[np.ndarray, np.ndarray]:
         return _products(self.g.matrix, self.k.matrix)
 
     @cached_property
-    def gate_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """G by its own eigh_matrix call, not read from G.eig (report() says
-        why); read-only."""
+    def gate(self) -> tuple[np.ndarray, list[int]]:
+        """(read-only V, cluster bounds) of G by its own eigh_matrix call; report() says why."""
         w, v = eigh_matrix(self.g.matrix)
-        w.setflags(write=False)
         v.setflags(write=False)
-        return w, v
+        return v, cluster_eigenvalues(w, self.cluster_tol)
+
+    def scenario(self, fiducial: StateVector, lam: float = 0.0) -> "Scenario":
+        """The scenario (fiducial, K, G, lam) on this pair."""
+        s = Scenario(fiducial, self.k, self.g, lam)
+        object.__setattr__(s, "generators", self)
+        return s
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """Fiducial state, encoding generator K, noise generator G and lambda.
 
-    with_lambda copies share K, G and the products of the pair.  Compared by
-    identity, as its fields hold arrays.
+    The constructor makes a new Generators pair at the default cluster_tol;
+    Generators.scenario and with_lambda reuse one.  Compared by identity.
     """
 
     fiducial: StateVector
     k_generator: HermitianOperator
     g_generator: HermitianOperator
     lam: float = 0.0
-    _products: _GeneratorProducts = field(init=False, repr=False, compare=False)
+    generators: Generators = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_dims(self.fiducial.dim, self.k_generator.dim, self.g_generator.dim)
         if not np.isfinite(self.lam):
             raise ValueError("lambda must be finite")
         object.__setattr__(self, "lam", float(self.lam))
-        products = _GeneratorProducts(self.k_generator, self.g_generator)
-        object.__setattr__(self, "_products", products)
+        object.__setattr__(self, "generators", Generators(self.k_generator, self.g_generator))
 
     @property
     def dim(self) -> int:
         return self.fiducial.dim
 
     def with_lambda(self, lam: float) -> "Scenario":
-        moved = Scenario(self.fiducial, self.k_generator, self.g_generator, lam)
-        object.__setattr__(moved, "_products", self._products)
-        return moved
+        return self.generators.scenario(self.fiducial, lam)
 
     @cached_property
     def psi_lambda(self) -> StateVector:
@@ -333,7 +342,7 @@ def qfi_commuting_form(s: Scenario, p: ProjectorSet) -> float:
     1e-9 max(1, max|K| max|G|), a floor that scales with the generators.
     """
     k, g = s.k_generator.matrix, s.g_generator.matrix
-    comm_norm = float(np.max(np.abs(s._products.matrices[1])))
+    comm_norm = float(np.max(np.abs(s.generators.products[1])))
     if comm_norm > _rounding_floor(float(np.max(np.abs(k)) * np.max(np.abs(g)))):
         raise NonCommutingError(
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
@@ -359,22 +368,16 @@ def qfi_covariance_form(s: Scenario, p: ProjectorSet) -> float:
     return 4.0 * variance - 4.0 * float(np.sum(cov**2 / data.p[mask]))
 
 
-def qfi_eigenvector_form(
-    s: Scenario, g: HermitianOperator, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> float:
+def qfi_eigenvector_form(s: Scenario) -> float:
     """Dephased QFI from raw eigenvectors of G, without projector matrices.
 
     Per degenerate cluster i, forms the overlap vectors a_i = <v_ij|psi> and
     b_i = <v_ij|dpsi> and evaluates
     4(<dpsi|dpsi> - sum_i Im(<a_i|b_i>)^2 / ||a_i||^2).
     The result does not depend on the basis chosen inside each cluster.
+    G's eigenvectors and clusters are the pair's, from Generators.gate.
     """
-    _check_dims(s.dim, g.dim)
-    # G's own eigh_matrix call, made once per generator pair and shared by the
-    # with_lambda copies (report()'s docstring says what its gate checks);
-    # another g is decomposed afresh
-    w, v = s._products.gate_eig if g is s.g_generator else eigh_matrix(g.matrix)
-    bounds = cluster_eigenvalues(w, cluster_tol)
+    v, bounds = s.generators.gate
     return _twirled_qfi(s, _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi))
 
 
@@ -441,11 +444,11 @@ def necessary_conditions(s: Scenario) -> tuple[float, complex]:
     max loss forces <[G, K]> = 0.  Neither converse holds.  The matrices
     {G, K} and GK - KG are formed once per generator pair, at sum_i r_i^3
     over the joint diagonal blocks of (G, K) (d^3 only for a dense pair),
-    and shared by the scenario's with_lambda copies.  <K> is read from the
+    and shared by the scenarios on the pair.  <K> is read from the
     scenario's dpsi = -i K psi, so beyond dpsi a point costs three
     matrix-vector products: {G, K} psi, (GK - KG) psi and G psi.
     """
-    anti, comm = s._products.matrices
+    anti, comm = s.generators.products
     state = s.psi_lambda
     psi = state.amplitudes
     half_anti = float(np.vdot(psi, anti @ psi).real) / 2.0
@@ -629,8 +632,8 @@ def _clamped(name: str, value: float, floor: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
-    """Full diagnostic report for a scenario.
+def report(s: Scenario) -> QfiReport:
+    """Full diagnostic report for a scenario, G clustered at its pair's cluster_tol.
 
     One pass over G's eigenspaces gives the dephased QFI (projector-overlap
     form) and the no-loss and max-loss residuals.  The checks below do not
@@ -642,10 +645,10 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     * the dephased QFI against qfi_eigenvector_form, which clusters G's
       spectrum and forms the cluster sums again from G's own decomposition.
       That decomposition is a separate eigh_matrix call made once per (K, G)
-      pair and shared by the with_lambda copies, so a P-point lambda sweep
-      makes 3 + P eigh_matrix calls (K, G and the gate's G once, rho_B below
-      at each point) and a fresh report() makes 4, as does each point of a
-      sweep that builds a new system (over N, alpha_sq or z in the CLI).
+      pair and shared by the scenarios on it, so P points on one pair (any
+      psi0, any lambda) make 3 + P eigh_matrix calls (K, G and the gate's G
+      once, rho_B below at each point) and a fresh report() makes 4, as does
+      each point of a CLI sweep that builds a new system (N, alpha_sq or z).
       The call returns G.eig's bits, so the gate checks the clustering and
       the sums, not the decomposition; its removal waits on the benchmark's
       pin of four calls per fresh report().
@@ -677,7 +680,7 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     the same per-eigenspace sums; their agreement is asserted in tests and in
     the acceptance gate, not here.
     """
-    p = spectral_projectors(s.g_generator, cluster_tol)
+    p = spectral_projectors(s.g_generator, s.generators.cluster_tol)
     data = _clusters(s, p)
     alice = qfi_unitary(s.fiducial, s.k_generator)
     alice_check = qfi_pure(s.psi_lambda, s.dpsi)
@@ -686,7 +689,7 @@ def report(s: Scenario, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> QfiReport:
     bob = _twirled_qfi(s, data)
     candidates = {
         "projector_overlap": bob,
-        "eigenvector": qfi_eigenvector_form(s, s.g_generator, cluster_tol),
+        "eigenvector": qfi_eigenvector_form(s),
     }
     if data.rank_regular:
         # the dephased pair in G's eigenbasis, where pinching is the block mask

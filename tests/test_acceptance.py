@@ -178,7 +178,7 @@ def test_criterion_07_cross_formula_fuzz():
                 qfi_twirled_pure(s, p),
                 qfi_anticommutator_form(s, p),
                 qfi_covariance_form(s, p),
-                qfi_eigenvector_form(s, s.g_generator),
+                qfi_eigenvector_form(s),
                 qfi_mixed(
                     twirl(s.rho_lambda, p), twirl_hermitian(s.drho_lambda, p)
                 ),

@@ -304,6 +304,29 @@ class TestCheck:
         assert out["no_loss"] is True
         assert abs(out["loss"]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        ("extra", "bob"),
+        [([], 0.7429563276021751), (["--cluster-tol", "1e-5"], 0.8450715712955228)],
+        ids=["default", "cluster-tol-1e-5"],
+    )
+    def test_valid_cluster_tol_reaches_report(self, tmp_path, capsys, extra, bob):
+        # G's eigenvalues 0 and 1e-6 are two eigenspaces at the default
+        # tolerance and one at 1e-5, which dephases less
+        def pack(m):
+            return [[[float(v), 0.0] for v in row] for row in m]
+
+        payload = {
+            "scenario": "custom",
+            "dim": 3,
+            "k_matrix": pack([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+            "g_matrix": pack(np.diag([0.0, 1e-6, 1.0])),
+            "psi0": [[1.0, 0.0]] * 3,
+            "params": {"lambda": 0.4},
+        }
+        config = write_config(tmp_path, "close.json", payload)
+        assert main(["check", "--config", config, "--format", "json", *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["bob_qfi"] == bob
+
 
 class TestOptimize:
     def test_energy_grid_ordering(self, tmp_path):

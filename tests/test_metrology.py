@@ -286,7 +286,7 @@ class TestDephasedQfiForms:
                 expected = example3_bob_qfi(z, lam)
                 assert qfi_twirled_pure(s, p) == pytest.approx(expected, abs=1e-10)
                 assert qfi_anticommutator_form(s, p) == pytest.approx(expected, abs=1e-10)
-                assert qfi_eigenvector_form(s, s.g_generator) == pytest.approx(
+                assert qfi_eigenvector_form(s) == pytest.approx(
                     expected, abs=1e-10
                 )
         s = example3(1.0 / np.sqrt(2.0), np.pi / 2)
@@ -307,7 +307,7 @@ class TestDephasedQfiForms:
             assert qfi_covariance_form(s, p) == pytest.approx(
                 naive_covariance_qfi(s, p), abs=1e-9
             )
-            assert qfi_eigenvector_form(s, s.g_generator) == pytest.approx(
+            assert qfi_eigenvector_form(s) == pytest.approx(
                 reference, abs=1e-9
             )
 
@@ -368,7 +368,7 @@ class TestDephasedQfiForms:
         dim = 10
         g = random_degenerate_hermitian(rng, dim, 4)
         s = Scenario(haar_state(rng, dim), random_hermitian(rng, dim), g, 0.6)
-        reference = qfi_eigenvector_form(s, g)
+        reference = qfi_eigenvector_form(s)
         # same formula evaluated in two randomly rotated in-cluster bases
         w, v = np.linalg.eigh(g.matrix)
         from twirlqfi.channels import cluster_eigenvalues
@@ -397,7 +397,7 @@ class TestDephasedQfiForms:
         k = HermitianOperator(np.diag(rng.normal(size=6)).astype(complex))
         g = HermitianOperator(np.diag(np.arange(6, dtype=float)).astype(complex))
         lemma = Scenario(haar_state(rng, 6), k, g, 1.1)
-        assert qfi_eigenvector_form(lemma, g) == pytest.approx(0.0, abs=1e-9)
+        assert qfi_eigenvector_form(lemma) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLoss:
@@ -562,7 +562,7 @@ class TestBlockwiseSums:
 
     @PER_GENERATOR_PAIR
     def test_generator_products_match_the_dense_products(self, k, g):
-        anti, comm = metrology._GeneratorProducts(k, g).matrices
+        anti, comm = metrology.Generators(k, g).products
         gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
         assert np.array_equal(anti, _hermitian_part(gk + kg))
         assert np.array_equal(comm, gk - kg)
@@ -949,7 +949,7 @@ class TestReport:
             tol = 1e-8 * max(1.0, rep.alice_qfi)
             assert qfi_anticommutator_form(s, p) == pytest.approx(bob, abs=tol)
             assert qfi_covariance_form(s, p) == pytest.approx(bob, abs=tol)
-            assert qfi_eigenvector_form(s, s.g_generator) == pytest.approx(bob, abs=tol)
+            assert qfi_eigenvector_form(s) == pytest.approx(bob, abs=tol)
             assert qfi_loss(s, p) == pytest.approx(rep.loss, abs=tol)
             assert loss_covariance_form(s, p) == pytest.approx(rep.loss, abs=tol)
 
@@ -978,9 +978,7 @@ class TestReport:
         for lam in np.linspace(-2.0, 2.0, 5):
             moved = s.with_lambda(lam)
             fresh = Scenario(s.fiducial, HermitianOperator(k), HermitianOperator(g), lam)
-            assert qfi_eigenvector_form(moved, moved.g_generator) == qfi_eigenvector_form(
-                fresh, fresh.g_generator
-            )
+            assert qfi_eigenvector_form(moved) == qfi_eigenvector_form(fresh)
 
     def test_gate_decomposition_is_one_per_generator_pair(self, eigh_calls):
         rng = np.random.default_rng(223)
@@ -990,17 +988,36 @@ class TestReport:
         for moved in (first, second, other):
             moved.psi_lambda  # K decomposed here, not in the gate
         eigh_calls.clear()
-        qfi_eigenvector_form(first, first.g_generator)
-        qfi_eigenvector_form(second, second.g_generator)
-        assert first._products.gate_eig is second._products.gate_eig
+        qfi_eigenvector_form(first)
+        qfi_eigenvector_form(second)
+        assert first.generators.gate is second.generators.gate
         assert eigh_calls == [6]
         # another pair, even with the same G object, decomposes G for itself
-        qfi_eigenvector_form(other, other.g_generator)
-        assert other._products.gate_eig is not first._products.gate_eig
+        qfi_eigenvector_form(other)
+        assert other.generators.gate is not first.generators.gate
         assert eigh_calls == [6, 6]
-        # a generator other than the scenario's own is decomposed afresh
-        qfi_eigenvector_form(first, HermitianOperator(s.g_generator.matrix))
-        assert eigh_calls == [6, 6, 6]
+
+    def test_fiducials_on_one_pair_share_its_work(self, eigh_calls, monkeypatch):
+        rng = np.random.default_rng(227)
+        k, g = random_hermitian(rng, 12), random_degenerate_hermitian(rng, 12, 4)
+        products, original = [], metrology._products
+
+        def counted(a, b):
+            products.append(a.shape[0])
+            return original(a, b)
+
+        monkeypatch.setattr(metrology, "_products", counted)
+        pair = metrology.Generators(k, g)
+        points = [(haar_state(rng, 12), lam) for _ in range(3) for lam in (0.3, -1.2)]
+        reports = [report(pair.scenario(psi0, lam)) for psi0, lam in points]
+        # K, G and the gate's G once for the pair; rho_B at each of the 6 points
+        assert eigh_calls == [12] * (3 + 6)
+        assert products == [12]
+        for (psi0, lam), rep in zip(points, reports):
+            fresh = report(Scenario(psi0, HermitianOperator(k.matrix),
+                                    HermitianOperator(g.matrix), lam))
+            for name in ("alice_qfi", "bob_qfi", "cov_gk", "mean_commutator"):
+                assert getattr(rep, name) == getattr(fresh, name)
 
     @pytest.mark.parametrize("case", ["dense_clustered", "example1"])
     def test_gate_fires_on_a_perturbed_shared_decomposition(self, case):
@@ -1014,9 +1031,9 @@ class TestReport:
                          random_degenerate_hermitian(rng, 12, 4), 0.7)
         report(s)
         moved = s.with_lambda(1.9)
-        w, v = moved._products.gate_eig
+        v, bounds = moved.generators.gate
         noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-        vars(moved._products)["gate_eig"] = (w, v + 1e-3 * noise)
+        vars(moved.generators)["gate"] = (v + 1e-3 * noise, bounds)
         with pytest.raises(ConsistencyError, match="eigenvector="):
             report(moved)
 
