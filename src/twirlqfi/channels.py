@@ -42,6 +42,12 @@ __all__ = [
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
+def _check_cluster_tol(cluster_tol: float) -> None:
+    # a NaN tolerance would fail every gap comparison and merge all clusters
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+
+
 def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int]:
     """Greedy clustering of ascending eigenvalues.
 
@@ -49,9 +55,7 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int
     cluster.  Returns the boundary indices [0, ..., n]; cluster k occupies the
     half-open index range [bounds[k], bounds[k + 1]).
     """
-    # a NaN tolerance would fail every gap comparison and merge all clusters
-    if not 0 < cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
+    _check_cluster_tol(cluster_tol)
     w = np.asarray(eigenvalues, dtype=float)
     spread = float(w[-1] - w[0]) if w.size else 0.0
     gap = cluster_tol * (1.0 + spread)

@@ -29,6 +29,10 @@ HermitianOperator checks Hermiticity on outside input only, relative to
 max(1, max|A|), and reads the drift from the Hermitian part it keeps, so A^dag
 is formed once: a matrix formed from validated operators (an anticommutator,
 an SLD) passes through _hermitian_part first, since its drift is rounding.
+_dagger forms A^dag as one contiguous copy, conjugated in place, so no
+sum reads a transpose in strided order; for the same reason
+expectation reads a density matrix's rho^T as conj(rho), equal to it up to
+the sign of a zero because the stored matrix is exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -163,11 +167,28 @@ def tensor(a, b):
     raise TypeError("tensor expects two StateVectors or two HermitianOperators")
 
 
+def _dagger(x: np.ndarray) -> np.ndarray:
+    """X^dag over the last two axes as a new C-ordered array, so a sum with X
+    reads both operands in memory order rather than one by strided column.
+
+    A copy, not ascontiguousarray: the transpose of an F-ordered X is already
+    contiguous and would come back as a view of X, which the in-place
+    conjugate would then write into.
+    """
+    out = x.swapaxes(-1, -2).copy()
+    np.conjugate(out, out=out)
+    return out
+
+
 def _hermitian_part(x: np.ndarray) -> np.ndarray:
     """(X + X^dag) / 2 over the last two axes, so of a matrix or of each
     matrix in a stack; exactly Hermitian: entries (i, j) and (j, i) add the
-    same pair."""
-    return 0.5 * (x + x.conj().swapaxes(-1, -2))
+    same pair.  Formed in place on _dagger(X); IEEE addition commutes, so
+    the bits are those of 0.5 * (X + X^dag)."""
+    out = _dagger(x)
+    out += x
+    out *= 0.5
+    return out
 
 
 def _block_ends(nonzero: np.ndarray) -> np.ndarray:
@@ -258,7 +279,9 @@ def expectation(op: HermitianOperator, state) -> float:
         return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)).real
     if isinstance(state, DensityMatrix):
         _check_dims(op.dim, state.dim)
-        return float(np.real(np.sum(op.matrix * state.matrix.T)))
+        # rho^T read in memory order as conj(rho), equal up to the sign of a
+        # zero since rho.matrix is exactly Hermitian
+        return float(np.real(np.sum(op.matrix * state.matrix.conj())))
     raise TypeError("state must be a StateVector or DensityMatrix")
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from .channels import (
     DEFAULT_CLUSTER_TOL,
     ProjectorSet,
+    _check_cluster_tol,
     cluster_eigenvalues,
     spectral_projectors,
 )
@@ -38,6 +39,7 @@ from .hilbert import (
     _block_ends,
     _blocks_by_size,
     _check_dims,
+    _dagger,
     _hermitian_part,
     _products,
     eigh_matrix,
@@ -107,6 +109,7 @@ class Generators:
 
     def __post_init__(self) -> None:
         _check_dims(self.k.dim, self.g.dim)
+        _check_cluster_tol(self.cluster_tol)
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -498,7 +501,10 @@ def _mixed_in_eigenbasis(
     _check_dims(rho.dim, drho.shape[0])
     max_drho = float(np.max(np.abs(drho)))
     floor = _rounding_floor(max_drho)
-    herm_drift = float(np.max(np.abs(drho - drho.conj().T)))
+    # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
+    drift = _dagger(drho)
+    drift -= drho
+    herm_drift = float(np.max(np.abs(drift)))
     if herm_drift > floor:
         raise ValueError(
             f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
@@ -608,9 +614,12 @@ def classical_fisher(
     if float(np.max(np.abs(total - np.eye(rho.dim)))) > 1e-9:
         raise ValueError("POVM elements do not sum to the identity")
     fisher = 0.0
+    # rho^T read in memory order as conj(rho), equal up to the sign of a zero
+    # since rho.matrix is exactly Hermitian; drho is outside input, read as drho.T
+    rho_t = rho.matrix.conj()
     for element in povm:
         # Tr(O rho) and Tr(O drho) as entrywise sums, O(d^2) per element
-        prob = float(np.real(np.sum(element.matrix * rho.matrix.T)))
+        prob = float(np.real(np.sum(element.matrix * rho_t)))
         if prob <= EPS_PROBABILITY:
             continue
         dprob = float(np.real(np.sum(element.matrix * drho.T)))

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import subprocess
@@ -257,6 +258,59 @@ class TestCustomRoundTrip:
         path.write_text("{ not json", encoding="utf-8")
         assert main(["load", "--config", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def gc_state():
+    """Yields gc.enable or gc.disable to set the collector's state; restored after."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestLoadConfigCollector:
+    """load_config pauses the cyclic collector and leaves it as it found it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case", ["valid", "malformed_pair", "parse_error"])
+    def test_collector_state_is_restored(self, tmp_path, gc_state, case, enabled):
+        payload, *_ = random_custom_config(np.random.default_rng(83), 4, lam=0.2)
+        if case == "malformed_pair":
+            payload["k_matrix"][1][2] = [1.0, "x"]
+        config = write_config(tmp_path, "c.json", payload)
+        if case == "parse_error":
+            Path(config).write_text("{ not json", encoding="utf-8")
+        gc_state(enabled)
+        if case == "valid":
+            assert load_config(config).custom.k_generator.dim == 4
+        else:
+            match = "parse error" if case == "parse_error" else "number pairs"
+            with pytest.raises(ConfigError, match=match):
+                load_config(config)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_during_a_dense_load(self, tmp_path, gc_state):
+        # a d = 64 config parses to ~8k [re, im] lists, enough to trigger
+        # the collector many times over if it ran
+        payload, *_ = random_custom_config(np.random.default_rng(89), 64, lam=0.2)
+        config = write_config(tmp_path, "d64.json", payload)
+        gc_state(True)
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            load_config(config)
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert gc.isenabled()
 
 
 class TestCheck:

@@ -334,6 +334,55 @@ class TestExpectation:
         assert expectation(op, rho) == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
 
+    @pytest.mark.parametrize("rank", [8, 3, 1])
+    def test_density_matrix_read_as_its_conjugate_keeps_the_bits(self, rank):
+        # rho is stored exactly Hermitian, so conj(rho) stands in for rho^T
+        rng = np.random.default_rng(31 + rank)
+        for dim in (2, 8, 64):
+            rho = random_density(rng, dim, min(rank, dim))
+            assert np.array_equal(rho.matrix.conj(), rho.matrix.T)
+            for _ in range(5):
+                op = random_hermitian(rng, dim)
+                strided = float(np.real(np.sum(op.matrix * rho.matrix.T)))
+                assert np.float64(expectation(op, rho)).view(np.uint64) == (
+                    np.float64(strided).view(np.uint64)
+                )
+
+
+def with_signed_zeros(rng, x):
+    """x with about a fifth of its real and imaginary parts set to -0.0 or +0.0."""
+    x = x.copy()
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    for part in parts:
+        part[rng.random(part.shape) < 0.2] = -0.0
+        part[rng.random(part.shape) < 0.1] = 0.0
+    return x
+
+
+class TestHermitianPart:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only", "stack"])
+    def test_bits_match_the_strided_sum(self, layout, dtype):
+        rng = np.random.default_rng(41)
+        shape = (3, 9, 9) if layout == "stack" else (9, 9)
+        x = rng.normal(size=shape)
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=shape)
+        x = with_signed_zeros(rng, x)
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "read-only":
+            x.setflags(write=False)
+        before = x.copy()
+        sym = hilbert._hermitian_part(x)
+        strided = 0.5 * (x + x.conj().swapaxes(-1, -2))
+        assert sym.dtype == strided.dtype == x.dtype
+        assert np.array_equal(sym.view(np.uint64), np.ascontiguousarray(strided).view(np.uint64))
+        # the input keeps its bits, signed zeros included
+        assert np.array_equal(np.ascontiguousarray(x).view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(sym, x)
+
+
 class TestCommutators:
     def test_pauli_algebra(self):
         sx, sy, sz = (HermitianOperator(s) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z))

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twirlqfi import metrology
-from twirlqfi.channels import spectral_projectors, twirl, twirl_hermitian
+from twirlqfi.channels import cluster_eigenvalues, spectral_projectors, twirl, twirl_hermitian
 from twirlqfi.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -870,6 +870,25 @@ class TestMeasurements:
             example3_bob_qfi(z, lam), abs=1e-10
         )
 
+    def test_classical_fisher_reads_rho_as_its_conjugate_bit_for_bit(self):
+        # the stored rho is exactly Hermitian, so conj(rho) stands in for
+        # rho^T; drho is raw input and is still read through its transpose
+        rng = np.random.default_rng(151)
+        for dim in (3, 8, 24):
+            s = random_scenario(rng, dim, degenerate_g=True)
+            p = spectral_projectors(s.g_generator)
+            rho_b = twirl(s.rho_lambda, p)
+            drho_b = twirl_hermitian(s.drho_lambda, p)
+            u = random_unitary(rng, dim)
+            povm = [HermitianOperator(np.outer(col, col.conj())) for col in u.T]
+            expected = 0.0
+            for element in povm:
+                prob = float(np.real(np.sum(element.matrix * rho_b.matrix.T)))
+                dprob = float(np.real(np.sum(element.matrix * drho_b.T)))
+                expected += dprob**2 / prob
+            fisher = classical_fisher(povm, rho_b, drho_b)
+            assert np.float64(fisher).view(np.uint64) == np.float64(expected).view(np.uint64)
+
     def test_identity_povm_carries_nothing(self):
         rng = np.random.default_rng(149)
         s = random_scenario(rng, 5)
@@ -996,6 +1015,17 @@ class TestReport:
         qfi_eigenvector_form(other)
         assert other.generators.gate is not first.generators.gate
         assert eigh_calls == [6, 6]
+
+    @pytest.mark.parametrize("cluster_tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_pair_rejects_a_bad_cluster_tol_at_construction(self, cluster_tol):
+        rng = np.random.default_rng(223)
+        k, g = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        with pytest.raises(ValueError) as built:
+            metrology.Generators(k, g, cluster_tol)
+        with pytest.raises(ValueError) as clustered:
+            cluster_eigenvalues(g.eig[0], cluster_tol)
+        assert str(built.value) == str(clustered.value)
+        assert str(built.value).startswith("cluster_tol must be positive and finite")
 
     def test_fiducials_on_one_pair_share_its_work(self, eigh_calls, monkeypatch):
         rng = np.random.default_rng(227)
