@@ -2,15 +2,19 @@ import csv
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from conftest import ROOT, src_env
+from test_golden import CASES
 
-from twirlqfi.cli import ConfigError, _complex_array, load_config, main
+from twirlqfi.cli import ConfigError, _complex_array, _parse, load_config, main
 from twirlqfi.hilbert import HermitianOperator, StateVector
 from twirlqfi.models import example2_qfi_closed_form, example3_bob_qfi
 
@@ -313,6 +317,152 @@ class TestLoadConfigCollector:
         assert gc.isenabled()
 
 
+def _bits(node):
+    """A JSON tree with each leaf as (type, value), floats as their hex bits.
+
+    Two trees compare equal exactly when they match in key order, in leaf
+    types (int against float) and in the bits of every float.
+    """
+    if isinstance(node, dict):
+        return [(key, _bits(value)) for key, value in node.items()]
+    if isinstance(node, list):
+        return [_bits(value) for value in node]
+    return (type(node).__name__, node.hex() if isinstance(node, float) else node)
+
+
+def _stdlib_tree(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _dense_config_text(dim):
+    """A d x d custom config whose entries span the double range, as JSON text.
+
+    Entries are normals, values near 1e+-300, subnormals and signed zeros,
+    written with 17 significant digits or as shortest repr, alternately
+    (so a zero is sometimes the integer literal 0 or -0).
+    """
+    rng = np.random.default_rng(97)
+    scales = rng.choice([1.0, 1e300, 1e-300, 1e-310, 0.0, -0.0], size=(2, dim, dim, 2))
+    values = rng.normal(size=(2, dim, dim, 2)) * scales
+    values[0, 0, 0] = [5e-324, -0.0]
+    values[0, 0, 1] = [1.7976931348623157e308, -2.2250738585072014e-308]
+    texts = [repr(v) if i % 2 else f"{v:.17g}" for i, v in enumerate(values.ravel().tolist())]
+    k_matrix, g_matrix = np.array(texts, dtype=object).reshape(values.shape).tolist()
+    psi0 = [[repr(v), repr(-v)] for v in rng.normal(size=dim).tolist()]
+
+    def dump(node):  # JSON text that keeps each leaf's own number literal
+        return "[" + ",".join(map(dump, node)) + "]" if isinstance(node, list) else node
+
+    return (
+        f'{{"scenario": "custom", "dim": {dim}, "k_matrix": {dump(k_matrix)}, '
+        f'"g_matrix": {dump(g_matrix)}, "psi0": {dump(psi0)}, "params": {{"lambda": 0.25}}}}'
+    )
+
+
+class TestParser:
+    """orjson parses configs; the stdlib parser answers wherever orjson refuses."""
+
+    @pytest.mark.parametrize(
+        "config",
+        sorted({config for _, config, _ in CASES.values()} | set(FIXTURES.glob("*.json"))),
+        ids=lambda config: config.name,
+    )
+    def test_orjson_tree_is_the_stdlib_tree(self, config):
+        tree = orjson.loads(config.read_bytes())
+        assert _bits(tree) == _bits(_stdlib_tree(config))
+        assert _bits(_parse(str(config))) == _bits(tree)
+
+    def test_dense_config_trees_are_bit_equal(self, tmp_path):
+        config = tmp_path / "d64.json"
+        config.write_text(_dense_config_text(64), encoding="utf-8")
+        tree = orjson.loads(config.read_bytes())
+        floats = list(np.array(tree["k_matrix"], dtype=object).flat)
+        assert any(0 < abs(leaf) < 2.2250738585072014e-308 for leaf in floats)
+        assert any(abs(leaf) > 1e299 for leaf in floats)
+        assert any(leaf == 0 and math.copysign(1, leaf) < 0 for leaf in floats)
+        assert _bits(tree) == _bits(_stdlib_tree(config))
+
+    def test_integer_entry_beyond_64_bits_is_the_same_double(self, tmp_path):
+        # a tie two steps above 2**64: both parsers round it to 2**64 + 8192
+        literal = 2**64 + 6144
+        payload = _custom(["k_matrix", 0, 0], [literal, 0])
+        config = write_config(tmp_path, "big.json", payload)
+        assert str(literal) in Path(config).read_text()
+        ours, stdlib = _parse(config), _stdlib_tree(config)
+        assert type(ours["k_matrix"][0][0][0]) is float
+        assert type(stdlib["k_matrix"][0][0][0]) is int
+        ours_k = _complex_array(ours["k_matrix"], (3, 3), "k_matrix")
+        stdlib_k = _complex_array(stdlib["k_matrix"], (3, 3), "k_matrix")
+        assert ours_k.view(np.uint64).tolist() == stdlib_k.view(np.uint64).tolist()
+        assert ours_k[0, 0] == 2**64 + 8192
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"scenario": "example3", "params": {"z": 0.5, "lambda": 1e400}}',
+             "param lambda must be a finite number"),
+            ('{"scenario": "example3", "params": {"z": 0.5},}', None),
+            ('\ufeff{"scenario": "example3", "params": {"z": 0.5}}', None),
+            # the stdlib's offsets count translated newlines, as open() reads them
+            ('{"scenario": "example3",\r\n "params": {"z": 0.5},\r\n}', None),
+        ],
+        ids=["1e400", "trailing-comma", "utf8-bom", "crlf-trailing-comma"],
+    )
+    def test_refused_configs_keep_the_stdlib_answer(self, tmp_path, capsys, text, message):
+        path = tmp_path / "refused.json"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        if message is None:
+            with pytest.raises(json.JSONDecodeError) as exc:
+                _stdlib_tree(path)
+            message = f"parse error in {path}: {exc.value}"
+        assert main(["check", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": message}
+
+    def test_lone_surrogate_escape_keeps_the_stdlib_tree(self, tmp_path):
+        config = write_config(tmp_path, "surrogate.json", {**_EX3, "output": {"path": "\ud800.csv"}})
+        assert "\\ud800" in Path(config).read_text()
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(Path(config).read_bytes())
+        assert load_config(config).out_path == "\ud800.csv"
+        assert main(["check", "--config", config]) == 0
+
+    def test_invalid_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"scenario": "example3", "params": {"z": 0.5}, "output": {"path": "\xe9.csv"}}')
+        with pytest.raises(UnicodeDecodeError) as exc:
+            _stdlib_tree(path)
+        assert main(["check", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": f"parse error in {path}: {exc.value}"}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_refused_pipe_is_read_once(self, tmp_path):
+        # the stdlib answers from the bytes orjson refused: a pipe holds no second copy
+        fifo = tmp_path / "config.pipe"
+        os.mkfifo(fifo)
+        text = '{"scenario": "example3", "params": {"z": 0.5, "lambda": NaN}}'
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        outcome = []
+
+        def load():
+            try:
+                load_config(str(fifo))
+            except ConfigError as exc:
+                outcome.append(str(exc))
+
+        reader = threading.Thread(target=load, daemon=True)
+        writer.start()
+        reader.start()
+        reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert outcome == ["param lambda must be a finite number"]
+
+
 class TestCheck:
     def test_counterexample_check_text(self, capsys):
         code = main(["check", "--config", str(FIXTURES / "counterexample.json")])
@@ -489,6 +639,37 @@ MALFORMED_OPTIMIZE = {
 }
 
 
+# integer literals too large for a double: JSON numbers, but not finite ones
+_HUGE = 10**400
+BEYOND_DOUBLE = {
+    "param": ({**_EX3, "params": {**_EX3["params"], "lambda": _HUGE}},
+              "param lambda must be a finite number"),
+    "sweep-start": ({**_EX3, "sweep": {**_SWEEP, "start": _HUGE}},
+                    "sweep start and stop must be finite numbers"),
+    "sweep-stop": ({**_EX3, "sweep": {**_SWEEP, "stop": -_HUGE}},
+                   "sweep start and stop must be finite numbers"),
+    "k-entry": (_custom(["k_matrix", 0, 0], [_HUGE, 0.0]),
+                "k_matrix: entries must be finite numbers"),
+    "psi0-entry": (_custom(["psi0", 1], [0.0, -_HUGE]), "psi0: entries must be finite numbers"),
+    "qrf-amplitude": ({"scenario": "example1",
+                       "qrf": {"kind": "explicit", "amplitudes": [[1, 0], [_HUGE, 0]]}},
+                      "qrf.amplitudes: entries must be finite numbers"),
+    "qrf-alpha": ({"scenario": "example1", "qrf": {"kind": "coherent", "alpha": _HUGE}},
+                  "qrf.alpha must be a finite number"),
+}
+
+# counts given as integer literals beyond 64 bits: orjson reads 2**64 as a
+# float, and 10**400 is no finite number; either fails the integer check
+COUNTS = {
+    "dim": (lambda n: _custom(["dim"], n), "dim must be a positive integer"),
+    "sweep-points": (lambda n: {**_EX3, "sweep": {**_SWEEP, "points": n}},
+                     "sweep points must be an integer >= 1"),
+    "qrf-N": (lambda n: {"scenario": "example1",
+                         "qrf": {"kind": "uniform_superposition", "N": n}},
+              "qrf.N must be an integer"),
+}
+
+
 class TestErrors:
     def test_unknown_config_key(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.json", {
@@ -600,6 +781,23 @@ class TestErrors:
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("payload, message", BEYOND_DOUBLE.values(), ids=list(BEYOND_DOUBLE))
+    def test_integer_beyond_a_double_is_a_config_error(self, tmp_path, capsys, payload, message):
+        # these used to exit 3 on an OverflowError from the int-to-float conversion
+        config = write_config(tmp_path, "huge.json", payload)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": message}
+
+    @pytest.mark.parametrize("count", [2**64, _HUGE], ids=["2**64", "10**400"])
+    @pytest.mark.parametrize("make, message", COUNTS.values(), ids=list(COUNTS))
+    def test_count_beyond_64_bits_is_a_config_error(self, tmp_path, capsys, make, message, count):
+        config = write_config(tmp_path, "count.json", make(count))
+        assert str(count) in Path(config).read_text()
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": message}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-8"])
     def test_bad_cluster_tol_flag_is_a_config_error(self, tmp_path, capsys, value):
