@@ -23,7 +23,6 @@ from twirlqfi import (
     qfi_twirled_pure,
     qfi_unitary,
     report,
-    spectral_projectors,
     twirl,
     twirl_hermitian,
 )
@@ -32,7 +31,7 @@ scenario = example3_scenario((0.0, np.sqrt(0.75), 0.5), lam=1.1)
 
 print("== spin-1/2 direction indicator, axis (0, sqrt(3)/2, 1/2), lambda = 1.1 ==")
 eigenvalues, _ = scenario.g_generator.eig  # decomposed once, cached on the operator
-projectors = spectral_projectors(scenario.g_generator)
+projectors = scenario.generators.dephasing  # G's eigenspaces, clustered once per (K, G) pair
 print(f"noise eigenvalues: {eigenvalues}, ranks {projectors.ranks()}")
 
 rho_b = twirl(scenario.rho_lambda, projectors)
@@ -40,9 +39,9 @@ print("\ndephased state (coherences are gone):")
 print(np.round(rho_b.matrix, 6))
 
 print("\nall dephased-QFI forms must agree:")
-print(f"  projector-overlap form : {qfi_twirled_pure(scenario, projectors):.12f}")
-print(f"  anticommutator form    : {qfi_anticommutator_form(scenario, projectors):.12f}")
-print(f"  covariance form        : {qfi_covariance_form(scenario, projectors):.12f}")
+print(f"  projector-overlap form : {qfi_twirled_pure(scenario):.12f}")
+print(f"  anticommutator form    : {qfi_anticommutator_form(scenario):.12f}")
+print(f"  covariance form        : {qfi_covariance_form(scenario):.12f}")
 print(f"  eigenvector form       : {qfi_eigenvector_form(scenario):.12f}")
 drho_b = twirl_hermitian(scenario.drho_lambda, projectors)
 print(f"  mixed-state form       : {qfi_mixed(rho_b, drho_b):.12f}")
@@ -59,7 +58,6 @@ ce = counterexample_scenario(lam=0.7)
 cov_gk, mean_comm = necessary_conditions(ce)
 print(f"Cov(G, K) = {cov_gk:.3e} (vanishes), <[G, K]> = {abs(mean_comm):.3e}")
 print(f"yet dephased QFI = {report(ce).bob_qfi:.3e}")
-p_ce = spectral_projectors(ce.g_generator)
-print(f"no_loss predicate : {check_no_loss(ce, p_ce)}")
-print(f"max_loss predicate: {check_max_loss(ce, p_ce)}  (everything is lost)")
+print(f"no_loss predicate : {check_no_loss(ce)}")
+print(f"max_loss predicate: {check_max_loss(ce)}  (everything is lost)")
 print("zero covariance is necessary for losslessness, not sufficient")

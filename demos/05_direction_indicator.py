@@ -19,7 +19,6 @@ from twirlqfi import (
     example3_scenario,
     optimal_povm,
     sld_twirled,
-    spectral_projectors,
     twirl,
     twirl_hermitian,
 )
@@ -37,8 +36,7 @@ print("harder as lambda approaches +-pi.\n")
 
 z, lam = 0.5, np.pi / 3
 scenario = example3_scenario((0.0, np.sqrt(1 - z * z), z), lam)
-projectors = spectral_projectors(scenario.g_generator)
-sld = sld_twirled(scenario, projectors)
+sld = sld_twirled(scenario)
 upper, lower = example3_sld_diag(z, lam)
 print(f"optimal-measurement operator at z = {z}, lambda = pi/3 (diagonal):")
 print(f"  computed  diag({sld.matrix[0, 0].real:.6f}, {sld.matrix[1, 1].real:.6f})")
@@ -47,6 +45,7 @@ print(f"  closed    diag({upper:.6f}, {lower:.6f})")
 povm = optimal_povm(sld)
 print(f"its eigenprojectors (the measurement): {[np.round(p.matrix.real, 3).tolist() for p in povm]}")
 
+projectors = scenario.generators.dephasing  # the pinching sld_twirled used
 rho_b = twirl(scenario.rho_lambda, projectors)
 drho_b = twirl_hermitian(scenario.drho_lambda, projectors)
 basis = [

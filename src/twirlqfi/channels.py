@@ -10,8 +10,8 @@ honest floating-point analogue of exact degeneracy.
 A ProjectorSet is a view of the generator's cached eigendecomposition plus
 the cluster bounds, not a validated copy: its invariants (orthonormal
 columns, bounds that partition them) hold by construction and are asserted
-in tests.  Along a lambda sweep G is decomposed once, and each point's
-ProjectorSet only re-clusters the cached spectrum, in O(d).
+in tests.  metrology.Generators holds one ProjectorSet of G for every psi0
+and lambda on the pair; spectral_projectors serves twirl on arbitrary states.
 
 A finite-time average of exp(-i G t) rho exp(i G t) is provided as an
 independent validation oracle: it converges to the pinching as t_max grows
@@ -113,13 +113,11 @@ class ProjectorSet:
             out.append(HermitianOperator(cols @ cols.conj().T))
         return out
 
-    @cached_property
+    @property
     def block_mask(self) -> np.ndarray:
-        """1 where two eigenbasis columns share a cluster, 0 elsewhere (d x d)."""
+        """1 where two eigenbasis columns share a cluster, 0 elsewhere (d x d, built per access)."""
         labels = np.repeat(np.arange(self.n_projectors), self.ranks())
-        mask = (labels[:, None] == labels[None, :]).astype(float)
-        mask.setflags(write=False)
-        return mask
+        return (labels[:, None] == labels[None, :]).astype(float)
 
     def pinch(self, matrix: np.ndarray) -> np.ndarray:
         """sum_i P_i M P_i, evaluated as a block mask in the eigenbasis."""

@@ -227,7 +227,7 @@ def _parse(path: str):
     # (newlines translated), so a pipe gives the same answer as a file
     try:
         return json.loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"parse error in {path}: {exc}") from exc
 
 
@@ -422,12 +422,14 @@ def _write_records(records: list[dict], path: str, fmt: str) -> None:
         for record in records:
             lines.append(",".join(_format_cell(record[key]) for key in header))
         payload = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"records": records}, fh, indent=2)
-            fh.write("\n")
+        payload = json.dumps({"records": records}, indent=2) + "\n"
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except UnicodeEncodeError as exc:
+        raise OSError(f"cannot encode output path {path!r}: {exc}") from exc
+    with fh:
+        fh.write(payload)
 
 
 def cmd_run(cfg: RunConfig, quiet: bool) -> int:

@@ -2,8 +2,8 @@
 
 A Scenario bundles a fiducial state psi0, the encoding generator K (the
 parameter lambda enters through exp(-i K lambda)) and the noise generator G
-whose eigenspace projectors define the dephasing channel.  The module
-computes:
+whose eigenspace projectors, which the scenario's Generators pair holds at
+its cluster_tol, define the dephasing channel.  The module computes:
 
 * the quantum Fisher information (QFI) of the clean and dephased state, in
   several algebraic forms (projector overlap, anticommutator, covariance,
@@ -98,7 +98,7 @@ class NonCommutingError(ValueError):
 class Generators:
     """The generator pair (K, G) and what every psi0 and lambda on it share.
 
-    G's eigenspaces, clustered at cluster_tol, define the dephasing channel.
+    dephasing (G's eigenspaces at cluster_tol, which define the channel),
     {G, K}, GK - KG and report()'s eigenvector gate are formed on first use;
     scenario() puts a fiducial state on the pair.  Compared by identity.
     """
@@ -110,6 +110,11 @@ class Generators:
     def __post_init__(self) -> None:
         _check_dims(self.k.dim, self.g.dim)
         _check_cluster_tol(self.cluster_tol)
+
+    @cached_property
+    def dephasing(self) -> ProjectorSet:
+        """G's eigenspace projectors at cluster_tol: a view of G.eig and the cluster bounds."""
+        return spectral_projectors(self.g, self.cluster_tol)
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -278,8 +283,8 @@ def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) 
     return _ClusterData(a, b, p, overlap, weight, float(np.linalg.norm(residual)))
 
 
-def _clusters(s: Scenario, p: ProjectorSet) -> _ClusterData:
-    _check_dims(s.dim, p.dim)
+def _clusters(s: Scenario) -> _ClusterData:
+    p = s.generators.dephasing
     return _segment_sums(p.basis, p.bounds, s.psi_lambda.amplitudes, s.dpsi)
 
 
@@ -309,13 +314,13 @@ def qfi_unitary(psi0: StateVector, k: HermitianOperator) -> float:
     return 4.0 * (ksq - k2)
 
 
-def qfi_twirled_pure(s: Scenario, p: ProjectorSet) -> float:
+def qfi_twirled_pure(s: Scenario) -> float:
     """QFI of the dephased pure family (projector-overlap form).
 
     4<dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / <psi|P_i|psi>, skipping
     eigenspaces with probability below the floor.
     """
-    return _twirled_qfi(s, _clusters(s, p))
+    return _twirled_qfi(s, _clusters(s))
 
 
 def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
@@ -327,9 +332,9 @@ def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
     return kinetic - dephasing
 
 
-def qfi_anticommutator_form(s: Scenario, p: ProjectorSet) -> float:
+def qfi_anticommutator_form(s: Scenario) -> float:
     """Dephased QFI via anticommutators: 4<K^2> - sum_i <{P_i,K}>^2 / p_i."""
-    data = _clusters(s, p)
+    data = _clusters(s)
     ksq = float(np.real(np.vdot(s.dpsi, s.dpsi)))
     # <{P_i, K}> = 2 Re <psi|P_i K|psi> and K psi = i dpsi.
     anti = 2.0 * np.real(1j * data.overlap)
@@ -337,7 +342,7 @@ def qfi_anticommutator_form(s: Scenario, p: ProjectorSet) -> float:
     return 4.0 * ksq - float(np.sum(anti[mask] ** 2 / data.p[mask]))
 
 
-def qfi_commuting_form(s: Scenario, p: ProjectorSet) -> float:
+def qfi_commuting_form(s: Scenario) -> float:
     """Dephased QFI for commuting K and G, evaluated on the fiducial state.
 
     4<K^2> - 4 sum_i <psi0|P_i K|psi0>^2 / <psi0|P_i|psi0>; independent of
@@ -350,7 +355,7 @@ def qfi_commuting_form(s: Scenario, p: ProjectorSet) -> float:
         raise NonCommutingError(
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
         )
-    psi0 = s.fiducial.amplitudes
+    psi0, p = s.fiducial.amplitudes, s.generators.dephasing
     kpsi = k @ psi0
     cluster = _segment_sums(p.basis, p.bounds, psi0, kpsi)
     ksq = float(np.real(np.vdot(kpsi, kpsi)))
@@ -359,9 +364,9 @@ def qfi_commuting_form(s: Scenario, p: ProjectorSet) -> float:
     return 4.0 * ksq - 4.0 * float(np.sum(pk**2 / cluster.p[mask]))
 
 
-def qfi_covariance_form(s: Scenario, p: ProjectorSet) -> float:
+def qfi_covariance_form(s: Scenario) -> float:
     """Dephased QFI as 4 Var(K) - 4 sum_i p_i Cov(P_i / p_i, K)^2."""
-    data = _clusters(s, p)
+    data = _clusters(s)
     # <psi|dpsi> = -i <K>, so <K> = -Im<psi|dpsi>.
     k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     ksq = float(np.real(np.vdot(s.dpsi, s.dpsi)))
@@ -384,27 +389,27 @@ def qfi_eigenvector_form(s: Scenario) -> float:
     return _twirled_qfi(s, _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi))
 
 
-def qfi_loss(s: Scenario, p: ProjectorSet) -> float:
+def qfi_loss(s: Scenario) -> float:
     """Information loss 4(sum_i Im(<psi|P_i|dpsi>)^2 / p_i - |<psi|dpsi>|^2)."""
-    data = _clusters(s, p)
+    data = _clusters(s)
     mask = data.support
     dephasing = float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
     ov = complex(np.vdot(s.psi_lambda.amplitudes, s.dpsi))
     return 4.0 * (dephasing - abs(ov) ** 2)
 
 
-def loss_covariance_form(s: Scenario, p: ProjectorSet) -> float:
+def loss_covariance_form(s: Scenario) -> float:
     """Information loss as 4 sum_i Cov(P_i, K)^2 / p_i."""
-    data = _clusters(s, p)
+    data = _clusters(s)
     k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     mask = data.support
     cov = np.real(1j * data.overlap[mask]) - data.p[mask] * k_mean
     return 4.0 * float(np.sum(cov**2 / data.p[mask]))
 
 
-def no_loss_residual(s: Scenario, p: ProjectorSet) -> float:
+def no_loss_residual(s: Scenario) -> float:
     """Largest violation of Im<psi|P_i|dpsi> = c p_i with c = Im<psi|dpsi>."""
-    return _no_loss_residual(s, _clusters(s, p))
+    return _no_loss_residual(s, _clusters(s))
 
 
 def _no_loss_residual(s: Scenario, data: _ClusterData) -> float:
@@ -414,7 +419,7 @@ def _no_loss_residual(s: Scenario, data: _ClusterData) -> float:
     return float(np.max(np.abs(residuals), initial=0.0))
 
 
-def max_loss_residuals(s: Scenario, p: ProjectorSet) -> tuple[float, float]:
+def max_loss_residuals(s: Scenario) -> tuple[float, float]:
     """Residuals of the two max-loss clauses.
 
     Returns (max_i |Re<psi|P_i|dpsi>|, ||(I - S S^dag) dpsi||) where S has the
@@ -422,7 +427,7 @@ def max_loss_residuals(s: Scenario, p: ProjectorSet) -> tuple[float, float]:
     the norm of dpsi's component outside span{P_i psi}, so it does not depend
     on any choice of basis.
     """
-    return _max_loss_residuals(_clusters(s, p))
+    return _max_loss_residuals(_clusters(s))
 
 
 def _max_loss_residuals(data: _ClusterData) -> tuple[float, float]:
@@ -430,14 +435,14 @@ def _max_loss_residuals(data: _ClusterData) -> tuple[float, float]:
     return real_residual, data.kernel_residual
 
 
-def check_no_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_TOL) -> bool:
+def check_no_loss(s: Scenario, tol: float = DEFAULT_CONDITION_TOL) -> bool:
     """Exact no-loss condition of the loss theorem, tested on residual norms."""
-    return no_loss_residual(s, p) <= tol
+    return no_loss_residual(s) <= tol
 
 
-def check_max_loss(s: Scenario, p: ProjectorSet, tol: float = DEFAULT_CONDITION_TOL) -> bool:
+def check_max_loss(s: Scenario, tol: float = DEFAULT_CONDITION_TOL) -> bool:
     """Exact max-loss condition of the loss theorem, tested on residual norms."""
-    return max(max_loss_residuals(s, p)) <= tol
+    return max(max_loss_residuals(s)) <= tol
 
 
 def necessary_conditions(s: Scenario) -> tuple[float, complex]:
@@ -569,7 +574,7 @@ def sld_mixed(rho: DensityMatrix, drho: np.ndarray) -> HermitianOperator:
     return HermitianOperator(_hermitian_part(basis @ sld @ basis.conj().T))
 
 
-def sld_twirled(s: Scenario, p: ProjectorSet) -> HermitianOperator:
+def sld_twirled(s: Scenario) -> HermitianOperator:
     """SLD of the dephased pure family, built in G's eigenbasis V.
 
     L = sum_i |phi_i><psi_i| + |psi_i><phi_i| with psi_i = P_i psi / sqrt(p_i)
@@ -577,7 +582,7 @@ def sld_twirled(s: Scenario, p: ProjectorSet) -> HermitianOperator:
     zero off their span.  In V the sum is the cluster block mask applied to
     one pair of outer products, rotated back once.
     """
-    data = _clusters(s, p)
+    data, p = _clusters(s), s.generators.dephasing
     sizes = p.ranks()
     inv_sqrt_p = np.divide(1.0, np.sqrt(data.p), out=np.zeros_like(data.p), where=data.support)
     scale = np.repeat(inv_sqrt_p, sizes)  # 0 outside the support: psi_i = phi_i = 0
@@ -642,7 +647,7 @@ def _clamped(name: str, value: float, floor: float) -> float:
 
 
 def report(s: Scenario) -> QfiReport:
-    """Full diagnostic report for a scenario, G clustered at its pair's cluster_tol.
+    """Full diagnostic report for a scenario, G clustered once per pair at its cluster_tol.
 
     One pass over G's eigenspaces gives the dephased QFI (projector-overlap
     form) and the no-loss and max-loss residuals.  The checks below do not
@@ -689,8 +694,7 @@ def report(s: Scenario) -> QfiReport:
     the same per-eigenspace sums; their agreement is asserted in tests and in
     the acceptance gate, not here.
     """
-    p = spectral_projectors(s.g_generator, s.generators.cluster_tol)
-    data = _clusters(s, p)
+    data = _clusters(s)
     alice = qfi_unitary(s.fiducial, s.k_generator)
     alice_check = qfi_pure(s.psi_lambda, s.dpsi)
     _gate({"unitary_variance": alice, "pure_overlap": alice_check}, alice)
@@ -702,9 +706,12 @@ def report(s: Scenario) -> QfiReport:
     }
     if data.rank_regular:
         # the dephased pair in G's eigenbasis, where pinching is the block mask
-        a, b, mask = data.a, data.b, p.block_mask
-        rho_b = DensityMatrix(mask * np.outer(a, a.conj()))
-        drho_b = mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
+        a, b, mask = data.a, data.b, s.generators.dephasing.block_mask
+        rho_b, drho_b = np.outer(a, a.conj()), np.outer(b, a.conj())
+        drho_b += np.outer(a, b.conj())
+        rho_b *= mask
+        drho_b *= mask
+        rho_b = DensityMatrix(rho_b)
         try:
             candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
         except ValueError as exc:

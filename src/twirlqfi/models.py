@@ -308,14 +308,10 @@ def kummer_m(b: float, z: float) -> float:
 def example1_scenario(qrf: StateVector, lam: float = 0.0) -> Scenario:
     """(|0> + |1>)/sqrt(2) (x) qrf, K = n_qubit, G = total number."""
     psi0 = tensor(StateVector(np.array([1.0, 1.0])), qrf)
-    k = np.diag(np.kron([0.0, 1.0], np.ones(qrf.dim))).astype(complex)
-    g = k + np.diag(np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
-    return Scenario(
-        fiducial=psi0,
-        k_generator=HermitianOperator(k),
-        g_generator=HermitianOperator(g),
-        lam=lam,
-    )
+    n_qubit = np.kron([0.0, 1.0], np.ones(qrf.dim)).astype(complex)
+    k = np.diag(n_qubit)
+    g = np.diag(n_qubit + np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
+    return Scenario(psi0, HermitianOperator(k), HermitianOperator(g), lam)
 
 
 def example1_qfi_closed_form(c) -> float:
@@ -422,12 +418,7 @@ class Example2System:
     def scenario(self, qrf: StateVector, lam: float = 0.0) -> Scenario:
         """(|0> + |1>)/sqrt(2) on mode a, the probe on mode b, noise = H."""
         psi0 = self.embed_product_state(np.array([1.0, 1.0]) / math.sqrt(2.0), qrf.amplitudes)
-        return Scenario(
-            fiducial=psi0,
-            k_generator=self.k_generator,
-            g_generator=self.hamiltonian,
-            lam=lam,
-        )
+        return Scenario(psi0, self.k_generator, self.hamiltonian, lam)
 
 
 def example2_system(omega: float = 1.0, kappa: float = 1.0 / math.sqrt(2.0),

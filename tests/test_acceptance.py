@@ -83,9 +83,8 @@ def test_criterion_02_squeezed_vacuum_max_loss():
     with criterion(2, "squeezed-vacuum probe loses everything", 5.0):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, lam=0.8)
-        p = spectral_projectors(s.g_generator)
-        assert qfi_twirled_pure(s, p) <= 1e-9
-        assert check_max_loss(s, p)
+        assert qfi_twirled_pure(s) <= 1e-9
+        assert check_max_loss(s)
 
 
 def test_criterion_03_coherent_hypergeometric():
@@ -94,7 +93,7 @@ def test_criterion_03_coherent_hypergeometric():
             truncation = max(40, int(alpha_sq + 12.0 * math.sqrt(alpha_sq) + 24))
             qrf = qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(alpha_sq)), truncation)
             s = example1_scenario(qrf, lam=0.3)
-            pipeline = qfi_twirled_pure(s, spectral_projectors(s.g_generator))
+            pipeline = qfi_twirled_pure(s)
             assert pipeline == pytest.approx(
                 coherent_qfi_hypergeometric(alpha_sq), abs=1e-6
             )
@@ -175,9 +174,9 @@ def test_criterion_07_cross_formula_fuzz():
             )
             p = spectral_projectors(s.g_generator)
             values = [
-                qfi_twirled_pure(s, p),
-                qfi_anticommutator_form(s, p),
-                qfi_covariance_form(s, p),
+                qfi_twirled_pure(s),
+                qfi_anticommutator_form(s),
+                qfi_covariance_form(s),
                 qfi_eigenvector_form(s),
                 qfi_mixed(
                     twirl(s.rho_lambda, p), twirl_hermitian(s.drho_lambda, p)
@@ -215,16 +214,16 @@ def test_criterion_08_sld_contracts():
         scenarios.append(ex3)
         for s in scenarios:
             p = spectral_projectors(s.g_generator)
-            sld = sld_twirled(s, p).matrix
+            sld = sld_twirled(s).matrix
             rho_b = twirl(s.rho_lambda, p)
             drho_b = twirl_hermitian(s.drho_lambda, p)
-            bob = qfi_twirled_pure(s, p)
+            bob = qfi_twirled_pure(s)
             assert np.real(np.trace(drho_b @ sld)) == pytest.approx(bob, abs=1e-8)
             residual = 2.0 * drho_b - sld @ rho_b.matrix - rho_b.matrix @ sld
             w, v = rho_b.eig
             support = v[:, w > 1e-12]
             assert np.max(np.abs(support.conj().T @ residual @ support)) <= 1e-8
-        povm = optimal_povm(sld_twirled(ex3, spectral_projectors(ex3.g_generator)))
+        povm = optimal_povm(sld_twirled(ex3))
         mats = sorted((p.matrix.real for p in povm), key=lambda m: m[0, 0])
         assert np.allclose(mats[0], np.diag([0.0, 1.0]), atol=1e-10)
         assert np.allclose(mats[1], np.diag([1.0, 0.0]), atol=1e-10)
@@ -241,7 +240,7 @@ def test_criterion_09_nondegenerate_commuting_lemma():
                 g_values = np.sort(rng.normal(size=dim) * 2.0)
             g = HermitianOperator(np.diag(g_values).astype(complex))
             s = Scenario(haar_state(rng, dim), k, g, float(rng.uniform(-np.pi, np.pi)))
-            assert qfi_twirled_pure(s, spectral_projectors(g)) <= 1e-9
+            assert qfi_twirled_pure(s) <= 1e-9
 
 
 def test_criterion_10_probe_optimization_ordering():

@@ -770,6 +770,33 @@ class TestErrors:
         })
         assert main(["run", "--config", config]) == 4
 
+    @pytest.mark.parametrize("command", ["run", "optimize"])
+    def test_unencodable_output_path_is_io_error(self, tmp_path, capsys, command):
+        # a lone surrogate escape names a path UTF-8 cannot encode; open() raised
+        # UnicodeEncodeError, a ValueError, which exited 3 as a numerical error
+        out = str(tmp_path / "\ud800.csv")
+        payload = {"scenario": "example3", "params": {"z": 0.5}}
+        if command == "optimize":
+            payload = {"scenario": "example1", "params": {"N": 6},
+                       "sweep": {"variable": "mean_energy", "start": 1.0, "stop": 1.0, "points": 1}}
+        config = write_config(tmp_path, "surrogate.json", {**payload, "output": {"path": out}})
+        assert main([command, "--config", config, "--quiet"]) == 4
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "io"
+        assert record["error"]["message"].startswith(f"cannot encode output path {out!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["surrogate.json"]
+
+    def test_config_deeper_than_the_stdlib_parser_is_a_config_error(self, tmp_path, capsys):
+        # orjson refuses the NaN, and the stdlib parser then exceeds the recursion
+        # limit, which exited 1 with a traceback
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 5000 + b"NaN" + b"]" * 5000)
+        with pytest.raises(RecursionError) as exc:
+            _stdlib_tree(path)
+        assert main(["check", "--config", str(path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": f"parse error in {path}: {exc.value}"}
+
     @pytest.mark.parametrize(
         "command, payload",
         [("run", p) for p in MALFORMED.values()]

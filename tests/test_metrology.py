@@ -37,6 +37,7 @@ from twirlqfi.metrology import (
     loss_covariance_form,
     max_loss_residuals,
     necessary_conditions,
+    no_loss_residual,
     optimal_povm,
     qfi_anticommutator_form,
     qfi_commuting_form,
@@ -63,8 +64,10 @@ from twirlqfi.models import (
 )
 
 
-def trivial_projectors(dim):
-    return spectral_projectors(HermitianOperator(np.eye(dim, dtype=complex)))
+def on_identity(s):
+    """s with its psi0, K and lambda on G = I, whose one eigenspace dephases nothing."""
+    identity = HermitianOperator(np.eye(s.dim, dtype=complex))
+    return metrology.Generators(s.k_generator, identity).scenario(s.fiducial, s.lam)
 
 
 def example3(z, lam, x=0.0):
@@ -261,37 +264,33 @@ class TestQfiUnitary:
 class TestDephasedQfiForms:
     def test_trivial_projector_recovers_pure(self):
         rng = np.random.default_rng(73)
-        s = random_scenario(rng, 7)
-        p = trivial_projectors(7)
+        s = on_identity(random_scenario(rng, 7))
         pure = qfi_pure(s.psi_lambda, s.dpsi)
         variance = qfi_unitary(s.fiducial, s.k_generator)  # 4 Var(K)
-        assert qfi_twirled_pure(s, p) == pytest.approx(pure, abs=1e-10)
-        assert qfi_anticommutator_form(s, p) == pytest.approx(variance, abs=1e-10)
-        assert qfi_covariance_form(s, p) == pytest.approx(variance, abs=1e-10)
+        assert qfi_twirled_pure(s) == pytest.approx(pure, abs=1e-10)
+        assert qfi_anticommutator_form(s) == pytest.approx(variance, abs=1e-10)
+        assert qfi_covariance_form(s) == pytest.approx(variance, abs=1e-10)
 
     def test_uniform_probe_values(self):
         for n, lam in ((2, 0.3), (4, 0.7), (10, 1.2)):
             qrf = qrf_amplitudes(QrfStateSpec.uniform(n), n)
             s = example1_scenario(qrf, lam)
-            p = spectral_projectors(s.g_generator)
-            assert qfi_twirled_pure(s, p) == pytest.approx(1 - 1 / n, abs=1e-10)
-            assert qfi_commuting_form(s, p) == pytest.approx(1 - 1 / n, abs=1e-10)
-            assert qfi_covariance_form(s, p) == pytest.approx(1 - 1 / n, abs=1e-10)
+            assert qfi_twirled_pure(s) == pytest.approx(1 - 1 / n, abs=1e-10)
+            assert qfi_commuting_form(s) == pytest.approx(1 - 1 / n, abs=1e-10)
+            assert qfi_covariance_form(s) == pytest.approx(1 - 1 / n, abs=1e-10)
 
     def test_direction_indicator_grid(self):
         for z in (0.0, 0.5, 1.0):
             for lam in (0.25, np.pi / 2, 2.5):
                 s = example3(z, lam)
-                p = spectral_projectors(s.g_generator)
                 expected = example3_bob_qfi(z, lam)
-                assert qfi_twirled_pure(s, p) == pytest.approx(expected, abs=1e-10)
-                assert qfi_anticommutator_form(s, p) == pytest.approx(expected, abs=1e-10)
+                assert qfi_twirled_pure(s) == pytest.approx(expected, abs=1e-10)
+                assert qfi_anticommutator_form(s) == pytest.approx(expected, abs=1e-10)
                 assert qfi_eigenvector_form(s) == pytest.approx(
                     expected, abs=1e-10
                 )
         s = example3(1.0 / np.sqrt(2.0), np.pi / 2)
-        p = spectral_projectors(s.g_generator)
-        assert qfi_twirled_pure(s, p) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert qfi_twirled_pure(s) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_forms_match_naive_projector_oracles(self):
         rng = np.random.default_rng(79)
@@ -300,11 +299,11 @@ class TestDephasedQfiForms:
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.5))
             p = spectral_projectors(s.g_generator)
             reference = naive_twirled_qfi(s, p)
-            assert qfi_twirled_pure(s, p) == pytest.approx(reference, abs=1e-9)
-            assert qfi_anticommutator_form(s, p) == pytest.approx(
+            assert qfi_twirled_pure(s) == pytest.approx(reference, abs=1e-9)
+            assert qfi_anticommutator_form(s) == pytest.approx(
                 naive_anticommutator_qfi(s, p), abs=1e-9
             )
-            assert qfi_covariance_form(s, p) == pytest.approx(
+            assert qfi_covariance_form(s) == pytest.approx(
                 naive_covariance_qfi(s, p), abs=1e-9
             )
             assert qfi_eigenvector_form(s) == pytest.approx(
@@ -314,20 +313,14 @@ class TestDephasedQfiForms:
     def test_commuting_form_values_and_rejection(self):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, 0.5)
-        p = spectral_projectors(s.g_generator)
-        assert qfi_commuting_form(s, p) == pytest.approx(0.0, abs=1e-10)
+        assert qfi_commuting_form(s) == pytest.approx(0.0, abs=1e-10)
         ce = counterexample_scenario(0.8)
-        assert qfi_commuting_form(
-            ce, spectral_projectors(ce.g_generator)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert qfi_commuting_form(ce) == pytest.approx(0.0, abs=1e-12)
         s3 = example3(0.5, 0.3)
         for scale in (1.0, 1e4, 1e8):
             k = HermitianOperator(scale * s3.k_generator.matrix)
             with pytest.raises(NonCommutingError):
-                qfi_commuting_form(
-                    Scenario(s3.fiducial, k, s3.g_generator, s3.lam),
-                    spectral_projectors(s3.g_generator),
-                )
+                qfi_commuting_form(Scenario(s3.fiducial, k, s3.g_generator, s3.lam))
 
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_commuting_form_scales_with_k(self, scale):
@@ -336,10 +329,10 @@ class TestDephasedQfiForms:
         rng = np.random.default_rng(193)
         for _ in range(10):
             k, g = commuting_pair(rng, 6, n_clusters=3)
-            psi0, p = haar_state(rng, 6), spectral_projectors(g)
-            unit = qfi_commuting_form(Scenario(psi0, k, g, 0.3), p)
+            psi0 = haar_state(rng, 6)
+            unit = qfi_commuting_form(Scenario(psi0, k, g, 0.3))
             scaled = Scenario(psi0, HermitianOperator(scale * k.matrix), g, 0.3 / scale)
-            assert qfi_commuting_form(scaled, p) == pytest.approx(scale**2 * unit, rel=1e-12)
+            assert qfi_commuting_form(scaled) == pytest.approx(scale**2 * unit, rel=1e-12)
 
     def test_commuting_form_equals_sector_average(self):
         # H(G[rho]) = sum_i p_i * 4 Var_{rho_i}(K) in the commuting case
@@ -361,7 +354,7 @@ class TestDephasedQfiForms:
                     np.trace(s.k_generator.matrix @ s.k_generator.matrix @ block)
                 )
                 total += prob * 4.0 * (mean_k2 - mean_k**2)
-            assert qfi_commuting_form(s, p) == pytest.approx(total, abs=1e-8)
+            assert qfi_commuting_form(s) == pytest.approx(total, abs=1e-8)
 
     def test_eigenvector_form_basis_invariance(self):
         rng = np.random.default_rng(89)
@@ -390,8 +383,6 @@ class TestDephasedQfiForms:
             assert 4.0 * total == pytest.approx(reference, abs=1e-9)
 
     def test_nondegenerate_commuting_loses_everything(self):
-        s = example3(1.0 / np.sqrt(2), 0.4)
-        p = spectral_projectors(s.g_generator)
         # rank-1 clusters and commuting K: appendix lemma via diagonal pair
         rng = np.random.default_rng(97)
         k = HermitianOperator(np.diag(rng.normal(size=6)).astype(complex))
@@ -403,44 +394,39 @@ class TestDephasedQfiForms:
 class TestLoss:
     def test_trivial_no_loss(self):
         rng = np.random.default_rng(101)
-        s = random_scenario(rng, 6)
-        p = trivial_projectors(6)
-        assert qfi_loss(s, p) == pytest.approx(0.0, abs=1e-10)
-        assert loss_covariance_form(s, p) == pytest.approx(0.0, abs=1e-10)
-        assert check_no_loss(s, p)
+        s = on_identity(random_scenario(rng, 6))
+        assert qfi_loss(s) == pytest.approx(0.0, abs=1e-10)
+        assert loss_covariance_form(s) == pytest.approx(0.0, abs=1e-10)
+        assert check_no_loss(s)
 
     def test_uniform_probe_loss(self):
         qrf = qrf_amplitudes(QrfStateSpec.uniform(4), 4)
         s = example1_scenario(qrf, 0.2)
-        p = spectral_projectors(s.g_generator)
-        assert qfi_loss(s, p) == pytest.approx(0.25, abs=1e-10)
-        assert loss_covariance_form(s, p) == pytest.approx(0.25, abs=1e-10)
+        assert qfi_loss(s) == pytest.approx(0.25, abs=1e-10)
+        assert loss_covariance_form(s) == pytest.approx(0.25, abs=1e-10)
 
     def test_squeezed_probe_max_loss(self):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, 0.5)
-        p = spectral_projectors(s.g_generator)
         alice = qfi_unitary(s.fiducial, s.k_generator)
-        assert qfi_loss(s, p) == pytest.approx(alice, abs=1e-10)
-        assert check_max_loss(s, p)
+        assert qfi_loss(s) == pytest.approx(alice, abs=1e-10)
+        assert check_max_loss(s)
 
     def test_direction_indicator_no_loss_at_z_zero(self):
         s = example3(0.0, 1.0)
-        p = spectral_projectors(s.g_generator)
-        assert check_no_loss(s, p)
-        assert qfi_loss(s, p) == pytest.approx(0.0, abs=1e-10)
+        assert check_no_loss(s)
+        assert qfi_loss(s) == pytest.approx(0.0, abs=1e-10)
 
     def test_theorem_bounds_fuzz(self):
         rng = np.random.default_rng(103)
         for _ in range(100):
             dim = int(rng.integers(2, 17))
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.4))
-            p = spectral_projectors(s.g_generator)
-            loss = qfi_loss(s, p)
+            loss = qfi_loss(s)
             alice = qfi_unitary(s.fiducial, s.k_generator)
             assert -1e-9 <= loss <= alice + 1e-9
-            assert loss == pytest.approx(loss_covariance_form(s, p), abs=1e-8)
-            assert loss == pytest.approx(alice - qfi_twirled_pure(s, p), abs=1e-8)
+            assert loss == pytest.approx(loss_covariance_form(s), abs=1e-8)
+            assert loss == pytest.approx(alice - qfi_twirled_pure(s), abs=1e-8)
 
     def test_predicates_agree_with_loss_magnitude(self):
         rng = np.random.default_rng(107)
@@ -448,12 +434,11 @@ class TestLoss:
         for _ in range(50):
             dim = int(rng.integers(2, 13))
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.5))
-            p = spectral_projectors(s.g_generator)
-            loss = qfi_loss(s, p)
+            loss = qfi_loss(s)
             alice = qfi_unitary(s.fiducial, s.k_generator)
-            if check_no_loss(s, p, tol):
+            if check_no_loss(s, tol):
                 assert abs(loss) <= 10 * tol * max(1.0, alice)
-            if check_max_loss(s, p, tol):
+            if check_max_loss(s, tol):
                 assert abs(loss - alice) <= 10 * tol * max(1.0, alice)
 
     def test_monotone_under_refinement(self):
@@ -461,8 +446,8 @@ class TestLoss:
         for _ in range(20):
             dim = int(rng.integers(3, 13))
             s = random_scenario(rng, dim, degenerate_g=True)
-            trivial = qfi_twirled_pure(s, trivial_projectors(dim))
-            fine = qfi_twirled_pure(s, spectral_projectors(s.g_generator))
+            trivial = qfi_twirled_pure(on_identity(s))
+            fine = qfi_twirled_pure(s)
             assert fine <= trivial + 1e-9
 
     def test_purely_imaginary_overlap(self):
@@ -476,10 +461,9 @@ class TestLoss:
 class TestNecessaryConditions:
     def test_counterexample_not_sufficient(self):
         s = counterexample_scenario(0.7)
-        p = spectral_projectors(s.g_generator)
         cov, _ = necessary_conditions(s)
         assert abs(cov) <= 1e-12
-        assert qfi_twirled_pure(s, p) <= 1e-10  # zero covariance, yet total loss
+        assert qfi_twirled_pure(s) <= 1e-10  # zero covariance, yet total loss
 
     def test_interacting_oscillator_covariance_constant(self):
         for n in (4, 9):
@@ -519,7 +503,6 @@ class TestNecessaryConditions:
     def test_implications_on_extreme_scenarios(self):
         qrf = qrf_amplitudes(QrfStateSpec.squeezed_displaced(0.0, 1.0), 80)
         s = example1_scenario(qrf, 0.4)
-        p = spectral_projectors(s.g_generator)
         _, mean_comm = necessary_conditions(s)
         assert abs(mean_comm) <= 1e-10  # max loss forces vanishing commutator
         s0 = example3(0.0, 0.8)
@@ -656,7 +639,7 @@ class TestMixedStateQfi:
             pinched = qfi_mixed(twirl(s.rho_lambda, p), twirl_hermitian(s.drho_lambda, p))
             assert qfi_mixed(rho_v, drho_v) == pytest.approx(pinched, abs=1e-9)
             assert qfi_mixed(rho_v, drho_v) == pytest.approx(
-                qfi_twirled_pure(s, p), abs=1e-8 * max(1.0, pinched)
+                qfi_twirled_pure(s), abs=1e-8 * max(1.0, pinched)
             )
 
     @settings(max_examples=100, deadline=None)
@@ -765,10 +748,10 @@ class TestSld:
         cases.append(system.scenario(qrf_amplitudes(QrfStateSpec.uniform(4), 4), 0.7))
         for s in cases:
             p = spectral_projectors(s.g_generator)
-            sld = sld_twirled(s, p).matrix
+            sld = sld_twirled(s).matrix
             rho_b = twirl(s.rho_lambda, p)
             drho_b = twirl_hermitian(s.drho_lambda, p)
-            bob = qfi_twirled_pure(s, p)
+            bob = qfi_twirled_pure(s)
             assert np.real(np.trace(drho_b @ sld)) == pytest.approx(bob, abs=1e-8)
             residual = 2.0 * drho_b - sld @ rho_b.matrix - rho_b.matrix @ sld
             w, v = rho_b.eig
@@ -782,23 +765,22 @@ class TestSld:
         scenarios = [
             random_scenario(rng, int(rng.integers(2, 13)), degenerate_g=True) for _ in range(20)
         ]
-        cases = [(s, spectral_projectors(s.g_generator)) for s in scenarios]
         # psi0 misses G's middle eigenspace, so at lambda = 0 that p_i is 0
         g = HermitianOperator(np.diag([0.0, 0.0, 1.0, 1.0, 1.0, 2.0]).astype(complex))
         untouched = Scenario(StateVector([1.0, 0.5j, 0, 0, 0, 0.3]), random_hermitian(rng, 6), g)
-        cases.append((untouched, spectral_projectors(g)))
+        scenarios.append(untouched)
         assert np.linalg.norm(untouched.psi_lambda.amplitudes[2:5]) < 1e-12
-        cases.append((random_scenario(rng, 6), trivial_projectors(6)))
-        for s, p in cases:
-            sld = sld_twirled(s, p).matrix
-            expected = naive_twirled_sld(s, p)
+        scenarios.append(on_identity(random_scenario(rng, 6)))
+        for s in scenarios:
+            sld = sld_twirled(s).matrix
+            expected = naive_twirled_sld(s, spectral_projectors(s.g_generator))
             assert np.max(np.abs(sld - expected)) <= 1e-12 * max(1.0, np.linalg.norm(expected, 2))
 
     def test_uniform_probe_sld_structure(self):
         n, lam = 5, 0.8
         qrf = qrf_amplitudes(QrfStateSpec.uniform(n), n)
         s = example1_scenario(qrf, lam)
-        sld = sld_twirled(s, spectral_projectors(s.g_generator)).matrix
+        sld = sld_twirled(s).matrix
         expected = np.zeros_like(sld)
         for m in range(1, n):
             ket_up = np.zeros(2 * n, dtype=complex)
@@ -812,7 +794,7 @@ class TestSld:
     def test_direction_indicator_sld_diagonal(self):
         z, lam = 0.5, np.pi / 3
         s = example3(z, lam)
-        sld = sld_twirled(s, spectral_projectors(s.g_generator)).matrix
+        sld = sld_twirled(s).matrix
         upper, lower = example3_sld_diag(z, lam)
         assert np.max(np.abs(sld - np.diag([upper, lower]))) <= 1e-10
         with pytest.raises(ValueError):
@@ -820,8 +802,8 @@ class TestSld:
 
     def test_trivial_projector_gives_pure_sld(self):
         rng = np.random.default_rng(139)
-        s = random_scenario(rng, 6)
-        sld = sld_twirled(s, trivial_projectors(6)).matrix
+        s = on_identity(random_scenario(rng, 6))
+        sld = sld_twirled(s).matrix
         assert np.max(np.abs(sld - 2.0 * s.drho_lambda)) <= 1e-10
         # the trace relation reproduces the pure QFI
         assert np.real(np.trace(s.drho_lambda @ sld)) == pytest.approx(
@@ -832,7 +814,7 @@ class TestSld:
 class TestMeasurements:
     def test_optimal_povm_direction_indicator(self):
         s = example3(0.5, np.pi / 3)
-        sld = sld_twirled(s, spectral_projectors(s.g_generator))
+        sld = sld_twirled(s)
         povm = optimal_povm(sld)
         mats = sorted((np.round(p.matrix.real, 12) for p in povm), key=lambda m: m[0, 0])
         assert np.allclose(mats[0], np.diag([0.0, 1.0]), atol=1e-10)
@@ -850,11 +832,11 @@ class TestMeasurements:
         qrf = qrf_amplitudes(QrfStateSpec.uniform(4), 4)
         s = example1_scenario(qrf, 0.7)
         p = spectral_projectors(s.g_generator)
-        povm = optimal_povm(sld_twirled(s, p))
+        povm = optimal_povm(sld_twirled(s))
         rho_b = twirl(s.rho_lambda, p)
         drho_b = twirl_hermitian(s.drho_lambda, p)
         fisher = classical_fisher(povm, rho_b, drho_b)
-        assert fisher == pytest.approx(qfi_twirled_pure(s, p), abs=1e-8)
+        assert fisher == pytest.approx(qfi_twirled_pure(s), abs=1e-8)
 
     def test_classical_fisher_computational_basis(self):
         z, lam = 0.5, 1.1
@@ -904,7 +886,7 @@ class TestMeasurements:
         p = spectral_projectors(s.g_generator)
         rho_b = twirl(s.rho_lambda, p)
         drho_b = twirl_hermitian(s.drho_lambda, p)
-        bob = qfi_twirled_pure(s, p)
+        bob = qfi_twirled_pure(s)
         dim = rho_b.dim
         for _ in range(200):
             n_outcomes = int(rng.integers(2, 6))
@@ -957,20 +939,19 @@ class TestReport:
         for _ in range(100):
             dim = int(rng.integers(2, 25))
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.3))
-            p = spectral_projectors(s.g_generator)
             rep = report(s)  # raises ConsistencyError on a failed check
             assert 0.0 <= rep.bob_qfi <= rep.alice_qfi + 1e-9
-            bob = qfi_twirled_pure(s, p)
+            bob = qfi_twirled_pure(s)
             if bob >= 0.0:
                 assert rep.bob_qfi == bob
-            assert rep.no_loss == check_no_loss(s, p)
-            assert rep.max_loss == check_max_loss(s, p)
+            assert rep.no_loss == check_no_loss(s)
+            assert rep.max_loss == check_max_loss(s)
             tol = 1e-8 * max(1.0, rep.alice_qfi)
-            assert qfi_anticommutator_form(s, p) == pytest.approx(bob, abs=tol)
-            assert qfi_covariance_form(s, p) == pytest.approx(bob, abs=tol)
+            assert qfi_anticommutator_form(s) == pytest.approx(bob, abs=tol)
+            assert qfi_covariance_form(s) == pytest.approx(bob, abs=tol)
             assert qfi_eigenvector_form(s) == pytest.approx(bob, abs=tol)
-            assert qfi_loss(s, p) == pytest.approx(rep.loss, abs=tol)
-            assert loss_covariance_form(s, p) == pytest.approx(rep.loss, abs=tol)
+            assert qfi_loss(s) == pytest.approx(rep.loss, abs=tol)
+            assert loss_covariance_form(s) == pytest.approx(rep.loss, abs=tol)
 
     def test_lambda_sweep_shares_the_generator_decompositions(self, eigh_calls):
         s = random_scenario(np.random.default_rng(173), 5, lam=0.2)
@@ -1031,18 +1012,27 @@ class TestReport:
         rng = np.random.default_rng(227)
         k, g = random_hermitian(rng, 12), random_degenerate_hermitian(rng, 12, 4)
         products, original = [], metrology._products
+        clusterings, cluster = [], metrology.spectral_projectors
 
         def counted(a, b):
             products.append(a.shape[0])
             return original(a, b)
 
+        def counted_clusters(generator, cluster_tol):
+            clusterings.append(cluster_tol)
+            return cluster(generator, cluster_tol)
+
         monkeypatch.setattr(metrology, "_products", counted)
+        monkeypatch.setattr(metrology, "spectral_projectors", counted_clusters)
         pair = metrology.Generators(k, g)
         points = [(haar_state(rng, 12), lam) for _ in range(3) for lam in (0.3, -1.2)]
         reports = [report(pair.scenario(psi0, lam)) for psi0, lam in points]
         # K, G and the gate's G once for the pair; rho_B at each of the 6 points
         assert eigh_calls == [12] * (3 + 6)
         assert products == [12]
+        # G is clustered once, and the pair keeps no d x d block mask
+        assert clusterings == [pair.cluster_tol]
+        assert "block_mask" not in vars(pair.dephasing)
         for (psi0, lam), rep in zip(points, reports):
             fresh = report(Scenario(psi0, HermitianOperator(k.matrix),
                                     HermitianOperator(g.matrix), lam))
@@ -1095,9 +1085,7 @@ class TestReport:
         k, g = commuting_pair(rng, 8, n_clusters=3)
         psi0 = haar_state(rng, 8)
         values = [
-            qfi_twirled_pure(
-                Scenario(psi0, k, g, lam), spectral_projectors(g)
-            )
+            qfi_twirled_pure(Scenario(psi0, k, g, lam))
             for lam in np.linspace(-np.pi, np.pi, 20)
         ]
         assert max(values) - min(values) <= 1e-9
@@ -1163,9 +1151,9 @@ class TestReport:
             assert sym_covariance(g, s.k_generator, s.psi_lambda) == pytest.approx(
                 scale * sym_covariance(g, k, ref.psi_lambda), rel=1e-12
             )
-            for sld in (sld_twirled, lambda x, p: sld_mixed(*eigenbasis_pair(x, p))):
-                unit = sld(ref, p).matrix
-                error = np.max(np.abs(sld(s, p).matrix - scale * unit))
+            for sld in (sld_twirled, lambda x: sld_mixed(*eigenbasis_pair(x, p))):
+                unit = sld(ref).matrix
+                error = np.max(np.abs(sld(s).matrix - scale * unit))
                 assert error <= 1e-12 * scale * np.max(np.abs(unit))
 
     def test_own_mixed_state_pair_failing_a_floor_is_a_consistency_error(self):
@@ -1246,6 +1234,56 @@ class TestReport:
         assert rep.bob_qfi == pytest.approx(example3_bob_qfi(0.5, 0.0), abs=1e-10)
 
 
+SCALAR_FORMS = (
+    qfi_twirled_pure,
+    qfi_anticommutator_form,
+    qfi_covariance_form,
+    qfi_loss,
+    loss_covariance_form,
+    no_loss_residual,
+    max_loss_residuals,
+    check_no_loss,
+    check_max_loss,
+)
+
+
+def form_scenarios():
+    """(scenario, K and G commute) over random and worked-example scenarios."""
+    rng = np.random.default_rng(233)
+    cases = [(random_scenario(rng, int(rng.integers(2, 17)), degenerate_g=bool(i % 2)), False)
+             for i in range(10)]
+    k, g = commuting_pair(rng, 8, n_clusters=3)
+    cases.append((Scenario(haar_state(rng, 8), k, g, 0.4), True))
+    for spec, lam in ((QrfStateSpec.uniform(6), 0.9), (QrfStateSpec.coherent(2.0), 0.5)):
+        cases.append((example1_scenario(qrf_amplitudes(spec), lam), True))
+    system = example2_system(n_total_max=4)
+    cases.append((system.scenario(qrf_amplitudes(QrfStateSpec.uniform(4), 4), 0.7), False))
+    cases.append((example3(0.5, np.pi / 3), False))
+    cases.append((counterexample_scenario(0.7), True))
+    return cases
+
+
+class TestPairProjectors:
+    def test_forms_on_a_used_pair_equal_the_explicit_projector_set(self):
+        # on a pair that already served other probes and lambdas, every value
+        # keeps the bits it has on spectral_projectors(G, cluster_tol) built
+        # for this call alone
+        rng = np.random.default_rng(239)
+        for s, commuting in form_scenarios():
+            pair = s.generators
+            for lam in (s.lam + 0.5, s.lam - 1.0):
+                report(pair.scenario(haar_state(rng, s.dim), lam))
+            explicit = metrology.Generators(s.k_generator, s.g_generator, pair.cluster_tol)
+            vars(explicit)["dephasing"] = spectral_projectors(s.g_generator, pair.cluster_tol)
+            given = explicit.scenario(s.fiducial, s.lam)
+            forms = SCALAR_FORMS + ((qfi_commuting_form,) if commuting else ())
+            for form in forms:
+                ours, theirs = form(s), form(given)
+                assert np.asarray(ours, float).tobytes() == np.asarray(theirs, float).tobytes(), form
+            assert sld_twirled(s).matrix.tobytes() == sld_twirled(given).matrix.tobytes()
+            assert pair.dephasing is not explicit.dephasing
+
+
 def rotate(s, u):
     """The scenario in the basis changed by the unitary u."""
     return Scenario(
@@ -1261,14 +1299,14 @@ class TestMaxLossKernel:
         qrf = qrf_amplitudes(QrfStateSpec.uniform(6), 6)
         s = example1_scenario(qrf, 0.4)
         p = spectral_projectors(s.g_generator)
-        real_res, kernel_res = max_loss_residuals(s, p)
+        real_res, kernel_res = max_loss_residuals(s)
         assert real_res >= 0 and kernel_res > 0.1
-        assert not check_max_loss(s, p)
+        assert not check_max_loss(s)
         assert kernel_res == pytest.approx(explicit_kernel_residual(s, p), rel=1e-12)
         rng = np.random.default_rng(173)
         for _ in range(3):
             r = rotate(s, random_unitary(rng, s.dim))
-            _, rotated_res = max_loss_residuals(r, spectral_projectors(r.g_generator))
+            _, rotated_res = max_loss_residuals(r)
             assert rotated_res == pytest.approx(kernel_res, rel=1e-12)
 
     def test_kernel_residual_matches_projector_matrices(self):
@@ -1277,7 +1315,7 @@ class TestMaxLossKernel:
             dim = int(rng.integers(2, 13))
             s = random_scenario(rng, dim, degenerate_g=bool(rng.uniform() < 0.5))
             p = spectral_projectors(s.g_generator)
-            _, kernel_res = max_loss_residuals(s, p)
+            _, kernel_res = max_loss_residuals(s)
             assert kernel_res == pytest.approx(
                 explicit_kernel_residual(s, p), rel=1e-10, abs=1e-12
             )

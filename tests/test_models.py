@@ -162,7 +162,7 @@ class TestClosedFormQubitQrf:
             qrf = StateVector(amps)
             closed = example1_qfi_closed_form(qrf.amplitudes)
             s = example1_scenario(qrf, lam=float(rng.uniform(-np.pi, np.pi)))
-            pipe = qfi_twirled_pure(s, spectral_projectors(s.g_generator))
+            pipe = qfi_twirled_pure(s)
             assert closed == pytest.approx(pipe, abs=1e-8)
 
     def test_rejects_unnormalized(self):
@@ -336,7 +336,7 @@ class TestExample2ClosedForm:
             qrf = qrf_amplitudes(QrfStateSpec.uniform(n), n)
             for lam in (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi, 1.234):
                 s = system.scenario(qrf, lam)
-                pipe = qfi_twirled_pure(s, spectral_projectors(s.g_generator))
+                pipe = qfi_twirled_pure(s)
                 assert example2_qfi_closed_form(n, lam) == pytest.approx(
                     pipe, abs=1e-6
                 )
@@ -365,7 +365,7 @@ class TestExample3:
         for lam in (0.4, 1.3, 2.9):
             s = system.with_lambda(lam)
             p = spectral_projectors(s.g_generator)
-            assert qfi_twirled_pure(s, p) == pytest.approx(1.0, abs=1e-12)
+            assert qfi_twirled_pure(s) == pytest.approx(1.0, abs=1e-12)
             rho_b = twirl(s.rho_lambda, p).matrix
             expected = np.diag(
                 [math.cos(lam / 2) ** 2, math.sin(lam / 2) ** 2]
@@ -382,9 +382,7 @@ class TestExample3:
     def test_z_axis_rotation_never_encodes(self):
         s = example3_scenario((0.0, 0.0, 1.0), 0.9)
         assert qfi_unitary(s.fiducial, s.k_generator) == pytest.approx(0.0, abs=1e-12)
-        assert qfi_twirled_pure(
-            s, spectral_projectors(s.g_generator)
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert qfi_twirled_pure(s) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_forms_against_tan_expression(self):
         rng = np.random.default_rng(223)
