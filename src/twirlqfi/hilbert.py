@@ -27,8 +27,10 @@ a caller whose operator conserves a quantity orders its basis by that quantity
 
 HermitianOperator checks Hermiticity on outside input only, relative to
 max(1, max|A|), and reads the drift from the Hermitian part it keeps, so A^dag
-is formed once: a matrix formed from validated operators (an anticommutator,
-an SLD) passes through _hermitian_part first, since its drift is rounding.
+is formed once; an input equal to that part (a diagonal generator, say) has
+drift 0, so the subtraction is skipped.  A matrix formed from validated
+operators (an anticommutator, an SLD) passes through _hermitian_part first,
+since its drift is rounding.
 _dagger forms A^dag as one contiguous copy, conjugated in place, so no
 sum reads a transpose in strided order; for the same reason
 expectation reads a density matrix's rho^T as conj(rho), equal to it up to
@@ -110,11 +112,13 @@ class HermitianOperator:
         if not np.isfinite(mat).all():
             raise ValueError("entries must be finite")
         sym = _hermitian_part(mat)  # a new array, so the input is not copied
-        # 2|A - sym| is |A - A^dag| up to eps |A|; max|A| is read only once
-        # the absolute bound fails
-        drift = 2.0 * np.max(np.abs(mat - sym))
-        if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * np.max(np.abs(mat)):
-            raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
+        # an exactly Hermitian A equals sym, so its drift is 0 and the
+        # subtraction is skipped; otherwise 2|A - sym| is |A - A^dag| up to
+        # eps |A|, and max|A| is read only once the absolute bound fails
+        if not np.array_equal(mat, sym):
+            drift = 2.0 * np.max(np.abs(mat - sym))
+            if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * np.max(np.abs(mat)):
+                raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
         sym.setflags(write=False)
         object.__setattr__(self, "matrix", sym)
 

@@ -505,16 +505,21 @@ def _mixed_in_eigenbasis(
     drho = np.asarray(drho, dtype=complex)
     _check_dims(rho.dim, drho.shape[0])
     max_drho = float(np.max(np.abs(drho)))
+    # a NaN would pass every floor below: NaN > floor is False
+    if not np.isfinite(max_drho):
+        raise ValueError("drho entries must be finite")
     floor = _rounding_floor(max_drho)
-    # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
     drift = _dagger(drho)
-    drift -= drho
-    herm_drift = float(np.max(np.abs(drift)))
-    if herm_drift > floor:
-        raise ValueError(
-            f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
-            f" = {floor:.3e})"
-        )
+    # an exactly Hermitian drho has drift 0, so the subtraction is skipped;
+    # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
+    if not np.array_equal(drift, drho):
+        drift -= drho
+        herm_drift = float(np.max(np.abs(drift)))
+        if herm_drift > floor:
+            raise ValueError(
+                f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
+                f" = {floor:.3e})"
+            )
     trace = abs(np.trace(drho))
     if trace > floor:
         raise ValueError(
@@ -646,6 +651,29 @@ def _clamped(name: str, value: float, floor: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
+def _dephased_pair(data: _ClusterData, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_B, drho_B) in G's eigenbasis: a a^dag and b a^dag + a b^dag on
+    each cluster's diagonal block, exact zeros elsewhere.
+
+    Clusters of one size are written as one stacked outer product, each
+    entry the product np.outer forms, so no d x d product or mask is made.
+    rho_B's blocks are stored as their Hermitian parts, the bits
+    DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can differ in the
+    last bit, and an exactly Hermitian rho_B skips its drift check.
+    """
+    a, b = data.a, data.b
+    d = a.size
+    # np.zeros leaves the pages outside the blocks to the OS's lazy zero fill
+    rho_b, drho_b = np.zeros((d, d), complex), np.zeros((d, d), complex)
+    for index in _blocks_by_size(np.asarray(bounds[1:])):
+        seg_a, seg_b = a[index], b[index]
+        a_dag, b_dag = seg_a.conj()[:, None, :], seg_b.conj()[:, None, :]
+        rows = index[:, :, None], index[:, None, :]
+        rho_b[rows] = _hermitian_part(seg_a[:, :, None] * a_dag)
+        drho_b[rows] = seg_b[:, :, None] * a_dag + seg_a[:, :, None] * b_dag
+    return rho_b, drho_b
+
+
 def report(s: Scenario) -> QfiReport:
     """Full diagnostic report for a scenario, G clustered once per pair at its cluster_tol.
 
@@ -667,10 +695,12 @@ def report(s: Scenario) -> QfiReport:
       the sums, not the decomposition; its removal waits on the benchmark's
       pin of four calls per fresh report().
     * the dephased QFI against qfi_mixed of the dephased density matrix
-      rho_B.  That pair is built in G's eigenbasis V, where
-      the pinching is the cluster block mask M: rho_B = M o (a a^dag) and
-      drho_B = M o (b a^dag + a b^dag) with a = V^dag psi, b = V^dag dpsi
-      (o is the entrywise product).  The QFI and the SLD equation do not
+      rho_B.  That pair is built in G's eigenbasis V, where the pinching
+      keeps each cluster's diagonal block: with a = V^dag psi and
+      b = V^dag dpsi, rho_B holds the Hermitian part of a a^dag and drho_B
+      holds b a^dag + a b^dag on each block, clusters of one size written
+      as one stacked outer product, and exact zeros elsewhere, so no d x d
+      product or mask is formed (_dephased_pair).  The QFI and the SLD equation do not
       change under V, so leaving out the rotation back loses nothing; the
       check still takes its own eigendecomposition of rho_B, the
       mixed-state formula and the SLD defining equation, none of which the
@@ -705,12 +735,7 @@ def report(s: Scenario) -> QfiReport:
         "eigenvector": qfi_eigenvector_form(s),
     }
     if data.rank_regular:
-        # the dephased pair in G's eigenbasis, where pinching is the block mask
-        a, b, mask = data.a, data.b, s.generators.dephasing.block_mask
-        rho_b, drho_b = np.outer(a, a.conj()), np.outer(b, a.conj())
-        drho_b += np.outer(a, b.conj())
-        rho_b *= mask
-        drho_b *= mask
+        rho_b, drho_b = _dephased_pair(data, s.generators.dephasing.bounds)
         rho_b = DensityMatrix(rho_b)
         try:
             candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)

@@ -52,6 +52,48 @@ class TestTypes:
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     @staticmethod
+    def hermitian_inputs():
+        """Inputs HermitianOperator accepts, by name: exactly Hermitian or within the drift bound."""
+        rng = np.random.default_rng(251)
+        exact = random_hermitian(rng, 7).matrix.copy()
+        signed_zeros = np.diag(rng.normal(size=7)).astype(complex)
+        signed_zeros[0, 1], signed_zeros[2, 4] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        near = exact.copy()
+        near[0, 3] += 1e-13 * np.max(np.abs(exact))  # drift 1e-13 max|A|
+        read_only = near.copy()
+        read_only.setflags(write=False)
+        return {
+            "exact": exact,
+            "diagonal": np.diag(rng.normal(size=7)).astype(complex),
+            "signed-zeros": signed_zeros,
+            "near": near,
+            "fortran-exact": np.asfortranarray(exact),
+            "fortran-near": np.asfortranarray(near),
+            "read-only-near": read_only,
+        }
+
+    @pytest.mark.parametrize("name", ["exact", "diagonal", "signed-zeros", "near",
+                                      "fortran-exact", "fortran-near", "read-only-near"])
+    def test_stores_the_bits_of_the_hermitian_part(self, name):
+        mat = self.hermitian_inputs()[name]
+        before = mat.copy()
+        # an input equal to its Hermitian part skips the drift; the others read it
+        assert np.array_equal(mat, hilbert._hermitian_part(mat)) == ("near" not in name)
+        op = HermitianOperator(mat)
+        assert op.matrix.tobytes() == hilbert._hermitian_part(mat).tobytes()
+        assert op.matrix.flags.c_contiguous and not op.matrix.flags.writeable
+        assert mat.tobytes() == before.tobytes()  # the input is left alone
+
+    def test_rejection_reports_the_drift(self):
+        mat = self.scaled_generator(3, 1.0).astype(complex)
+        mat[1, 4] += 1e-6
+        drift = 2.0 * np.max(np.abs(mat - hilbert._hermitian_part(mat)))
+        with pytest.raises(ValueError) as excinfo:
+            HermitianOperator(mat)
+        assert str(excinfo.value) == f"matrix is not Hermitian (max drift {drift:.3e})"
+        assert f"{drift:.3e}" == "1.000e-06"
+
+    @staticmethod
     def scaled_generator(seed, c):
         """c U diag(0..5) U^dag for a Haar U: Hermitian up to rounding of size eps c."""
         u = random_unitary(np.random.default_rng(seed), 6)

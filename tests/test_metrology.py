@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twirlqfi import metrology
-from twirlqfi.channels import cluster_eigenvalues, spectral_projectors, twirl, twirl_hermitian
+from twirlqfi.channels import (
+    ProjectorSet,
+    cluster_eigenvalues,
+    spectral_projectors,
+    twirl,
+    twirl_hermitian,
+)
 from twirlqfi.hilbert import (
     DensityMatrix,
     HermitianOperator,
@@ -141,7 +147,8 @@ def naive_twirled_sld(s, p):
 
 
 def eigenbasis_pair(s, p):
-    """The dephased pair as report() builds it, in G's eigenbasis."""
+    """The dephased pair in G's eigenbasis as block-masked d x d outer products,
+    the reference for report()'s pair, which it writes cluster by cluster."""
     a = p.basis.conj().T @ s.psi_lambda.amplitudes
     b = p.basis.conj().T @ s.dpsi
     rho = DensityMatrix(p.block_mask * np.outer(a, a.conj()))
@@ -629,8 +636,8 @@ class TestMixedStateQfi:
         assert eigh_calls == [6]
 
     def test_eigenbasis_pair_matches_the_pinched_pair(self):
-        # report() builds the dephased pair in G's eigenbasis V as block-masked
-        # outer products of V^dag psi and V^dag dpsi; the QFI is the same
+        # report() builds the dephased pair in G's eigenbasis V from V^dag psi
+        # and V^dag dpsi; the QFI is the same as the pinched pair's
         rng = np.random.default_rng(139)
         for _ in range(20):
             s = random_scenario(rng, int(rng.integers(4, 17)), degenerate_g=True)
@@ -729,6 +736,32 @@ class TestMixedStateQfi:
         bad[0, 1] = 1.0
         with pytest.raises(ValueError):
             qfi_mixed(s.rho_lambda, bad)  # not Hermitian
+
+    def test_hermiticity_floor_and_message(self):
+        # the drift is |drho - drho^dag| against 1e-9 max(1, max|drho|)
+        rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        drho = np.array([[0.0, 1.0], [1.0 + 2e-9, 0.0]], dtype=complex)
+        expected = ("drho is not Hermitian (max drift 2.000e-09,"
+                    " floor 1e-9 max(1, max|drho|) = 1.000e-09)")
+        with pytest.raises(ValueError) as excinfo:
+            qfi_mixed(rho, drho)
+        assert str(excinfo.value) == expected
+        drho[1, 0] = 1.0 + 5e-10  # inside the floor: rounding, accepted
+        assert qfi_mixed(rho, drho) == pytest.approx(4.0, abs=1e-8)
+        drho[1, 0] = 1.0  # exactly Hermitian
+        assert qfi_mixed(rho, drho) == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("compute", [qfi_mixed, sld_mixed])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_drho_rejected(self, compute, entry, value):
+        # a NaN passes every floor (NaN > floor is False) and used to come
+        # back as a NaN QFI
+        rho = DensityMatrix(np.diag([0.5, 0.5]).astype(complex))
+        drho = np.zeros((2, 2), dtype=complex)
+        drho[entry] = value
+        with pytest.raises(ValueError, match="^drho entries must be finite$"):
+            compute(rho, drho)
 
     def test_finite_difference_derivative(self):
         rng = np.random.default_rng(137)
@@ -1232,6 +1265,78 @@ class TestReport:
         # cross-check skipped) and reproduce the closed form
         rep = report(example3(0.5, 0.0))
         assert rep.bob_qfi == pytest.approx(example3_bob_qfi(0.5, 0.0), abs=1e-10)
+
+
+def clustered_dense_scenario(rng):
+    """A dense K and a dense G whose eigenspaces have every size 1 to 7."""
+    sizes = rng.permutation(np.concatenate([np.arange(1, 8), rng.integers(1, 8, size=10)]))
+    g_vals = np.repeat(np.arange(sizes.size, dtype=float), sizes)
+    u = random_unitary(rng, g_vals.size)
+    g = HermitianOperator(u @ np.diag(g_vals) @ u.conj().T)
+    return Scenario(haar_state(rng, g_vals.size), random_hermitian(rng, g_vals.size), g, 0.3)
+
+
+def pair_scenarios():
+    """Fresh rank-regular scenarios, by name, for report()'s dephased pair."""
+    cases = {
+        f"example1-alpha_sq-{alpha_sq}": example1_scenario(
+            qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(alpha_sq))), 0.7)
+        for alpha_sq in (4.1, 40.1)
+    }
+    cases["dense-clusters-1-to-7"] = clustered_dense_scenario(np.random.default_rng(311))
+    cases["counterexample"] = counterexample_scenario(0.4)
+    system = example2_system(n_total_max=6)
+    cases["example2-sector"] = system.scenario(qrf_amplitudes(QrfStateSpec.uniform(5), 5), 0.7)
+    return cases
+
+
+PAIR_SCENARIO_NAMES = ["example1-alpha_sq-4.1", "example1-alpha_sq-40.1", "dense-clusters-1-to-7",
+                       "counterexample", "example2-sector"]
+
+
+class TestDephasedPair:
+    """report() writes rho_B and drho_B cluster by cluster in G's eigenbasis."""
+
+    @staticmethod
+    def reported_pair(s, monkeypatch):
+        seen = []
+
+        def spy(rho, drho):
+            seen.append((rho.matrix, drho))
+            return qfi_mixed(rho, drho)
+
+        monkeypatch.setattr(metrology, "qfi_mixed", spy)
+        report(s)
+        assert len(seen) == 1  # the mixed-state check ran
+        return seen[0]
+
+    @pytest.mark.parametrize("name", PAIR_SCENARIO_NAMES)
+    def test_matches_the_masked_outer_products(self, name, monkeypatch):
+        s = pair_scenarios()[name]
+        rho_ref, drho_ref = eigenbasis_pair(s, s.generators.dephasing)
+        rho_ref, inside = rho_ref.matrix, s.generators.dephasing.block_mask.astype(bool)
+        rho, drho = self.reported_pair(s, monkeypatch)
+        # rho_B goes to DensityMatrix exactly Hermitian, so its drift check is skipped
+        rho_raw, _ = metrology._dephased_pair(metrology._clusters(s), s.generators.dephasing.bounds)
+        assert np.array_equal(rho_raw, _hermitian_part(rho_raw))
+        parts = np.repeat(inside, 2, axis=1)  # the real and imaginary words of each entry
+        for got, ref in ((rho, rho_ref), (drho, drho_ref)):
+            assert np.array_equal(got, ref)
+            # inside the clusters' blocks the bits agree; outside both are zeros,
+            # +0 here where the mask product may leave -0
+            assert np.array_equal(got.view(np.uint64)[parts], ref.view(np.uint64)[parts])
+            assert not np.any(got[~inside].view(np.uint64))
+
+    def test_report_never_reads_the_block_mask(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("report() read ProjectorSet.block_mask")
+
+        monkeypatch.setattr(ProjectorSet, "block_mask", property(refuse))
+        scenarios = pair_scenarios()
+        for s in scenarios.values():
+            report(s)
+        with pytest.raises(AssertionError, match="block_mask"):
+            sld_twirled(scenarios["counterexample"])  # the patch is live
 
 
 SCALAR_FORMS = (
