@@ -509,17 +509,15 @@ def _mixed_in_eigenbasis(
     if not np.isfinite(max_drho):
         raise ValueError("drho entries must be finite")
     floor = _rounding_floor(max_drho)
-    drift = _dagger(drho)
-    # an exactly Hermitian drho has drift 0, so the subtraction is skipped;
     # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
-    if not np.array_equal(drift, drho):
-        drift -= drho
-        herm_drift = float(np.max(np.abs(drift)))
-        if herm_drift > floor:
-            raise ValueError(
-                f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
-                f" = {floor:.3e})"
-            )
+    drift = _dagger(drho)
+    drift -= drho
+    herm_drift = float(np.max(np.abs(drift)))
+    if herm_drift > floor:
+        raise ValueError(
+            f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
+            f" = {floor:.3e})"
+        )
     trace = abs(np.trace(drho))
     if trace > floor:
         raise ValueError(
