@@ -79,7 +79,7 @@ class ProjectorSet:
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     def __post_init__(self) -> None:
-        bounds = cluster_eigenvalues(self.generator.eig[0], self.cluster_tol)
+        bounds = cluster_eigenvalues(self.generator._eig[0], self.cluster_tol)
         object.__setattr__(self, "bounds", tuple(bounds))
 
     @property
@@ -89,7 +89,7 @@ class ProjectorSet:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """One representative value (the mean) per cluster, strictly increasing."""
-        w = self.generator.eig[0]
+        w = self.generator._eig[0]
         values = np.array([w[b1:b2].mean() for b1, b2 in zip(self.bounds, self.bounds[1:])])
         values.setflags(write=False)
         return values

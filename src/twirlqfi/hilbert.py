@@ -6,29 +6,36 @@ construction.  All operations are pure functions; everything here is safe to
 share across threads.  Units follow the hbar = 1 convention, so generators
 and frequencies are dimensionless.
 
-Each operator decomposes itself at most once: `HermitianOperator.eig` calls
-eigh_matrix on first access and caches the result, and every holder of the
-operator (the scenarios on one generator pair, say) shares the same
-read-only arrays.  Two threads reaching a first access together may both
-compute it; the results are identical, so that is harmless.  Every
-eigendecomposition in the library goes through eigh_matrix.
+An operator keeps its contiguous diagonal blocks (a _Blocks): given by
+HermitianOperator.from_diagonal or from_blocks, or found from a matrix's
+exact zeros on first use.  It validates and decomposes them block by block,
+and builds its d x d `matrix`, and the d x d eigenvector matrix of `eig`,
+only when a caller reads them.  Each operator decomposes itself at most
+once, in one eigh_matrix call on its blocks, and caches the eigenvectors per
+block with their columns (an _EigenBasis); every holder of the operator
+(the scenarios on one generator pair, say) shares the same read-only
+arrays.  Two threads reaching a first access together may both compute it;
+the results are identical, so that is harmless.  Every eigendecomposition
+in the library goes through eigh_matrix.
 
-eigh_matrix follows the block structure of its matrix: it finds the
-contiguous diagonal blocks from the exact zeros and decomposes each block on
-its own, so a diagonal generator, or a state dephased in its generator's
-eigenbasis, costs the sum of its blocks' cubes rather than d^3.  The same
-block scan and grouping of blocks by size serve _products, which forms
-{A, B} and AB - BA on the joint blocks of a pair for commutator,
-anticommutator and a scenario's generator products, and two paths in
-metrology: qfi_mixed, which evaluates a (rho, drho) pair block by block, and
-the per-cluster sums, grouped by cluster size.  The scan never permutes:
-a caller whose operator conserves a quantity orders its basis by that quantity
-(models.example2_system orders its labels by total excitation).
+A decomposition costs the sum of its blocks' cubes rather than d^3, and a
+block of size 1 is its own eigenvalue.  When every block has size 1 (a
+diagonal generator) the eigenvectors form a permutation, so A x, V x and
+V^dag x are index gathers, O(d), with the bits of the dense products; an
+operator with a larger block keeps dense products with its d x d V.  The
+block grouping by size also serves _products, which forms {A, B} and
+AB - BA on the joint blocks of a pair for commutator, anticommutator and a
+scenario's generator products, and two paths in metrology: qfi_mixed,
+which evaluates a (rho, drho) pair block by block, and the per-cluster
+sums, grouped by cluster size.  The scan of a matrix never permutes: a
+caller whose operator conserves a quantity orders its basis by that
+quantity (models.example2_system orders its labels by total excitation).
 
 HermitianOperator checks Hermiticity on outside input only, relative to
 max(1, max|A|), and reads the drift from the Hermitian part it keeps, so A^dag
-is formed once; an input equal to that part (a diagonal generator, say) has
-drift 0, so the subtraction is skipped.  A matrix formed from validated
+is formed once, per block for an operator given by its blocks; an input
+equal to that part (a diagonal generator, say) has drift 0, so the
+subtraction is skipped.  A matrix formed from validated
 operators (an anticommutator, an SLD) passes through _hermitian_part first,
 since its drift is rounding.
 _dagger forms A^dag as one contiguous copy, conjugated in place, so no
@@ -98,65 +105,249 @@ class StateVector:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-@dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian matrix; anti-Hermitian drift up to 1e-12 * max(1, max|A|) is symmetrized away."""
+    """Hermitian matrix; anti-Hermitian drift up to 1e-12 * max(1, max|A|) is symmetrized away.
 
-    matrix: np.ndarray
+    Built from a d x d matrix, from its diagonal (from_diagonal) or from its
+    contiguous diagonal blocks (from_blocks).  An operator built from blocks
+    keeps them, and builds the d x d `matrix` only when a caller reads it;
+    one built from a matrix reads its blocks from the exact zeros on first
+    use.  Immutable, and compared by identity.
+    """
 
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+    def __init__(self, matrix) -> None:
+        mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValueError("expected a non-empty square matrix")
-        # a NaN would pass the drift check below: NaN > tol is False
-        if not np.isfinite(mat).all():
-            raise ValueError("entries must be finite")
-        sym = _hermitian_part(mat)  # a new array, so the input is not copied
-        # an exactly Hermitian A equals sym, so its drift is 0 and the
-        # subtraction is skipped; otherwise 2|A - sym| is |A - A^dag| up to
-        # eps |A|, and max|A| is read only once the absolute bound fails
-        if not np.array_equal(mat, sym):
-            drift = 2.0 * np.max(np.abs(mat - sym))
-            if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * np.max(np.abs(mat)):
-                raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
-        sym.setflags(write=False)
-        object.__setattr__(self, "matrix", sym)
+        vars(self).update(matrix=mat, dim=mat.shape[0])
+        self.__post_init__()
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def from_blocks(cls, ends, blocks) -> "HermitianOperator":
+        """The block-diagonal operator whose contiguous diagonal blocks end at `ends`.
+
+        `ends` are the blocks' exclusive ends, ascending; `blocks` holds one
+        (n, r, r) stack per distinct block size r, ascending, each stack's
+        blocks in row order.  Validated block by block, as a matrix is.
+        """
+        ends = np.asarray(ends, dtype=np.intp).reshape(-1)
+        if ends.size == 0 or ends[0] <= 0 or np.any(np.diff(ends) <= 0):
+            raise ValueError("block ends must be positive and strictly increasing")
+        given = _Blocks(ends, tuple(np.asarray(b, dtype=complex) for b in blocks))
+        got = [x.shape for x in given.stacks]
+        fits = [(index.shape[0], index.shape[1], index.shape[1]) for index in given.groups]
+        if got != fits:
+            raise ValueError(f"blocks of shapes {got} do not fit the block ends, which need {fits}")
+        op = cls.__new__(cls)
+        vars(op).update(blocks=given, dim=int(ends[-1]))
+        op.__post_init__()
+        return op
+
+    @classmethod
+    def from_diagonal(cls, diagonal) -> "HermitianOperator":
+        """The diagonal operator with this (real) diagonal: d blocks of size 1."""
+        diag = np.asarray(diagonal, dtype=complex)
+        if diag.ndim != 1 or diag.size == 0:
+            raise ValueError("expected a non-empty vector")
+        return cls.from_blocks(np.arange(1, diag.size + 1), (diag.reshape(-1, 1, 1),))
+
+    def __post_init__(self) -> None:
+        """Replaces the input, matrix or blocks, by its validated Hermitian part.
+
+        Runs once per construction; a subclass checks its own invariants after it.
+        """
+        state = vars(self)
+        if "blocks" in state:
+            given = state["blocks"]
+            state["blocks"] = _Blocks(given.ends, _validated(given.stacks))
+        else:
+            # _validated returns new arrays, so the caller's matrix is not copied
+            (state["matrix"],) = _validated((state["matrix"],))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x d matrix, read-only: built from the blocks on first access."""
+        mat = self.blocks.dense()
+        mat.setflags(write=False)
+        return mat
+
+    @cached_property
+    def blocks(self) -> "_Blocks":
+        """The contiguous diagonal blocks; read from the matrix's exact zeros on first access."""
+        return _Blocks.of(self.matrix)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x: entry by entry for a diagonal operator, else the dense product."""
+        diagonal = self.blocks.diagonal
+        return diagonal * x if diagonal is not None else self.matrix @ x
+
+    @cached_property
+    def _eig(self) -> tuple[np.ndarray, "_EigenBasis"]:
+        """(ascending eigenvalues, eigenvectors per block), from one eigh_matrix call."""
+        w, basis = eigh_matrix(self.blocks)
+        w.setflags(write=False)
+        return w, basis
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Spectral decomposition (ascending eigenvalues, orthonormal columns).
 
-        Computed once per operator; the arrays are read-only.
+        Computed once per operator; the arrays are read-only.  The d x d
+        eigenvector matrix is built from the blocks' eigenvectors on first
+        access.
         """
-        w, v = eigh_matrix(self.matrix)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
+        w, basis = self._eig
+        return w, basis.matrix
 
 
 class DensityMatrix(HermitianOperator):
     """Positive unit-trace Hermitian matrix.
 
-    The positivity check reads the smallest eigenvalue of `eig`, so a valid
-    density matrix already holds the decomposition that qfi_mixed uses.
+    The positivity check reads the smallest eigenvalue of the operator's
+    decomposition, so a valid density matrix already holds the one that
+    qfi_mixed uses.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        tr = np.trace(self.matrix)
+        tr = np.sum(self.blocks.diagonal_entries())
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-        min_eig = float(self.eig[0][0])
+        min_eig = float(self._eig[0][0])
         if min_eig < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
         return cls(state.projector())
+
+
+def _validated(stacks) -> tuple[np.ndarray, ...]:
+    """The read-only Hermitian parts of matrices, or stacks of them, of one operator.
+
+    An exactly Hermitian input equals its Hermitian part, so its drift is 0
+    and the subtraction is skipped; otherwise 2|A - sym| is |A - A^dag| up to
+    eps |A|, and max|A| over all the operator's entries is read only once the
+    absolute bound fails.
+    """
+    syms, drift = [], 0.0
+    for x in stacks:
+        # a NaN would pass the drift check below: NaN > tol is False
+        if not np.isfinite(x).all():
+            raise ValueError("entries must be finite")
+        sym = _hermitian_part(x)
+        if not np.array_equal(x, sym):
+            drift = max(drift, 2.0 * np.max(np.abs(x - sym)))
+        syms.append(sym)
+    if drift > HERMITICITY_TOL and drift > HERMITICITY_TOL * max(np.max(np.abs(x)) for x in stacks):
+        raise ValueError(f"matrix is not Hermitian (max drift {drift:.3e})")
+    for sym in syms:
+        sym.setflags(write=False)
+    return tuple(syms)
+
+
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """A block-diagonal d x d array held as its contiguous diagonal blocks.
+
+    `ends` are the blocks' exclusive ends, ascending, the last one d.
+    `stacks` holds one (n, r, r) array per distinct block size r, ascending,
+    its blocks in row order: the groups of _blocks_by_size(ends).  `shape`
+    is the d x d array's, which only dense() builds.
+    """
+
+    ends: np.ndarray
+    stacks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "_Blocks":
+        """The blocks a square array's exact zeros allow; one block is a view of it."""
+        ends = _block_ends(matrix != 0)
+        if ends.size == 1:
+            return cls(ends, (matrix[None],))
+        return cls(ends, tuple(matrix[index[:, :, None], index[:, None, :]]
+                               for index in _blocks_by_size(ends)))
+
+    @cached_property
+    def groups(self) -> list[np.ndarray]:
+        """Row indices of the blocks, one (n, r) array per stack."""
+        return _blocks_by_size(self.ends)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        d = int(self.ends[-1])
+        return d, d
+
+    @property
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal when every block has size 1, else None."""
+        return self.stacks[0][:, 0, 0] if self.ends.size == self.shape[0] else None
+
+    def diagonal_entries(self) -> np.ndarray:
+        """The d diagonal entries in row order."""
+        out = np.empty(self.shape[0], self.stacks[0].dtype)
+        for index, stack in zip(self.groups, self.stacks):
+            out[index] = np.diagonal(stack, axis1=1, axis2=2)
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The d x d array: the blocks on the diagonal, exact zeros elsewhere."""
+        # np.zeros leaves the pages outside the blocks to the OS's lazy zero fill
+        out = np.zeros(self.shape, self.stacks[0].dtype)
+        for index, stack in zip(self.groups, self.stacks):
+            out[index[:, :, None], index[:, None, :]] = stack
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class _EigenBasis:
+    """The eigenvector columns V of a block-diagonal operator, kept per block.
+
+    `vectors` holds each block's eigenvectors, ascending within the block,
+    on the operator's blocks; `column` is the column of V that each of them
+    is, V's columns following the ascending eigenvalues.  When every block
+    has size 1, V is a permutation matrix, and V x and V^dag x are gathers
+    that carry the dense products' bits; otherwise they are dense products
+    with `matrix`, built once.
+    """
+
+    vectors: _Blocks
+    column: np.ndarray
+
+    @property
+    def permutation(self) -> bool:
+        return self.vectors.diagonal is not None
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """V as a read-only d x d array, built on first access."""
+        v = self.dense()
+        v.setflags(write=False)
+        return v
+
+    def dense(self) -> np.ndarray:
+        """V as a new d x d array: each block's eigenvectors at its rows and columns."""
+        v = np.zeros(self.vectors.shape, dtype=self.vectors.stacks[0].dtype)
+        for index, block_v in zip(self.vectors.groups, self.vectors.stacks):
+            v[index[:, :, None], self.column[index][:, None, :]] = block_v
+        return v
+
+    def adjoint(self, *xs: np.ndarray) -> list[np.ndarray]:
+        """V^dag x for each vector x."""
+        if self.permutation:
+            out = [np.empty_like(x) for x in xs]
+            for y, x in zip(out, xs):
+                y[self.column] = x
+            return out
+        v_dag = self.matrix.conj().T
+        return [v_dag @ x for x in xs]
+
+    def apply(self, y: np.ndarray) -> np.ndarray:
+        """V y."""
+        return y[self.column] if self.permutation else self.matrix @ y
 
 
 def tensor(a, b):
@@ -240,38 +431,47 @@ def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     anti, comm = np.zeros(a.shape, a.dtype), np.zeros(a.shape, a.dtype)
     for index in _blocks_by_size(_block_ends((a != 0) | (b != 0))):
         rows = index[:, :, None], index[:, None, :]
-        # each block gathered per product, so no block copy outlives it
-        ab, ba = a[rows] @ b[rows], b[rows] @ a[rows]
-        anti[rows], comm[rows] = _hermitian_part(ab + ba), ab - ba
+        anti[rows], comm[rows] = _block_products(a[rows], b[rows])
     return anti, comm
 
 
-def eigh_matrix(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """({A, B}, AB - BA) of two stacks of blocks, as _products forms them per block."""
+    ab, ba = a @ b, b @ a
+    return _hermitian_part(ab + ba), ab - ba
+
+
+def eigh_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a matrix.
 
-    The matrix is split into the contiguous diagonal blocks its exact zeros
-    allow, and each block is decomposed on its own: blocks of one size go to
-    LAPACK in one stacked np.linalg.eigh call, and a stable argsort merges
-    the eigenvalues, so ties keep block order.  A failure to converge raises
-    instead of returning garbage.
+    A d x d array is split into the contiguous diagonal blocks its exact
+    zeros allow, and V comes back as a d x d array.  An operator's blocks
+    (a _Blocks, what HermitianOperator passes) are taken as given, and V
+    comes back per block as an _EigenBasis.  Each block is decomposed on its
+    own: a block of size 1 is its own eigenvalue with eigenvector 1 (what
+    LAPACK returns), larger blocks of one size go to LAPACK in one stacked
+    np.linalg.eigh call, and a stable argsort merges the eigenvalues, so
+    ties keep block order.  A failure to converge raises instead of
+    returning garbage.
     """
-    d = matrix.shape[0]
-    w = np.empty(d)
-    blocks = []  # (row indices of each block of one size, their eigenvectors)
+    blocks = matrix if isinstance(matrix, _Blocks) else _Blocks.of(matrix)
+    w = np.empty(blocks.shape[0])
+    vectors = []
     try:
-        for index in _blocks_by_size(_block_ends(matrix != 0)):
-            block_w, block_v = np.linalg.eigh(matrix[index[:, :, None], index[:, None, :]])
+        for index, stack in zip(blocks.groups, blocks.stacks):
+            if index.shape[1] == 1:
+                block_w, block_v = stack[:, :, 0].real, np.ones_like(stack)
+            else:
+                block_w, block_v = np.linalg.eigh(stack)
             w[index] = block_w
-            blocks.append((index, block_v))
+            vectors.append(block_v)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"eigensolver failed to converge: {exc}") from exc
     order = np.argsort(w, kind="stable")
-    column = np.empty(d, dtype=np.intp)
-    column[order] = np.arange(d)  # the sorted position of each eigenvalue
-    v = np.zeros((d, d), dtype=blocks[0][1].dtype)
-    for index, block_v in blocks:
-        v[index[:, :, None], column[index][:, None, :]] = block_v
-    return w[order], v
+    column = np.empty(w.size, dtype=np.intp)
+    column[order] = np.arange(w.size)  # the sorted position of each eigenvalue
+    basis = _EigenBasis(_Blocks(blocks.ends, tuple(vectors)), column)
+    return w[order], basis if isinstance(matrix, _Blocks) else basis.dense()
 
 
 def expectation(op: HermitianOperator, state) -> float:
@@ -280,7 +480,7 @@ def expectation(op: HermitianOperator, state) -> float:
     dropped unchecked."""
     if isinstance(state, StateVector):
         _check_dims(op.dim, state.dim)
-        return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes)).real
+        return complex(np.vdot(state.amplitudes, op.apply(state.amplitudes))).real
     if isinstance(state, DensityMatrix):
         _check_dims(op.dim, state.dim)
         # rho^T read in memory order as conj(rho), equal up to the sign of a

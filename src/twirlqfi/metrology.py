@@ -37,6 +37,9 @@ from .hilbert import (
     HermitianOperator,
     StateVector,
     _block_ends,
+    _block_products,
+    _Blocks,
+    _EigenBasis,
     _blocks_by_size,
     _check_dims,
     _dagger,
@@ -101,6 +104,8 @@ class Generators:
     dephasing (G's eigenspaces at cluster_tol, which define the channel),
     {G, K}, GK - KG and report()'s eigenvector gate are formed on first use;
     scenario() puts a fiducial state on the pair.  Compared by identity.
+    When K and G are both diagonal, {G, K} and GK - KG are kept as their
+    diagonals.
     """
 
     k: HermitianOperator
@@ -118,13 +123,17 @@ class Generators:
 
     @cached_property
     def products(self) -> tuple[np.ndarray, np.ndarray]:
+        """({G, K}, GK - KG): d x d, or their diagonals when K and G are diagonal."""
+        g, k = self.g.blocks, self.k.blocks
+        if g.diagonal is not None and k.diagonal is not None:
+            anti, comm = _block_products(g.stacks[0], k.stacks[0])
+            return anti[:, 0, 0], comm[:, 0, 0]
         return _products(self.g.matrix, self.k.matrix)
 
     @cached_property
-    def gate(self) -> tuple[np.ndarray, list[int]]:
-        """(read-only V, cluster bounds) of G by its own eigh_matrix call; report() says why."""
-        w, v = eigh_matrix(self.g.matrix)
-        v.setflags(write=False)
+    def gate(self) -> tuple[_EigenBasis, list[int]]:
+        """(V per block, cluster bounds) of G by its own eigh_matrix call; report() says why."""
+        w, v = eigh_matrix(self.g.blocks)
         return v, cluster_eigenvalues(w, self.cluster_tol)
 
     def scenario(self, fiducial: StateVector, lam: float = 0.0) -> "Scenario":
@@ -164,10 +173,15 @@ class Scenario:
 
     @cached_property
     def psi_lambda(self) -> StateVector:
-        """exp(-i K lambda) |psi0>, from K's decomposition (shared across lambdas)."""
-        w, v = self.k_generator.eig
+        """exp(-i K lambda) |psi0>, from K's decomposition (shared across lambdas).
+
+        For a diagonal K the eigenvectors are a permutation, so V and V^dag
+        are gathers.
+        """
+        w, v = self.k_generator._eig
         phases = np.exp(-1j * w * self.lam)
-        evolved = v @ (phases * (v.conj().T @ self.fiducial.amplitudes))
+        (coords,) = v.adjoint(self.fiducial.amplitudes)
+        evolved = v.apply(phases * coords)
         norm = np.linalg.norm(evolved)
         if abs(norm - 1.0) > 1e-10:
             raise ArithmeticError(f"evolved state norm drifted to {norm!r}")
@@ -176,7 +190,7 @@ class Scenario:
     @cached_property
     def dpsi(self) -> np.ndarray:
         """Analytic derivative -i K |psi_lambda> (unnormalized)."""
-        return -1j * (self.k_generator.matrix @ self.psi_lambda.amplitudes)
+        return -1j * self.k_generator.apply(self.psi_lambda.amplitudes)
 
     @cached_property
     def rho_lambda(self) -> DensityMatrix:
@@ -259,10 +273,8 @@ class _ClusterData:
         return not np.any(~self.support & (self.dpsi_weight > 1e-9))
 
 
-def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) -> _ClusterData:
-    basis_dag = basis.conj().T
-    a = basis_dag @ psi
-    b = basis_dag @ dpsi
+def _segment_sums(a: np.ndarray, b: np.ndarray, bounds) -> _ClusterData:
+    """The cluster sums of a = V^dag psi and b = V^dag dpsi in an eigenbasis V."""
     n = len(bounds) - 1
     p, weight, overlap = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     # the clusters of one size r at once, each sum a stacked (1 x r)(r x 1)
@@ -285,7 +297,8 @@ def _segment_sums(basis: np.ndarray, bounds, psi: np.ndarray, dpsi: np.ndarray) 
 
 def _clusters(s: Scenario) -> _ClusterData:
     p = s.generators.dephasing
-    return _segment_sums(p.basis, p.bounds, s.psi_lambda.amplitudes, s.dpsi)
+    a, b = p.generator._eig[1].adjoint(s.psi_lambda.amplitudes, s.dpsi)
+    return _segment_sums(a, b, p.bounds)
 
 
 def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
@@ -308,7 +321,7 @@ def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
 def qfi_unitary(psi0: StateVector, k: HermitianOperator) -> float:
     """QFI of the clean unitary channel: 4 Var(K).  Independent of lambda."""
     _check_dims(psi0.dim, k.dim)
-    kpsi = k.matrix @ psi0.amplitudes
+    kpsi = k.apply(psi0.amplitudes)
     k2 = complex(np.vdot(psi0.amplitudes, kpsi)).real ** 2
     ksq = float(np.real(np.vdot(kpsi, kpsi)))
     return 4.0 * (ksq - k2)
@@ -356,8 +369,8 @@ def qfi_commuting_form(s: Scenario) -> float:
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
         )
     psi0, p = s.fiducial.amplitudes, s.generators.dephasing
-    kpsi = k @ psi0
-    cluster = _segment_sums(p.basis, p.bounds, psi0, kpsi)
+    kpsi = s.k_generator.apply(psi0)
+    cluster = _segment_sums(*p.generator._eig[1].adjoint(psi0, kpsi), p.bounds)
     ksq = float(np.real(np.vdot(kpsi, kpsi)))
     mask = cluster.support
     pk = np.real(cluster.overlap[mask])  # P_i K is Hermitian when [P_i, K] = 0
@@ -386,7 +399,7 @@ def qfi_eigenvector_form(s: Scenario) -> float:
     G's eigenvectors and clusters are the pair's, from Generators.gate.
     """
     v, bounds = s.generators.gate
-    return _twirled_qfi(s, _segment_sums(v, bounds, s.psi_lambda.amplitudes, s.dpsi))
+    return _twirled_qfi(s, _segment_sums(*v.adjoint(s.psi_lambda.amplitudes, s.dpsi), bounds))
 
 
 def qfi_loss(s: Scenario) -> float:
@@ -454,15 +467,18 @@ def necessary_conditions(s: Scenario) -> tuple[float, complex]:
     over the joint diagonal blocks of (G, K) (d^3 only for a dense pair),
     and shared by the scenarios on the pair.  <K> is read from the
     scenario's dpsi = -i K psi, so beyond dpsi a point costs three
-    matrix-vector products: {G, K} psi, (GK - KG) psi and G psi.
+    matrix-vector products: {G, K} psi, (GK - KG) psi and G psi, each
+    entry by entry when K and G are diagonal.
     """
     anti, comm = s.generators.products
     state = s.psi_lambda
     psi = state.amplitudes
-    half_anti = float(np.vdot(psi, anti @ psi).real) / 2.0
+    # the pair's products are d x d, or diagonals when K and G are diagonal
+    anti_psi, comm_psi = (anti * psi, comm * psi) if anti.ndim == 1 else (anti @ psi, comm @ psi)
+    half_anti = float(np.vdot(psi, anti_psi).real) / 2.0
     k_mean = -float(np.imag(np.vdot(psi, s.dpsi)))  # <psi|dpsi> = -i <K>
     cov = half_anti - expectation(s.g_generator, state) * k_mean
-    mean_comm = complex(np.vdot(psi, comm @ psi))
+    mean_comm = complex(np.vdot(psi, comm_psi))
     return cov, mean_comm
 
 
@@ -489,44 +505,66 @@ def _pair_blocks(rho: DensityMatrix, drho: np.ndarray):
         yield cols, basis[index[:, :, None], cols[:, None, :]], rho.matrix[rows], drho[rows]
 
 
+def _given_blocks(rho: DensityMatrix, drho: _Blocks):
+    """_pair_blocks for a drho given on rho's own blocks: rho's eigenvectors
+    are kept per block, so no scan and no column ownership is needed."""
+    basis = rho._eig[1]
+    for index, v, rho_kk, drho_kk in zip(
+        rho.blocks.groups, basis.vectors.stacks, rho.blocks.stacks, drho.stacks
+    ):
+        yield basis.column[index], v, rho_kk, drho_kk
+
+
 def _mixed_in_eigenbasis(
-    rho: DensityMatrix, drho: np.ndarray
+    rho: DensityMatrix, drho
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
     """The SLD in rho's eigenbasis V, L' = W o R with R = V^dag drho V, and the QFI.
 
     Evaluated on the diagonal blocks of the pair, blocks of one size as
     stacked matmuls; L' comes back as (columns of V, L' on them) per group
-    of blocks.
+    of blocks.  drho is a d x d array, or a _Blocks; given on rho's own
+    block ends, it is read block by block and no d x d array is formed.
 
     The SLD equation is checked on each block's support S as
     2 R_SS = X + X^dag with X = L'[S, :] V_k^dag rho_kk V_k[:, S], from rho's
     own matrix, so it tests V as well.
     """
-    drho = np.asarray(drho, dtype=complex)
-    _check_dims(rho.dim, drho.shape[0])
-    max_drho = float(np.max(np.abs(drho)))
+    if isinstance(drho, _Blocks) and not np.array_equal(drho.ends, rho.blocks.ends):
+        drho = drho.dense()
+    if isinstance(drho, _Blocks):
+        parts, diagonal = drho.stacks, drho.diagonal_entries()
+        blocks = _given_blocks(rho, drho)
+    else:
+        drho = np.asarray(drho, dtype=complex)
+        _check_dims(rho.dim, drho.shape[0])
+        parts = [drho]
+        blocks = _pair_blocks(rho, drho)
+        diagonal = np.diagonal(drho)
+    max_drho = max(float(np.max(np.abs(x))) for x in parts)
     # a NaN would pass every floor below: NaN > floor is False
     if not np.isfinite(max_drho):
         raise ValueError("drho entries must be finite")
     floor = _rounding_floor(max_drho)
-    # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
-    drift = _dagger(drho)
-    drift -= drho
-    herm_drift = float(np.max(np.abs(drift)))
+    herm_drift = 0.0
+    for x in parts:
+        # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
+        drift = _dagger(x)
+        drift -= x
+        herm_drift = max(herm_drift, float(np.max(np.abs(drift))))
     if herm_drift > floor:
         raise ValueError(
             f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
             f" = {floor:.3e})"
         )
-    trace = abs(np.trace(drho))
+    trace = abs(np.sum(diagonal))
     if trace > floor:
         raise ValueError(
             "drho must be traceless (derivative of a unit-trace family; "
             f"|Tr drho| = {trace:.3e}, floor 1e-9 max(1, max|drho|) = {floor:.3e})"
         )
-    eigenvalues = rho.eig[0]
+    eigenvalues = rho._eig[0]
     qfi, sld = 0.0, []
-    for cols, v, rho_kk, drho_kk in _pair_blocks(rho, drho):
+    for cols, v, rho_kk, drho_kk in blocks:
         v_dag = v.conj().transpose(0, 2, 1)
         rotated = v_dag @ drho_kk @ v
         w = eigenvalues[cols]
@@ -557,8 +595,10 @@ def qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> float:
     2 sum_ij |<i|drho|j>|^2 / (p_i + p_j) over pairs with p_i + p_j above the
     floor.  The sum runs block by block over the diagonal blocks of the pair
     (rho, drho), so a block-diagonal pair, a dephased state say, costs the
-    sum of its blocks' cubes rather than d^3.  The SLD defining equation is
-    verified in rho's eigenbasis, on rho's support against rho's own matrix.
+    sum of its blocks' cubes rather than d^3.  drho is a d x d array, or,
+    as report() passes drho_B, its blocks on rho's own block ends.  The SLD
+    defining equation is verified in rho's eigenbasis, on rho's support
+    against rho's own matrix.
     """
     return _mixed_in_eigenbasis(rho, drho)[1]
 
@@ -649,27 +689,26 @@ def _clamped(name: str, value: float, floor: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def _dephased_pair(data: _ClusterData, bounds) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_B, drho_B) in G's eigenbasis: a a^dag and b a^dag + a b^dag on
-    each cluster's diagonal block, exact zeros elsewhere.
+def _dephased_pair(data: _ClusterData, bounds) -> tuple[np.ndarray, list, list]:
+    """(rho_B, drho_B) in G's eigenbasis, as blocks: a a^dag and b a^dag + a b^dag
+    on each cluster's diagonal block.
 
-    Clusters of one size are written as one stacked outer product, each
-    entry the product np.outer forms, so no d x d product or mask is made.
-    rho_B's blocks are stored as their Hermitian parts, the bits
-    DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can differ in the
-    last bit, and an exactly Hermitian rho_B skips its drift check.
+    Returns the clusters' block ends and, per cluster size, the stacked
+    blocks of rho_B and of drho_B, each entry the product np.outer forms, so
+    no d x d array is made.  rho_B's blocks are stored as their Hermitian
+    parts, the bits DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can
+    differ in the last bit, and an exactly Hermitian rho_B skips its drift
+    check.
     """
     a, b = data.a, data.b
-    d = a.size
-    # np.zeros leaves the pages outside the blocks to the OS's lazy zero fill
-    rho_b, drho_b = np.zeros((d, d), complex), np.zeros((d, d), complex)
-    for index in _blocks_by_size(np.asarray(bounds[1:])):
+    ends = np.asarray(bounds[1:])
+    rho_b, drho_b = [], []
+    for index in _blocks_by_size(ends):
         seg_a, seg_b = a[index], b[index]
         a_dag, b_dag = seg_a.conj()[:, None, :], seg_b.conj()[:, None, :]
-        rows = index[:, :, None], index[:, None, :]
-        rho_b[rows] = _hermitian_part(seg_a[:, :, None] * a_dag)
-        drho_b[rows] = seg_b[:, :, None] * a_dag + seg_a[:, :, None] * b_dag
-    return rho_b, drho_b
+        rho_b.append(_hermitian_part(seg_a[:, :, None] * a_dag))
+        drho_b.append(seg_b[:, :, None] * a_dag + seg_a[:, :, None] * b_dag)
+    return ends, rho_b, drho_b
 
 
 def report(s: Scenario) -> QfiReport:
@@ -696,18 +735,27 @@ def report(s: Scenario) -> QfiReport:
       rho_B.  That pair is built in G's eigenbasis V, where the pinching
       keeps each cluster's diagonal block: with a = V^dag psi and
       b = V^dag dpsi, rho_B holds the Hermitian part of a a^dag and drho_B
-      holds b a^dag + a b^dag on each block, clusters of one size written
-      as one stacked outer product, and exact zeros elsewhere, so no d x d
-      product or mask is formed (_dephased_pair).  The QFI and the SLD equation do not
+      holds b a^dag + a b^dag on each block, clusters of one size formed
+      as one stacked outer product (_dephased_pair).  The blocks stay
+      stacked: rho_B is a DensityMatrix.from_blocks on the clusters' ends,
+      and qfi_mixed reads drho_B on the same blocks, so no d x d array is
+      formed, zero-filled or scanned.  The QFI and the SLD equation do not
       change under V, so leaving out the rotation back loses nothing; the
       check still takes its own eigendecomposition of rho_B, the
       mixed-state formula and the SLD defining equation, none of which the
       projector-overlap value uses.  All three run block by block over the
-      diagonal blocks of (rho_B, drho_B), which are the clusters or finer,
-      so the check costs the sum of the blocks' cubes rather than d^3.  The
-      mixed-state check is skipped at rank-change points of the dephased
-      family (a zero-probability eigenspace receiving derivative weight),
-      where the mixed-state QFI is genuinely discontinuous.
+      clusters, so the check costs the sum of the clusters' cubes rather
+      than d^3.  The mixed-state check is skipped at rank-change points of
+      the dephased family (a zero-probability eigenspace receiving
+      derivative weight), where the mixed-state QFI is genuinely
+      discontinuous.
+
+    Each eigh_matrix call costs the sum of its operator's blocks' cubes.
+    For diagonal K and G (example 1) every block has size 1: K, G and the
+    gate decompose in O(d), the eigenvectors are permutations, so psi(lambda),
+    dpsi, the cluster sums and necessary_conditions are index gathers, and a
+    point forms no d x d array.  A K or G with a larger block keeps dense
+    products with its d x d eigenvectors.
 
     A clean or dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is
     rounding and reads 0; one further below raises ConsistencyError.
@@ -733,10 +781,10 @@ def report(s: Scenario) -> QfiReport:
         "eigenvector": qfi_eigenvector_form(s),
     }
     if data.rank_regular:
-        rho_b, drho_b = _dephased_pair(data, s.generators.dephasing.bounds)
-        rho_b = DensityMatrix(rho_b)
+        ends, rho_b, drho_b = _dephased_pair(data, s.generators.dephasing.bounds)
+        rho_b = DensityMatrix.from_blocks(ends, rho_b)
         try:
-            candidates["mixed_state"] = qfi_mixed(rho_b, drho_b)
+            candidates["mixed_state"] = qfi_mixed(rho_b, _Blocks(ends, tuple(drho_b)))
         except ValueError as exc:
             # report() built this pair itself: a failed input floor is its own rounding
             raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc

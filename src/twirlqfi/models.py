@@ -308,10 +308,10 @@ def kummer_m(b: float, z: float) -> float:
 def example1_scenario(qrf: StateVector, lam: float = 0.0) -> Scenario:
     """(|0> + |1>)/sqrt(2) (x) qrf, K = n_qubit, G = total number."""
     psi0 = tensor(StateVector(np.array([1.0, 1.0])), qrf)
-    n_qubit = np.kron([0.0, 1.0], np.ones(qrf.dim)).astype(complex)
-    k = np.diag(n_qubit)
-    g = np.diag(n_qubit + np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
-    return Scenario(psi0, HermitianOperator(k), HermitianOperator(g), lam)
+    n_qubit = np.kron([0.0, 1.0], np.ones(qrf.dim))
+    k = HermitianOperator.from_diagonal(n_qubit)
+    g = HermitianOperator.from_diagonal(n_qubit + np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
+    return Scenario(psi0, k, g, lam)
 
 
 def example1_qfi_closed_form(c) -> float:
@@ -440,7 +440,7 @@ def example2_system(omega: float = 1.0, kappa: float = 1.0 / math.sqrt(2.0),
     i = np.arange(len(labels) - 1)
     h[i, i + 1] = h[i + 1, i] = kappa * (np.sqrt(m[:-1] + 1.0) * np.sqrt(n[:-1]))
     h_sector = HermitianOperator(h)
-    k_sector = HermitianOperator(np.diag(m))
+    k_sector = HermitianOperator.from_diagonal(m)
     expected = np.sort((omega + kappa) * m + (omega - kappa) * n)
     gaps = np.diff(expected)
     if np.any(gaps <= 1e-8 * (1.0 + expected[-1] - expected[0])):
@@ -573,6 +573,6 @@ def counterexample_scenario(lam: float = 0.0) -> Scenario:
     non-degenerate, so the dephased state carries no information at all.
     """
     psi0 = StateVector(np.array([1.0 / math.sqrt(6), 1.0 / math.sqrt(3), 1.0 / math.sqrt(2)]))
-    k = HermitianOperator(np.diag([0.0, 0.0, 1.0]).astype(complex))
-    g = HermitianOperator(np.diag([6.0, 3.0, 4.0]).astype(complex))
+    k = HermitianOperator.from_diagonal([0.0, 0.0, 1.0])
+    g = HermitianOperator.from_diagonal([6.0, 3.0, 4.0])
     return Scenario(fiducial=psi0, k_generator=k, g_generator=g, lam=lam)

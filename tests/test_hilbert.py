@@ -297,6 +297,66 @@ class TestBlockDiagonalEigh:
             assert np.array_equal(w, w0) and np.array_equal(v, v0)
 
 
+class TestBlockConstructors:
+    def test_diagonal_matches_the_dense_matrix(self):
+        rng = np.random.default_rng(43)
+        diagonal = np.round(rng.normal(size=9), 1)
+        diagonal[[2, 5]] = 0.0
+        ours, theirs = HermitianOperator.from_diagonal(diagonal), HermitianOperator(np.diag(diagonal))
+        assert "matrix" not in vars(ours) and ours.dim == 9
+        assert ours.matrix.tobytes() == theirs.matrix.tobytes()
+        assert not ours.matrix.flags.writeable
+        for x, y in zip(ours.eig, theirs.eig):
+            assert x.tobytes() == y.tobytes()
+        psi = haar_state(rng, 9).amplitudes
+        assert np.array_equal(ours.apply(psi), theirs.matrix @ psi)
+
+    def test_blocks_match_the_dense_matrix(self):
+        rng = np.random.default_rng(47)
+        sizes = [2, 1, 3, 1, 2]
+        blocks = [random_hermitian(rng, r).matrix for r in sizes]
+        dense = np.zeros((9, 9), dtype=complex)
+        ends = np.cumsum(sizes)
+        for end, r, block in zip(ends, sizes, blocks):
+            dense[end - r:end, end - r:end] = block
+        stacks = [np.stack([b for b in blocks if b.shape[0] == r]) for r in (1, 2, 3)]
+        ours, theirs = HermitianOperator.from_blocks(ends, stacks), HermitianOperator(dense)
+        assert ours.matrix.tobytes() == theirs.matrix.tobytes()
+        assert np.array_equal(ours.blocks.ends, theirs.blocks.ends)
+        for x, y in zip(ours.eig, theirs.eig):
+            assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("ends, stacks, match", [
+        ([], [], "strictly increasing"),
+        ([2, 2], [np.eye(2)[None]], "strictly increasing"),
+        ([1, 3], [np.ones((1, 1, 1))], "do not fit"),
+        ([2], [np.array([[[0.0, 1.0], [0.0, 0.0]]])], "not Hermitian"),
+        ([1], [np.full((1, 1, 1), np.nan)], "finite"),
+    ])
+    def test_blocks_are_validated(self, ends, stacks, match):
+        with pytest.raises(ValueError, match=match):
+            HermitianOperator.from_blocks(ends, stacks)
+
+    def test_diagonal_must_be_a_vector(self):
+        for bad in ([], np.eye(2)):
+            with pytest.raises(ValueError, match="non-empty vector"):
+                HermitianOperator.from_diagonal(bad)
+
+    def test_density_matrix_from_blocks_checks_trace_and_positivity(self, eigh_calls):
+        rho = DensityMatrix.from_blocks([1, 3], [np.full((1, 1, 1), 0.5),
+                                                 np.array([[[0.25, 0.1], [0.1, 0.25]]])])
+        assert eigh_calls == [3] and rho.eig[0][0] == pytest.approx(0.15)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix.from_diagonal([0.6, 0.6])
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix.from_diagonal([1.5, -0.5])
+
+    def test_operators_are_immutable(self):
+        op = HermitianOperator.from_diagonal([1.0, 2.0])
+        with pytest.raises(AttributeError, match="immutable"):
+            op.matrix = np.eye(2)
+
+
 class TestEigCache:
     def test_each_operator_decomposes_once(self, eigh_calls):
         op = HermitianOperator(SIGMA_X)

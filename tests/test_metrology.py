@@ -15,7 +15,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twirlqfi import metrology
+from twirlqfi import hilbert, metrology
 from twirlqfi.channels import (
     ProjectorSet,
     cluster_eigenvalues,
@@ -552,7 +552,12 @@ class TestBlockwiseSums:
 
     @PER_GENERATOR_PAIR
     def test_generator_products_match_the_dense_products(self, k, g):
+        # a diagonal pair keeps its products as diagonals: the dense products
+        # must then be zero off the diagonal
         anti, comm = metrology.Generators(k, g).products
+        if k.blocks.diagonal is not None and g.blocks.diagonal is not None:
+            assert anti.ndim == comm.ndim == 1
+            anti, comm = np.diag(anti), np.diag(comm)
         gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
         assert np.array_equal(anti, _hermitian_part(gk + kg))
         assert np.array_equal(comm, gk - kg)
@@ -600,7 +605,7 @@ class TestBlockwiseSums:
             assert p.ranks() == (1,) * 496
             basis, bounds = p.basis, p.bounds
             psi, dpsi = s.psi_lambda.amplitudes, s.dpsi
-        data = metrology._segment_sums(basis, bounds, psi, dpsi)
+        data = metrology._segment_sums(basis.conj().T @ psi, basis.conj().T @ dpsi, bounds)
         p_ref, overlap_ref, weight_ref = vdot_cluster_sums(data.a, data.b, bounds)
         assert np.array_equal(data.p, p_ref)
         assert np.array_equal(data.overlap, overlap_ref)
@@ -1085,8 +1090,11 @@ class TestReport:
         report(s)
         moved = s.with_lambda(1.9)
         v, bounds = moved.generators.gate
+        v = v.dense()
         noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-        vars(moved.generators)["gate"] = (v + 1e-3 * noise, bounds)
+        # the perturbed V as one dense block, so V^dag x is its dense product
+        perturbed = hilbert._Blocks(np.array([s.dim]), ((v + 1e-3 * noise)[None],))
+        vars(moved.generators)["gate"] = (hilbert._EigenBasis(perturbed, np.arange(s.dim)), bounds)
         with pytest.raises(ConsistencyError, match="eigenvector="):
             report(moved)
 
@@ -1302,7 +1310,7 @@ class TestDephasedPair:
         seen = []
 
         def spy(rho, drho):
-            seen.append((rho.matrix, drho))
+            seen.append((rho.matrix, drho.dense()))
             return qfi_mixed(rho, drho)
 
         monkeypatch.setattr(metrology, "qfi_mixed", spy)
@@ -1317,8 +1325,9 @@ class TestDephasedPair:
         rho_ref, inside = rho_ref.matrix, s.generators.dephasing.block_mask.astype(bool)
         rho, drho = self.reported_pair(s, monkeypatch)
         # rho_B goes to DensityMatrix exactly Hermitian, so its drift check is skipped
-        rho_raw, _ = metrology._dephased_pair(metrology._clusters(s), s.generators.dephasing.bounds)
-        assert np.array_equal(rho_raw, _hermitian_part(rho_raw))
+        _, rho_raw, _ = metrology._dephased_pair(
+            metrology._clusters(s), s.generators.dephasing.bounds)
+        assert all(np.array_equal(x, _hermitian_part(x)) for x in rho_raw)
         parts = np.repeat(inside, 2, axis=1)  # the real and imaginary words of each entry
         for got, ref in ((rho, rho_ref), (drho, drho_ref)):
             assert np.array_equal(got, ref)
@@ -1337,6 +1346,89 @@ class TestDephasedPair:
             report(s)
         with pytest.raises(AssertionError, match="block_mask"):
             sld_twirled(scenarios["counterexample"])  # the patch is live
+
+
+REPORT_FIELDS = ("alice_qfi", "bob_qfi", "loss", "no_loss", "max_loss", "cov_gk",
+                 "mean_commutator", "no_loss_residual", "max_loss_residuals")
+
+
+def as_dense(s):
+    """s with each diagonal generator rebuilt from np.diag of its diagonal."""
+    def dense(op):
+        diagonal = op.blocks.diagonal
+        return HermitianOperator(np.diag(diagonal)) if diagonal is not None else op
+    return Scenario(s.fiducial, dense(s.k_generator), dense(s.g_generator), s.lam)
+
+
+def block_form_scenarios():
+    """Worked examples whose K (and for all but example 2, G) is built from its diagonal."""
+    cases = {
+        f"example1-alpha_sq-{alpha_sq}": example1_scenario(
+            qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(alpha_sq))), 0.7)
+        for alpha_sq in (4.1, 20.1, 40.1)
+    }
+    cases["counterexample"] = counterexample_scenario(0.4)
+    system = example2_system(n_total_max=8)
+    cases["example2"] = system.scenario(qrf_amplitudes(QrfStateSpec.uniform(6), 6), 0.7)
+    return cases
+
+
+class TestBlockForm:
+    """Operators built from their diagonals keep them, and carry the dense bits."""
+
+    def test_report_builds_no_d_by_d_array_for_example1(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("built a d x d array")
+
+        monkeypatch.setattr(hilbert._Blocks, "dense", refuse)
+        monkeypatch.setattr(hilbert._EigenBasis, "dense", refuse)
+        seen, original = [], metrology.qfi_mixed
+
+        def spy(rho, drho):
+            seen.append(rho)
+            return original(rho, drho)
+
+        monkeypatch.setattr(metrology, "qfi_mixed", spy)
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
+        assert s.dim == 352
+        report(s)
+        assert len(seen) == 1  # rho_B was built and checked
+        for op in (s.k_generator, s.g_generator, seen[0]):
+            assert "matrix" not in vars(op) and "eig" not in vars(op)
+            with pytest.raises(AssertionError, match="d x d"):
+                op.matrix  # the patch is live
+
+    @pytest.mark.parametrize("name", ["example1-alpha_sq-4.1", "example1-alpha_sq-20.1",
+                                      "example1-alpha_sq-40.1", "counterexample", "example2"])
+    def test_diagonal_and_dense_constructions_agree_bit_for_bit(self, name):
+        s = block_form_scenarios()[name]
+        dense = as_dense(s)
+        for ours, theirs in ((s.k_generator, dense.k_generator),
+                             (s.g_generator, dense.g_generator)):
+            assert ours.matrix.tobytes() == theirs.matrix.tobytes()
+            for x, y in zip(ours.eig, theirs.eig):
+                assert x.tobytes() == y.tobytes()
+        ours, theirs = report(s), report(dense)
+        for field in REPORT_FIELDS:
+            x, y = getattr(ours, field), getattr(theirs, field)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), field
+
+    @pytest.mark.parametrize("c", [1.0, 1e4, 1e6, 1e8])
+    def test_scaled_counterexample_never_returns_a_wrong_verdict(self, c):
+        # with lambda / c the state is the unscaled one: Cov(G, K) = 0 and
+        # total loss.  At c = 1e8 drho_B is rounding against max|drho_B|, and
+        # report() raises at the mixed-state trace floor; a floor on another
+        # scale let it return bob_qfi = 4 with max_loss False
+        s = counterexample_scenario(0.4 / c)
+        k = HermitianOperator.from_diagonal(c * s.k_generator.blocks.diagonal)
+        try:
+            rep = report(Scenario(s.fiducial, k, s.g_generator, s.lam))
+        except ConsistencyError as exc:
+            stages = ("mixed_state check", "loss_invariant:", "QFI formulas disagree",
+                      "dephased QFI", "clean QFI", "SLD defining equation")
+            assert sum(str(exc).startswith(stage) for stage in stages) == 1, str(exc)
+        else:
+            assert not rep.no_loss and rep.max_loss
 
 
 SCALAR_FORMS = (
