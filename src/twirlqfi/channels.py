@@ -10,8 +10,11 @@ honest floating-point analogue of exact degeneracy.
 A ProjectorSet is a view of the generator's cached eigendecomposition plus
 the cluster bounds, not a validated copy: its invariants (orthonormal
 columns, bounds that partition them) hold by construction and are asserted
-in tests.  metrology.Generators holds one ProjectorSet of G for every psi0
-and lambda on the pair; spectral_projectors serves twirl on arbitrary states.
+in tests.  It also holds the clusters as a block layout of the eigenbasis
+(`layout`), grouped by cluster size once.  metrology.Generators holds one
+ProjectorSet of G for every psi0 and lambda on the pair, so the cluster
+sums, rho_B and drho_B of every point read that one grouping;
+spectral_projectors serves twirl on arbitrary states.
 
 A finite-time average of exp(-i G t) rho exp(i G t) is provided as an
 independent validation oracle: it converges to the pinching as t_max grows
@@ -26,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, HermitianOperator, _check_dims
+from .hilbert import DensityMatrix, HermitianOperator, _check_dims, _Layout
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -85,6 +88,12 @@ class ProjectorSet:
     @property
     def basis(self) -> np.ndarray:
         return self.generator.eig[1]
+
+    @cached_property
+    def layout(self) -> _Layout:
+        """The clusters as blocks of the eigenbasis: their ends, and their rows
+        grouped by size once, for every reader of the pair's clusters."""
+        return _Layout(np.array(self.bounds[1:], dtype=np.intp))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

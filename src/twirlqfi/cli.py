@@ -40,6 +40,7 @@ On failure a machine-readable JSON error record goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
 import json
@@ -556,7 +557,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state on it."""
     parser = _Parser(
         prog="twirlqfi",
         description="Fisher-information diagnostics for dephasing from imperfect reference frames",

@@ -18,6 +18,15 @@ arrays.  Two threads reaching a first access together may both compute it;
 the results are identical, so that is harmless.  Every eigendecomposition
 in the library goes through eigh_matrix.
 
+The grouping of blocks by size belongs to the block layout (a _Layout: the
+blocks' ends, and their rows grouped by size, computed once on first use),
+not to the arrays laid out on it.  An operator's validated blocks and its
+eigenvectors share the layout it was given, and report() builds rho_B and
+drho_B on the layout of G's clusters that the pair's ProjectorSet holds
+(channels.ProjectorSet.layout), which the cluster sums read too.  So a
+fresh example-1 point groups four layouts, once each: K's, G's, G's
+clusters and the eigenvector gate's clusters.
+
 A decomposition costs the sum of its blocks' cubes rather than d^3, and a
 block of size 1 is its own eigenvalue.  When every block has size 1 (a
 diagonal generator) the eigenvectors form a permutation, so A x, V x and
@@ -126,20 +135,23 @@ class HermitianOperator:
     def from_blocks(cls, ends, blocks) -> "HermitianOperator":
         """The block-diagonal operator whose contiguous diagonal blocks end at `ends`.
 
-        `ends` are the blocks' exclusive ends, ascending; `blocks` holds one
-        (n, r, r) stack per distinct block size r, ascending, each stack's
-        blocks in row order.  Validated block by block, as a matrix is.
+        `ends` are the blocks' exclusive ends, ascending, or a _Layout that
+        holds them (and its groups, which the operator then shares); `blocks`
+        holds one (n, r, r) stack per distinct block size r, ascending, each
+        stack's blocks in row order.  Validated block by block, as a matrix is.
         """
-        ends = np.asarray(ends, dtype=np.intp).reshape(-1)
-        if ends.size == 0 or ends[0] <= 0 or np.any(np.diff(ends) <= 0):
-            raise ValueError("block ends must be positive and strictly increasing")
+        if not isinstance(ends, _Layout):
+            ends = np.asarray(ends, dtype=np.intp).reshape(-1)
+            if ends.size == 0 or ends[0] <= 0 or np.any(np.diff(ends) <= 0):
+                raise ValueError("block ends must be positive and strictly increasing")
+            ends = _Layout(ends)
         given = _Blocks(ends, tuple(np.asarray(b, dtype=complex) for b in blocks))
         got = [x.shape for x in given.stacks]
         fits = [(index.shape[0], index.shape[1], index.shape[1]) for index in given.groups]
         if got != fits:
             raise ValueError(f"blocks of shapes {got} do not fit the block ends, which need {fits}")
         op = cls.__new__(cls)
-        vars(op).update(blocks=given, dim=int(ends[-1]))
+        vars(op).update(blocks=given, dim=given.shape[0])
         op.__post_init__()
         return op
 
@@ -159,7 +171,7 @@ class HermitianOperator:
         state = vars(self)
         if "blocks" in state:
             given = state["blocks"]
-            state["blocks"] = _Blocks(given.ends, _validated(given.stacks))
+            state["blocks"] = _Blocks(given.layout, _validated(given.stacks))
         else:
             # _validated returns new arrays, so the caller's matrix is not copied
             (state["matrix"],) = _validated((state["matrix"],))
@@ -250,36 +262,62 @@ def _validated(stacks) -> tuple[np.ndarray, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Blocks:
-    """A block-diagonal d x d array held as its contiguous diagonal blocks.
+class _Layout:
+    """The contiguous diagonal blocks of a d x d array, by their ends.
 
-    `ends` are the blocks' exclusive ends, ascending, the last one d.
-    `stacks` holds one (n, r, r) array per distinct block size r, ascending,
-    its blocks in row order: the groups of _blocks_by_size(ends).  `shape`
-    is the d x d array's, which only dense() builds.
+    `ends` are the blocks' exclusive ends, ascending, the last one d.  The
+    rows grouped by block size (`groups`) are computed once, on first use,
+    and shared by every _Blocks on the layout: an operator and its validated
+    copy, its eigenvectors, rho_B and drho_B on G's clusters.
     """
 
     ends: np.ndarray
-    stacks: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, matrix: np.ndarray) -> "_Blocks":
-        """The blocks a square array's exact zeros allow; one block is a view of it."""
-        ends = _block_ends(matrix != 0)
-        if ends.size == 1:
-            return cls(ends, (matrix[None],))
-        return cls(ends, tuple(matrix[index[:, :, None], index[:, None, :]]
-                               for index in _blocks_by_size(ends)))
 
     @cached_property
     def groups(self) -> list[np.ndarray]:
-        """Row indices of the blocks, one (n, r) array per stack."""
+        """Row indices of the blocks, one (n, r) array per distinct size r, ascending."""
         return _blocks_by_size(self.ends)
 
     @property
     def shape(self) -> tuple[int, int]:
         d = int(self.ends[-1])
         return d, d
+
+
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """A block-diagonal d x d array held as its contiguous diagonal blocks.
+
+    `layout` holds the blocks' ends and their rows grouped by size.
+    `stacks` holds one (n, r, r) array per distinct block size r, ascending,
+    its blocks in row order: one per group of the layout.  `shape` is the
+    d x d array's, which only dense() builds.
+    """
+
+    layout: _Layout
+    stacks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "_Blocks":
+        """The blocks a square array's exact zeros allow; one block is a view of it."""
+        layout = _Layout(_block_ends(matrix != 0))
+        if layout.ends.size == 1:
+            return cls(layout, (matrix[None],))
+        return cls(layout, tuple(matrix[index[:, :, None], index[:, None, :]]
+                                 for index in layout.groups))
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.layout.ends
+
+    @property
+    def groups(self) -> list[np.ndarray]:
+        """Row indices of the blocks, one (n, r) array per stack: the layout's."""
+        return self.layout.groups
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.layout.shape
 
     @property
     def diagonal(self) -> np.ndarray | None:
@@ -411,7 +449,8 @@ def _blocks_by_size(ends: np.ndarray) -> list[np.ndarray]:
     """
     starts = np.concatenate(([0], ends[:-1]))
     sizes = ends - starts
-    return [starts[sizes == size, None] + np.arange(size) for size in np.unique(sizes)]
+    return [starts[sizes == size, None] + np.arange(size)
+            for size in np.flatnonzero(np.bincount(sizes))]
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,7 +509,7 @@ def eigh_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w, kind="stable")
     column = np.empty(w.size, dtype=np.intp)
     column[order] = np.arange(w.size)  # the sorted position of each eigenvalue
-    basis = _EigenBasis(_Blocks(blocks.ends, tuple(vectors)), column)
+    basis = _EigenBasis(_Blocks(blocks.layout, tuple(vectors)), column)
     return w[order], basis if isinstance(matrix, _Blocks) else basis.dense()
 
 

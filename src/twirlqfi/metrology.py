@@ -40,6 +40,7 @@ from .hilbert import (
     _block_products,
     _Blocks,
     _EigenBasis,
+    _Layout,
     _blocks_by_size,
     _check_dims,
     _dagger,
@@ -131,10 +132,11 @@ class Generators:
         return _products(self.g.matrix, self.k.matrix)
 
     @cached_property
-    def gate(self) -> tuple[_EigenBasis, list[int]]:
-        """(V per block, cluster bounds) of G by its own eigh_matrix call; report() says why."""
+    def gate(self) -> tuple[_EigenBasis, _Layout]:
+        """(V per block, cluster layout) of G by its own eigh_matrix call and
+        clustering; report() says why."""
         w, v = eigh_matrix(self.g.blocks)
-        return v, cluster_eigenvalues(w, self.cluster_tol)
+        return v, _Layout(np.array(cluster_eigenvalues(w, self.cluster_tol)[1:], dtype=np.intp))
 
     def scenario(self, fiducial: StateVector, lam: float = 0.0) -> "Scenario":
         """The scenario (fiducial, K, G, lam) on this pair."""
@@ -273,14 +275,16 @@ class _ClusterData:
         return not np.any(~self.support & (self.dpsi_weight > 1e-9))
 
 
-def _segment_sums(a: np.ndarray, b: np.ndarray, bounds) -> _ClusterData:
-    """The cluster sums of a = V^dag psi and b = V^dag dpsi in an eigenbasis V."""
-    n = len(bounds) - 1
+def _segment_sums(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> _ClusterData:
+    """The cluster sums of a = V^dag psi and b = V^dag dpsi in an eigenbasis V,
+    the clusters given as blocks of V's columns."""
+    n = clusters.ends.size
     p, weight, overlap = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
     # the clusters of one size r at once, each sum a stacked (1 x r)(r x 1)
     # matmul; tests hold p, the overlap and the weight to np.vdot's bits
-    for index in _blocks_by_size(np.asarray(bounds[1:])):
-        cluster = np.searchsorted(bounds, index[:, 0])  # bounds[i] is cluster i's first row
+    for index in clusters.groups:
+        # cluster i ends at ends[i], so its first row is the first one below that end
+        cluster = np.searchsorted(clusters.ends, index[:, 0], side="right")
         seg_a, seg_b = a[index][:, :, None], b[index][:, :, None]
         a_dag, b_dag = seg_a.conj().transpose(0, 2, 1), seg_b.conj().transpose(0, 2, 1)
         p[cluster] = np.real(a_dag @ seg_a)[:, 0, 0]
@@ -291,14 +295,14 @@ def _segment_sums(a: np.ndarray, b: np.ndarray, bounds) -> _ClusterData:
     # loses about 1e-8 ||dpsi|| to cancellation, the size of the condition
     # tolerance.
     coeff = np.divide(overlap, p, out=np.zeros_like(overlap), where=p > EPS_PROBABILITY)
-    residual = b - np.repeat(coeff, np.diff(bounds)) * a
+    residual = b - np.repeat(coeff, np.diff(clusters.ends, prepend=0)) * a
     return _ClusterData(a, b, p, overlap, weight, float(np.linalg.norm(residual)))
 
 
 def _clusters(s: Scenario) -> _ClusterData:
     p = s.generators.dephasing
     a, b = p.generator._eig[1].adjoint(s.psi_lambda.amplitudes, s.dpsi)
-    return _segment_sums(a, b, p.bounds)
+    return _segment_sums(a, b, p.layout)
 
 
 def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
@@ -362,15 +366,17 @@ def qfi_commuting_form(s: Scenario) -> float:
     lambda.  Raises NonCommutingError when max |GK - KG| exceeds
     1e-9 max(1, max|K| max|G|), a floor that scales with the generators.
     """
-    k, g = s.k_generator.matrix, s.g_generator.matrix
     comm_norm = float(np.max(np.abs(s.generators.products[1])))
-    if comm_norm > _rounding_floor(float(np.max(np.abs(k)) * np.max(np.abs(g)))):
+    # max|A| over the block stacks: the entries outside the blocks are zeros
+    k, g = (max(float(np.max(np.abs(x))) for x in op.blocks.stacks)
+            for op in (s.k_generator, s.g_generator))
+    if comm_norm > _rounding_floor(k * g):
         raise NonCommutingError(
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
         )
     psi0, p = s.fiducial.amplitudes, s.generators.dephasing
     kpsi = s.k_generator.apply(psi0)
-    cluster = _segment_sums(*p.generator._eig[1].adjoint(psi0, kpsi), p.bounds)
+    cluster = _segment_sums(*p.generator._eig[1].adjoint(psi0, kpsi), p.layout)
     ksq = float(np.real(np.vdot(kpsi, kpsi)))
     mask = cluster.support
     pk = np.real(cluster.overlap[mask])  # P_i K is Hermitian when [P_i, K] = 0
@@ -398,8 +404,8 @@ def qfi_eigenvector_form(s: Scenario) -> float:
     The result does not depend on the basis chosen inside each cluster.
     G's eigenvectors and clusters are the pair's, from Generators.gate.
     """
-    v, bounds = s.generators.gate
-    return _twirled_qfi(s, _segment_sums(*v.adjoint(s.psi_lambda.amplitudes, s.dpsi), bounds))
+    v, clusters = s.generators.gate
+    return _twirled_qfi(s, _segment_sums(*v.adjoint(s.psi_lambda.amplitudes, s.dpsi), clusters))
 
 
 def qfi_loss(s: Scenario) -> float:
@@ -689,26 +695,24 @@ def _clamped(name: str, value: float, floor: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
-def _dephased_pair(data: _ClusterData, bounds) -> tuple[np.ndarray, list, list]:
+def _dephased_pair(data: _ClusterData, clusters: _Layout) -> tuple[list, list]:
     """(rho_B, drho_B) in G's eigenbasis, as blocks: a a^dag and b a^dag + a b^dag
     on each cluster's diagonal block.
 
-    Returns the clusters' block ends and, per cluster size, the stacked
-    blocks of rho_B and of drho_B, each entry the product np.outer forms, so
-    no d x d array is made.  rho_B's blocks are stored as their Hermitian
-    parts, the bits DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can
-    differ in the last bit, and an exactly Hermitian rho_B skips its drift
-    check.
+    Returns, per group of the clusters' layout, the stacked blocks of rho_B
+    and of drho_B, each entry the product np.outer forms, so no d x d array
+    is made.  rho_B's blocks are stored as their Hermitian parts, the bits
+    DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can differ in the
+    last bit, and an exactly Hermitian rho_B skips its drift check.
     """
     a, b = data.a, data.b
-    ends = np.asarray(bounds[1:])
     rho_b, drho_b = [], []
-    for index in _blocks_by_size(ends):
+    for index in clusters.groups:
         seg_a, seg_b = a[index], b[index]
         a_dag, b_dag = seg_a.conj()[:, None, :], seg_b.conj()[:, None, :]
         rho_b.append(_hermitian_part(seg_a[:, :, None] * a_dag))
         drho_b.append(seg_b[:, :, None] * a_dag + seg_a[:, :, None] * b_dag)
-    return ends, rho_b, drho_b
+    return rho_b, drho_b
 
 
 def report(s: Scenario) -> QfiReport:
@@ -737,9 +741,12 @@ def report(s: Scenario) -> QfiReport:
       b = V^dag dpsi, rho_B holds the Hermitian part of a a^dag and drho_B
       holds b a^dag + a b^dag on each block, clusters of one size formed
       as one stacked outer product (_dephased_pair).  The blocks stay
-      stacked: rho_B is a DensityMatrix.from_blocks on the clusters' ends,
-      and qfi_mixed reads drho_B on the same blocks, so no d x d array is
-      formed, zero-filled or scanned.  The QFI and the SLD equation do not
+      stacked: rho_B is a DensityMatrix.from_blocks on the clusters'
+      layout, and qfi_mixed reads drho_B on the same layout, so no d x d
+      array is formed, zero-filled or scanned.  That layout is G's
+      ProjectorSet's, which groups the clusters by size once per pair; the
+      cluster sums, rho_B, its eigenvectors and drho_B all read that one
+      grouping, and the gate groups its own clusters once per pair.  The QFI and the SLD equation do not
       change under V, so leaving out the rotation back loses nothing; the
       check still takes its own eigendecomposition of rho_B, the
       mixed-state formula and the SLD defining equation, none of which the
@@ -781,10 +788,11 @@ def report(s: Scenario) -> QfiReport:
         "eigenvector": qfi_eigenvector_form(s),
     }
     if data.rank_regular:
-        ends, rho_b, drho_b = _dephased_pair(data, s.generators.dephasing.bounds)
-        rho_b = DensityMatrix.from_blocks(ends, rho_b)
+        clusters = s.generators.dephasing.layout
+        rho_b, drho_b = _dephased_pair(data, clusters)
+        rho_b = DensityMatrix.from_blocks(clusters, rho_b)
         try:
-            candidates["mixed_state"] = qfi_mixed(rho_b, _Blocks(ends, tuple(drho_b)))
+            candidates["mixed_state"] = qfi_mixed(rho_b, _Blocks(clusters, tuple(drho_b)))
         except ValueError as exc:
             # report() built this pair itself: a failed input floor is its own rounding
             raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc

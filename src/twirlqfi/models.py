@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector, tensor
+from .hilbert import HermitianOperator, StateVector
 from .metrology import Scenario
 
 __all__ = [
@@ -307,10 +307,12 @@ def kummer_m(b: float, z: float) -> float:
 
 def example1_scenario(qrf: StateVector, lam: float = 0.0) -> Scenario:
     """(|0> + |1>)/sqrt(2) (x) qrf, K = n_qubit, G = total number."""
-    psi0 = tensor(StateVector(np.array([1.0, 1.0])), qrf)
-    n_qubit = np.kron([0.0, 1.0], np.ones(qrf.dim))
+    # the products np.kron forms: qubit index major, QRF index minor
+    plus = StateVector(np.array([1.0, 1.0])).amplitudes
+    psi0 = StateVector(np.outer(plus, qrf.amplitudes).ravel())
+    n_qubit = np.repeat([0.0, 1.0], qrf.dim)
     k = HermitianOperator.from_diagonal(n_qubit)
-    g = HermitianOperator.from_diagonal(n_qubit + np.kron([1.0, 1.0], np.arange(qrf.dim, dtype=float)))
+    g = HermitianOperator.from_diagonal(n_qubit + np.tile(np.arange(qrf.dim, dtype=float), 2))
     return Scenario(psi0, k, g, lam)
 
 

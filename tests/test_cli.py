@@ -14,7 +14,7 @@ import pytest
 from conftest import ROOT, src_env
 from test_golden import CASES
 
-from twirlqfi.cli import ConfigError, _complex_array, _parse, load_config, main
+from twirlqfi.cli import ConfigError, _complex_array, _parse, build_parser, load_config, main
 from twirlqfi.hilbert import HermitianOperator, StateVector
 from twirlqfi.models import example2_qfi_closed_form, example3_bob_qfi
 
@@ -870,3 +870,37 @@ class TestErrors:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestParserCache:
+    """main parses with one parser per process, which keeps no state between calls."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_separate_processes(self, tmp_path, capsys):
+        check_config = write_config(tmp_path, "ex3.json", _EX3)
+        run_args = ["run", "--config", str(FIXTURES / "counterexample.json"), "--quiet",
+                    "--cluster-tol", "1e-5", "--format", "json"]
+        # check passes none of run's options, so one left on the parser would show
+        check_args = ["check", "--config", check_config]
+        assert main([*run_args, "--out", str(tmp_path / "one.json")]) == 0
+        assert main(check_args) == 0
+        check_out = capsys.readouterr().out
+        fresh = [sys.executable, "-W", "error", "-m", "twirlqfi"]
+        run = subprocess.run([*fresh, *run_args, "--out", str(tmp_path / "fresh.json")],
+                             capture_output=True, text=True, env=src_env())
+        check = subprocess.run([*fresh, *check_args], capture_output=True, text=True, env=src_env())
+        assert run.returncode == 0 and check.returncode == 0, run.stderr + check.stderr
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        assert check_out == check.stdout
+
+    def test_a_bad_argument_leaves_the_parser_usable(self, tmp_path, capsys):
+        config = write_config(tmp_path, "ex3.json", _EX3)
+        assert main(["check", "--config", config]) == 0
+        before = capsys.readouterr().out
+        assert main(["check", "--config", config, "--cluster-tol", "abc"]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert main(["check", "--config", config]) == 0
+        assert capsys.readouterr().out == before

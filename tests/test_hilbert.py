@@ -337,6 +337,34 @@ class TestBlockConstructors:
         with pytest.raises(ValueError, match=match):
             HermitianOperator.from_blocks(ends, stacks)
 
+    def test_validation_keeps_the_given_groups(self, monkeypatch):
+        calls, original = [], hilbert._blocks_by_size
+
+        def counted(ends):
+            calls.append(ends.size)
+            return original(ends)
+
+        monkeypatch.setattr(hilbert, "_blocks_by_size", counted)
+        stacks = [np.full((1, 1, 1), 0.5), np.array([[[0.25, 0.1], [0.1, 0.25]]])]
+        layout = hilbert._Layout(np.array([1, 3]))
+        groups = layout.groups
+        op = HermitianOperator.from_blocks(layout, stacks)
+        assert op.blocks.layout is layout and op.blocks.groups is groups
+        assert op._eig[1].vectors.groups is groups
+        # given as ends, the groups the fit check computed are the ones kept
+        calls.clear()
+        op = DensityMatrix.from_blocks([1, 3], stacks)
+        op.eig
+        assert calls == [2]
+
+    def test_misfit_stacks_raise_the_same_error_on_a_layout(self):
+        stacks = [np.ones((1, 1, 1))]
+        message = r"^blocks of shapes \[\(1, 1, 1\)\] do not fit the block ends, which need" \
+                  r" \[\(1, 1, 1\), \(1, 2, 2\)\]$"
+        for ends in ([1, 3], hilbert._Layout(np.array([1, 3]))):
+            with pytest.raises(ValueError, match=message):
+                HermitianOperator.from_blocks(ends, stacks)
+
     def test_diagonal_must_be_a_vector(self):
         for bad in ([], np.eye(2)):
             with pytest.raises(ValueError, match="non-empty vector"):

@@ -329,6 +329,35 @@ class TestDephasedQfiForms:
             with pytest.raises(NonCommutingError):
                 qfi_commuting_form(Scenario(s3.fiducial, k, s3.g_generator, s3.lam))
 
+    def test_commuting_form_builds_no_matrix_of_a_diagonal_pair(self):
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
+        qfi_commuting_form(s)
+        for op in (s.k_generator, s.g_generator):
+            assert "matrix" not in vars(op)
+
+    def test_commuting_form_floor_is_read_from_the_block_stacks(self, monkeypatch):
+        # max|A| over the block stacks is max|A| over the matrix: the floor of a
+        # dense pair, commuting or not, is the one the matrices give
+        scales, original = [], metrology._rounding_floor
+
+        def spy(scale):
+            scales.append(scale)
+            return original(scale)
+
+        monkeypatch.setattr(metrology, "_rounding_floor", spy)
+        rng = np.random.default_rng(241)
+        k, g = commuting_pair(rng, 6, n_clusters=3)
+        s3 = example3(0.5, 0.3)
+        for s, raises in ((Scenario(haar_state(rng, 6), k, g, 0.3), False), (s3, True)):
+            scales.clear()
+            if raises:
+                with pytest.raises(NonCommutingError):
+                    qfi_commuting_form(s)
+            else:
+                qfi_commuting_form(s)
+            matrices = s.k_generator.matrix, s.g_generator.matrix
+            assert scales == [float(np.max(np.abs(matrices[0])) * np.max(np.abs(matrices[1])))]
+
     @pytest.mark.parametrize("scale", [1e4, 1e8])
     def test_commuting_form_scales_with_k(self, scale):
         # rounding in GK - KG grows as c |K| |G| (up to 7e-8 at c = 1e8), so
@@ -605,7 +634,8 @@ class TestBlockwiseSums:
             assert p.ranks() == (1,) * 496
             basis, bounds = p.basis, p.bounds
             psi, dpsi = s.psi_lambda.amplitudes, s.dpsi
-        data = metrology._segment_sums(basis.conj().T @ psi, basis.conj().T @ dpsi, bounds)
+        clusters = hilbert._Layout(np.array(bounds[1:]))
+        data = metrology._segment_sums(basis.conj().T @ psi, basis.conj().T @ dpsi, clusters)
         p_ref, overlap_ref, weight_ref = vdot_cluster_sums(data.a, data.b, bounds)
         assert np.array_equal(data.p, p_ref)
         assert np.array_equal(data.overlap, overlap_ref)
@@ -1089,12 +1119,13 @@ class TestReport:
                          random_degenerate_hermitian(rng, 12, 4), 0.7)
         report(s)
         moved = s.with_lambda(1.9)
-        v, bounds = moved.generators.gate
+        v, clusters = moved.generators.gate
         v = v.dense()
         noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
         # the perturbed V as one dense block, so V^dag x is its dense product
-        perturbed = hilbert._Blocks(np.array([s.dim]), ((v + 1e-3 * noise)[None],))
-        vars(moved.generators)["gate"] = (hilbert._EigenBasis(perturbed, np.arange(s.dim)), bounds)
+        one_block = hilbert._Layout(np.array([s.dim]))
+        perturbed = hilbert._Blocks(one_block, ((v + 1e-3 * noise)[None],))
+        vars(moved.generators)["gate"] = (hilbert._EigenBasis(perturbed, np.arange(s.dim)), clusters)
         with pytest.raises(ConsistencyError, match="eigenvector="):
             report(moved)
 
@@ -1325,8 +1356,8 @@ class TestDephasedPair:
         rho_ref, inside = rho_ref.matrix, s.generators.dephasing.block_mask.astype(bool)
         rho, drho = self.reported_pair(s, monkeypatch)
         # rho_B goes to DensityMatrix exactly Hermitian, so its drift check is skipped
-        _, rho_raw, _ = metrology._dephased_pair(
-            metrology._clusters(s), s.generators.dephasing.bounds)
+        rho_raw, _ = metrology._dephased_pair(
+            metrology._clusters(s), s.generators.dephasing.layout)
         assert all(np.array_equal(x, _hermitian_part(x)) for x in rho_raw)
         parts = np.repeat(inside, 2, axis=1)  # the real and imaginary words of each entry
         for got, ref in ((rho, rho_ref), (drho, drho_ref)):
@@ -1375,6 +1406,21 @@ def block_form_scenarios():
 
 class TestBlockForm:
     """Operators built from their diagonals keep them, and carry the dense bits."""
+
+    def test_fresh_example1_point_groups_each_layout_once(self, monkeypatch):
+        # K's blocks, G's blocks, G's clusters (read by the cluster sums, rho_B
+        # and drho_B) and the gate's own clusters
+        calls, original = [], hilbert._blocks_by_size
+
+        def counted(ends):
+            calls.append(ends.size)
+            return original(ends)
+
+        monkeypatch.setattr(hilbert, "_blocks_by_size", counted)
+        monkeypatch.setattr(metrology, "_blocks_by_size", counted)
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
+        report(s)
+        assert 1 <= len(calls) <= 4
 
     def test_report_builds_no_d_by_d_array_for_example1(self, monkeypatch):
         def refuse(self):
