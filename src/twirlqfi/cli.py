@@ -559,7 +559,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parse_args keeps no state on it."""
+    """The CLI's parser, built once per process and shared by every main()
+    call: parse_args keeps no state on it, and no caller modifies it."""
     parser = _Parser(
         prog="twirlqfi",
         description="Fisher-information diagnostics for dephasing from imperfect reference frames",

@@ -283,7 +283,8 @@ def _segment_sums(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> _ClusterDa
     # the clusters of one size r at once, each sum a stacked (1 x r)(r x 1)
     # matmul; tests hold p, the overlap and the weight to np.vdot's bits
     for index in clusters.groups:
-        # cluster i ends at ends[i], so its first row is the first one below that end
+        # cluster i holds rows ends[i - 1] to ends[i] - 1: a row's cluster is
+        # the number of ends at or below it
         cluster = np.searchsorted(clusters.ends, index[:, 0], side="right")
         seg_a, seg_b = a[index][:, :, None], b[index][:, :, None]
         a_dag, b_dag = seg_a.conj().transpose(0, 2, 1), seg_b.conj().transpose(0, 2, 1)
