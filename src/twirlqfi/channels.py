@@ -8,9 +8,9 @@ clustering of the sorted eigenvalues with a documented tolerance; that is the
 honest floating-point analogue of exact degeneracy.
 
 A ProjectorSet is a view of the generator's cached eigendecomposition plus
-the cluster bounds, not a validated copy: its invariants (orthonormal
-columns, bounds that partition them) hold by construction and are asserted
-in tests.  It also holds the clusters as a block layout of the eigenbasis
+its clusters, not a validated copy: its invariants (orthonormal columns,
+clusters that partition them) hold by construction and are asserted in
+tests.  It holds the clusters only as a block layout of the eigenbasis
 (`layout`), grouped by cluster size once.  metrology.Generators holds one
 ProjectorSet of G for every psi0 and lambda on the pair, so the cluster
 sums, rho_B and drho_B of every point read that one grouping;
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import DensityMatrix, HermitianOperator, _check_dims, _Layout
+from .hilbert import DensityMatrix, HermitianOperator, _Blocks, _check_dims, _Layout
 
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
@@ -51,6 +51,19 @@ def _check_cluster_tol(cluster_tol: float) -> None:
         raise ValueError(f"cluster_tol must be positive and finite, got {cluster_tol!r}")
 
 
+def _cluster_layout(eigenvalues: np.ndarray, cluster_tol: float) -> _Layout:
+    """The greedy clusters of ascending eigenvalues as blocks of their indices.
+
+    Consecutive eigenvalues within cluster_tol * (1 + spectral range) join one
+    cluster; the layout's ends are the clusters' exclusive ends.
+    """
+    _check_cluster_tol(cluster_tol)
+    w = np.asarray(eigenvalues, dtype=float)
+    spread = float(w[-1] - w[0]) if w.size else 0.0
+    gap = cluster_tol * (1.0 + spread)
+    return _Layout(np.append(np.flatnonzero(np.diff(w) > gap) + 1, w.size))
+
+
 def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int]:
     """Greedy clustering of ascending eigenvalues.
 
@@ -58,42 +71,39 @@ def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int
     cluster.  Returns the boundary indices [0, ..., n]; cluster k occupies the
     half-open index range [bounds[k], bounds[k + 1]).
     """
-    _check_cluster_tol(cluster_tol)
-    w = np.asarray(eigenvalues, dtype=float)
-    spread = float(w[-1] - w[0]) if w.size else 0.0
-    gap = cluster_tol * (1.0 + spread)
-    return [0, *(np.flatnonzero(np.diff(w) > gap) + 1).tolist(), w.size]
+    return [0, *_cluster_layout(eigenvalues, cluster_tol).ends.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Eigenspace projectors of a generator: a view of its cached decomposition.
 
-    `basis` is the generator's own read-only eigenvector array (`eig[1]`),
-    and `bounds` cluster its ascending eigenvalues, computed at construction
-    so that a bad cluster_tol raises here.  Orthonormal columns, bounds that
-    partition them and strictly increasing cluster values hold by
-    construction (eigh_matrix and cluster_eigenvalues) and are asserted in
-    tests, not re-checked per instance.  Building one costs O(d) once the
-    generator is decomposed; the projector matrices materialize lazily.
+    `basis` is the generator's own read-only eigenvector array (`eig[1]`).
+    The clusters of its ascending eigenvalues are formed once, at
+    construction, so that a bad cluster_tol raises here, and kept as a block
+    layout of the eigenbasis (`layout`), whose ends `bounds`, `ranks()` and
+    `n_projectors` read.  Orthonormal columns, clusters that partition them
+    and strictly increasing cluster values hold by construction (eigh_matrix
+    and the clustering) and are asserted in tests, not re-checked per
+    instance.  Building one costs O(d) once the generator is decomposed; the
+    projector matrices materialize lazily.
     """
 
     generator: HermitianOperator
     cluster_tol: float = DEFAULT_CLUSTER_TOL
 
     def __post_init__(self) -> None:
-        bounds = cluster_eigenvalues(self.generator._eig[0], self.cluster_tol)
-        object.__setattr__(self, "bounds", tuple(bounds))
+        layout = _cluster_layout(self.generator._eig[0], self.cluster_tol)
+        object.__setattr__(self, "layout", layout)
 
     @property
     def basis(self) -> np.ndarray:
         return self.generator.eig[1]
 
-    @cached_property
-    def layout(self) -> _Layout:
-        """The clusters as blocks of the eigenbasis: their ends, and their rows
-        grouped by size once, for every reader of the pair's clusters."""
-        return _Layout(np.array(self.bounds[1:], dtype=np.intp))
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """(0, ...ends): cluster k occupies the columns bounds[k] to bounds[k + 1] - 1."""
+        return (0, *self.layout.ends.tolist())
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -109,10 +119,10 @@ class ProjectorSet:
 
     @property
     def n_projectors(self) -> int:
-        return len(self.bounds) - 1
+        return self.layout.ends.size
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(b2 - b1 for b1, b2 in zip(self.bounds, self.bounds[1:]))
+        return tuple(np.diff(self.layout.ends, prepend=0).tolist())
 
     @cached_property
     def projectors(self) -> list[HermitianOperator]:
@@ -122,18 +132,12 @@ class ProjectorSet:
             out.append(HermitianOperator(cols @ cols.conj().T))
         return out
 
-    @property
-    def block_mask(self) -> np.ndarray:
-        """1 where two eigenbasis columns share a cluster, 0 elsewhere (d x d, built per access)."""
-        labels = np.repeat(np.arange(self.n_projectors), self.ranks())
-        return (labels[:, None] == labels[None, :]).astype(float)
-
     def pinch(self, matrix: np.ndarray) -> np.ndarray:
-        """sum_i P_i M P_i, evaluated as a block mask in the eigenbasis."""
+        """sum_i P_i M P_i: the clusters' diagonal blocks of V^dag M V, rotated back."""
         _check_dims(self.dim, matrix.shape[0])
         v = self.basis
-        rotated = v.conj().T @ matrix @ v
-        return v @ (self.block_mask * rotated) @ v.conj().T
+        rotated = _Blocks.on(self.layout, v.conj().T @ matrix @ v).dense()
+        return v @ rotated @ v.conj().T
 
 
 def spectral_projectors(

@@ -19,7 +19,10 @@ decoded as `open(path, encoding="utf-8")` would, and its tree or its error
 is the answer.  So a config keeps the tree and a broken one the message
 that the stdlib parser alone gives, with one difference: orjson reads an
 integer literal beyond 64 bits as a float, which fails a count's integer
-check and is the same double wherever a float is read.
+check and is the same double wherever a float is read.  A config nested more
+than 64 brackets deep skips orjson, which crashes the interpreter on a
+document nested ~150,000 deep, and goes straight to the stdlib parser; a
+bracket count over the bytes, strings left out, reads the depth first.
 
 The load runs with Python's cyclic garbage collector paused, and the
 caller's setting comes back when it returns or raises: a parsed JSON tree
@@ -216,14 +219,41 @@ def load_config(path: str, overrides: argparse.Namespace | None = None) -> RunCo
             gc.enable()
 
 
+# A valid config nests at most 5 deep; orjson crashes the interpreter on a
+# document nested ~150,000 deep, so one deeper than this goes to the stdlib
+# parser, whose RecursionError is a ConfigError.
+_ORJSON_MAX_DEPTH = 64
+_NOT_SCANNED = bytes(c for c in range(256) if c not in b'[]{}"\\')
+_STRING = re.compile(rb'"(?:[^"\\]|\\.)*"', re.DOTALL)
+_NESTING = np.zeros(256, dtype=np.intp)
+_NESTING[list(b"[{")], _NESTING[list(b"]}")] = 1, -1
+
+
+def _depth(data: bytes) -> int:
+    """The deepest bracket nesting in JSON bytes, brackets inside strings left out.
+
+    Strings are stripped as a JSON lexer reads them, so the count is exact up
+    to the first syntax error, where orjson stops.  They are stripped from the
+    brackets and quotes alone, or from the whole text once a backslash appears.
+    """
+    kept = data.translate(None, _NOT_SCANNED)
+    if b"\\" in kept:
+        kept = _STRING.sub(b"", data).translate(None, _NOT_SCANNED)
+    else:
+        kept = _STRING.sub(b"", kept)
+    return int(np.cumsum(_NESTING[np.frombuffer(kept, dtype=np.uint8)]).max(initial=0))
+
+
 def _parse(path: str):
-    """The config file's JSON tree: orjson's, or the stdlib's where orjson refuses it."""
+    """The config file's JSON tree: orjson's, or the stdlib's where orjson refuses
+    it or where it nests too deep for orjson to be safe."""
     with open(path, "rb") as fh:
         data = fh.read()
-    try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError:
-        pass
+    if _depth(data) <= _ORJSON_MAX_DEPTH:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
     # the bytes already read, decoded as open(path, encoding="utf-8") would
     # (newlines translated), so a pipe gives the same answer as a file
     try:

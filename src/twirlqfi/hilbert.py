@@ -16,16 +16,19 @@ block with their columns (an _EigenBasis); every holder of the operator
 (the scenarios on one generator pair, say) shares the same read-only
 arrays.  Two threads reaching a first access together may both compute it;
 the results are identical, so that is harmless.  Every eigendecomposition
-in the library goes through eigh_matrix.
+in the library goes through eigh_matrix, which takes blocks and returns
+an _EigenBasis: block structure is carried only as a _Layout, the arrays
+on it as _Blocks, and eigenvectors as an _EigenBasis.
 
 The grouping of blocks by size belongs to the block layout (a _Layout: the
 blocks' ends, and their rows grouped by size, computed once on first use),
 not to the arrays laid out on it.  An operator's validated blocks and its
-eigenvectors share the layout it was given, and report() builds rho_B and
+eigenvectors share the layout it was given, _Blocks.on keeps a d x d
+array's diagonal blocks on a given layout, and report() builds rho_B and
 drho_B on the layout of G's clusters that the pair's ProjectorSet holds
-(channels.ProjectorSet.layout), which the cluster sums read too.  So a
-fresh example-1 point groups four layouts, once each: K's, G's, G's
-clusters and the eigenvector gate's clusters.
+(channels.ProjectorSet.layout), which the cluster sums and the pinching read
+too.  So a fresh example-1 point groups four layouts, once each: K's, G's,
+G's clusters and the eigenvector gate's clusters.
 
 A decomposition costs the sum of its blocks' cubes rather than d^3, and a
 block of size 1 is its own eigenvalue.  When every block has size 1 (a
@@ -298,13 +301,18 @@ class _Blocks:
     stacks: tuple[np.ndarray, ...]
 
     @classmethod
-    def of(cls, matrix: np.ndarray) -> "_Blocks":
-        """The blocks a square array's exact zeros allow; one block is a view of it."""
-        layout = _Layout(_block_ends(matrix != 0))
+    def on(cls, layout: _Layout, matrix: np.ndarray) -> "_Blocks":
+        """A square array's diagonal blocks on a given layout; one block is a
+        view of it.  Entries outside the blocks are dropped."""
         if layout.ends.size == 1:
             return cls(layout, (matrix[None],))
         return cls(layout, tuple(matrix[index[:, :, None], index[:, None, :]]
                                  for index in layout.groups))
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "_Blocks":
+        """The blocks a square array's exact zeros allow."""
+        return cls.on(_Layout(_block_ends(matrix != 0)), matrix)
 
     @property
     def ends(self) -> np.ndarray:
@@ -480,20 +488,16 @@ def _block_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _hermitian_part(ab + ba), ab - ba
 
 
-def eigh_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a matrix.
+def eigh_matrix(blocks: _Blocks) -> tuple[np.ndarray, _EigenBasis]:
+    """Eigenvalues (ascending) and eigenvectors, per block, of an operator's blocks.
 
-    A d x d array is split into the contiguous diagonal blocks its exact
-    zeros allow, and V comes back as a d x d array.  An operator's blocks
-    (a _Blocks, what HermitianOperator passes) are taken as given, and V
-    comes back per block as an _EigenBasis.  Each block is decomposed on its
-    own: a block of size 1 is its own eigenvalue with eigenvector 1 (what
-    LAPACK returns), larger blocks of one size go to LAPACK in one stacked
-    np.linalg.eigh call, and a stable argsort merges the eigenvalues, so
-    ties keep block order.  A failure to converge raises instead of
-    returning garbage.
+    Takes the operator's _Blocks and returns V as an _EigenBasis on their
+    layout.  Each block is decomposed on its own: a block of size 1 is its
+    own eigenvalue with eigenvector 1 (what LAPACK returns), larger blocks of
+    one size go to LAPACK in one stacked np.linalg.eigh call, and a stable
+    argsort merges the eigenvalues, so ties keep block order.  A failure to
+    converge raises instead of returning garbage.
     """
-    blocks = matrix if isinstance(matrix, _Blocks) else _Blocks.of(matrix)
     w = np.empty(blocks.shape[0])
     vectors = []
     try:
@@ -509,8 +513,7 @@ def eigh_matrix(matrix) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w, kind="stable")
     column = np.empty(w.size, dtype=np.intp)
     column[order] = np.arange(w.size)  # the sorted position of each eigenvalue
-    basis = _EigenBasis(_Blocks(blocks.layout, tuple(vectors)), column)
-    return w[order], basis if isinstance(matrix, _Blocks) else basis.dense()
+    return w[order], _EigenBasis(_Blocks(blocks.layout, tuple(vectors)), column)
 
 
 def expectation(op: HermitianOperator, state) -> float:

@@ -29,7 +29,7 @@ from .channels import (
     DEFAULT_CLUSTER_TOL,
     ProjectorSet,
     _check_cluster_tol,
-    cluster_eigenvalues,
+    _cluster_layout,
     spectral_projectors,
 )
 from .hilbert import (
@@ -41,7 +41,6 @@ from .hilbert import (
     _Blocks,
     _EigenBasis,
     _Layout,
-    _blocks_by_size,
     _check_dims,
     _dagger,
     _hermitian_part,
@@ -119,7 +118,7 @@ class Generators:
 
     @cached_property
     def dephasing(self) -> ProjectorSet:
-        """G's eigenspace projectors at cluster_tol: a view of G.eig and the cluster bounds."""
+        """G's eigenspace projectors at cluster_tol: a view of G.eig and its clusters."""
         return spectral_projectors(self.g, self.cluster_tol)
 
     @cached_property
@@ -136,7 +135,7 @@ class Generators:
         """(V per block, cluster layout) of G by its own eigh_matrix call and
         clustering; report() says why."""
         w, v = eigh_matrix(self.g.blocks)
-        return v, _Layout(np.array(cluster_eigenvalues(w, self.cluster_tol)[1:], dtype=np.intp))
+        return v, _cluster_layout(w, self.cluster_tol)
 
     def scenario(self, fiducial: StateVector, lam: float = 0.0) -> "Scenario":
         """The scenario (fiducial, K, G, lam) on this pair."""
@@ -489,37 +488,29 @@ def necessary_conditions(s: Scenario) -> tuple[float, complex]:
     return cov, mean_comm
 
 
-def _pair_blocks(rho: DensityMatrix, drho: np.ndarray):
+def _pair_blocks(rho: DensityMatrix, drho):
     """The diagonal blocks of the pair (rho, drho), stacked by size.
 
-    The blocks are the contiguous ones of the union of both nonzero patterns
-    (drho may couple blocks of rho that rho's exact zeros separate).  Each
-    eigenvector column of rho belongs to the block that holds its largest
-    entry, and a block that does not get as many columns as it has rows
-    raises ConsistencyError.  Yields, per block size, the columns of V that
-    each block owns, in ascending order, and the blocks of V, rho and drho.
+    Yields, per block size, the columns of V that each block owns, in
+    ascending order, and the blocks of V, rho and drho.  A drho given as a
+    _Blocks lies on rho's own layout, and so does a d x d drho whose nonzeros
+    fit rho's blocks: rho's eigenvectors are read per block, and no d x d
+    array is formed.  A drho that couples rho's blocks puts the pair on the
+    joint layout, whose blocks are runs of rho's; each owns the columns of
+    the eigenvectors at its rows.
     """
-    basis = rho.eig[1]
-    ends = _block_ends((rho.matrix != 0) | (drho != 0))
-    owner = np.searchsorted(ends, np.argmax(np.abs(basis), axis=0), side="right")
-    if np.any(np.bincount(owner, minlength=ends.size) != np.diff(ends, prepend=0)):
-        raise ConsistencyError("eigenvectors of rho do not follow its diagonal blocks")
-    # block by block: block k's columns sit at the positions of its rows
-    columns = np.argsort(owner, kind="stable")
-    for index in _blocks_by_size(ends):
-        cols = columns[index]
-        rows = index[:, :, None], index[:, None, :]
-        yield cols, basis[index[:, :, None], cols[:, None, :]], rho.matrix[rows], drho[rows]
-
-
-def _given_blocks(rho: DensityMatrix, drho: _Blocks):
-    """_pair_blocks for a drho given on rho's own blocks: rho's eigenvectors
-    are kept per block, so no scan and no column ownership is needed."""
-    basis = rho._eig[1]
-    for index, v, rho_kk, drho_kk in zip(
-        rho.blocks.groups, basis.vectors.stacks, rho.blocks.stacks, drho.stacks
-    ):
-        yield basis.column[index], v, rho_kk, drho_kk
+    basis, layout = rho._eig[1], rho.blocks.layout
+    if not isinstance(drho, _Blocks):
+        ends = np.intersect1d(layout.ends, _block_ends(drho != 0))
+        if ends.size < layout.ends.size:
+            for index in _Layout(ends).groups:
+                rows, cols = index[:, :, None], np.sort(basis.column[index], axis=1)
+                block = rows, index[:, None, :]
+                yield cols, basis.matrix[rows, cols[:, None, :]], rho.matrix[block], drho[block]
+            return
+        drho = _Blocks.on(layout, drho)
+    columns = (basis.column[index] for index in layout.groups)
+    yield from zip(columns, basis.vectors.stacks, rho.blocks.stacks, drho.stacks)
 
 
 def _mixed_in_eigenbasis(
@@ -527,26 +518,21 @@ def _mixed_in_eigenbasis(
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
     """The SLD in rho's eigenbasis V, L' = W o R with R = V^dag drho V, and the QFI.
 
-    Evaluated on the diagonal blocks of the pair, blocks of one size as
-    stacked matmuls; L' comes back as (columns of V, L' on them) per group
-    of blocks.  drho is a d x d array, or a _Blocks; given on rho's own
-    block ends, it is read block by block and no d x d array is formed.
+    Evaluated on the diagonal blocks of the pair (_pair_blocks), blocks of
+    one size as stacked matmuls; L' comes back as (columns of V, L' on them)
+    per group of blocks.  drho is a d x d array, checked whole before it is
+    sliced, or a _Blocks on rho's layout.
 
     The SLD equation is checked on each block's support S as
     2 R_SS = X + X^dag with X = L'[S, :] V_k^dag rho_kk V_k[:, S], from rho's
-    own matrix, so it tests V as well.
+    own blocks, so it tests V as well.
     """
-    if isinstance(drho, _Blocks) and not np.array_equal(drho.ends, rho.blocks.ends):
-        drho = drho.dense()
     if isinstance(drho, _Blocks):
         parts, diagonal = drho.stacks, drho.diagonal_entries()
-        blocks = _given_blocks(rho, drho)
     else:
         drho = np.asarray(drho, dtype=complex)
         _check_dims(rho.dim, drho.shape[0])
-        parts = [drho]
-        blocks = _pair_blocks(rho, drho)
-        diagonal = np.diagonal(drho)
+        parts, diagonal = [drho], np.diagonal(drho)
     max_drho = max(float(np.max(np.abs(x))) for x in parts)
     # a NaN would pass every floor below: NaN > floor is False
     if not np.isfinite(max_drho):
@@ -571,7 +557,7 @@ def _mixed_in_eigenbasis(
         )
     eigenvalues = rho._eig[0]
     qfi, sld = 0.0, []
-    for cols, v, rho_kk, drho_kk in blocks:
+    for cols, v, rho_kk, drho_kk in _pair_blocks(rho, drho):
         v_dag = v.conj().transpose(0, 2, 1)
         rotated = v_dag @ drho_kk @ v
         w = eigenvalues[cols]
@@ -603,9 +589,11 @@ def qfi_mixed(rho: DensityMatrix, drho: np.ndarray) -> float:
     floor.  The sum runs block by block over the diagonal blocks of the pair
     (rho, drho), so a block-diagonal pair, a dephased state say, costs the
     sum of its blocks' cubes rather than d^3.  drho is a d x d array, or,
-    as report() passes drho_B, its blocks on rho's own block ends.  The SLD
-    defining equation is verified in rho's eigenbasis, on rho's support
-    against rho's own matrix.
+    as report() passes drho_B, its blocks on rho's own layout.  A d x d drho
+    that fits rho's blocks is read on that layout with rho's eigenvectors
+    per block; one that couples rho's blocks goes on the coarser joint
+    layout.  The SLD defining equation is verified in rho's eigenbasis, on
+    rho's support against rho's own blocks.
     """
     return _mixed_in_eigenbasis(rho, drho)[1]
 
@@ -629,8 +617,9 @@ def sld_twirled(s: Scenario) -> HermitianOperator:
 
     L = sum_i |phi_i><psi_i| + |psi_i><phi_i| with psi_i = P_i psi / sqrt(p_i)
     and phi_i = (2 P_i dpsi - <psi_i|dpsi> psi_i) / sqrt(p_i), extended by
-    zero off their span.  In V the sum is the cluster block mask applied to
-    one pair of outer products, rotated back once.
+    zero off their span.  In V the sum holds phi psi^dag + psi phi^dag on
+    each cluster's diagonal block (_cross_blocks, as for drho_B), rotated
+    back once.
     """
     data, p = _clusters(s), s.generators.dephasing
     sizes = p.ranks()
@@ -638,8 +627,7 @@ def sld_twirled(s: Scenario) -> HermitianOperator:
     scale = np.repeat(inv_sqrt_p, sizes)  # 0 outside the support: psi_i = phi_i = 0
     psi = scale * data.a
     phi = scale * (2.0 * data.b - np.repeat(data.overlap, sizes) * scale * psi)
-    half = np.outer(phi, psi.conj())
-    sld = p.block_mask * (half + half.conj().T)
+    sld = _Blocks(p.layout, tuple(_cross_blocks(psi, phi, p.layout))).dense()
     return HermitianOperator(_hermitian_part(p.basis @ sld @ p.basis.conj().T))
 
 
@@ -696,6 +684,17 @@ def _clamped(name: str, value: float, floor: float) -> float:
     return 0.0 if value < 0.0 else value
 
 
+def _cross_blocks(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> list[np.ndarray]:
+    """b a^dag + a b^dag on each cluster's diagonal block, one stack per group
+    of the clusters' layout, each entry the product np.outer forms."""
+    out = []
+    for index in clusters.groups:
+        seg_a, seg_b = a[index], b[index]
+        out.append(seg_b[:, :, None] * seg_a.conj()[:, None, :]
+                   + seg_a[:, :, None] * seg_b.conj()[:, None, :])
+    return out
+
+
 def _dephased_pair(data: _ClusterData, clusters: _Layout) -> tuple[list, list]:
     """(rho_B, drho_B) in G's eigenbasis, as blocks: a a^dag and b a^dag + a b^dag
     on each cluster's diagonal block.
@@ -706,14 +705,9 @@ def _dephased_pair(data: _ClusterData, clusters: _Layout) -> tuple[list, list]:
     DensityMatrix keeps: a_i conj(a_j) and a_j conj(a_i) can differ in the
     last bit, and an exactly Hermitian rho_B skips its drift check.
     """
-    a, b = data.a, data.b
-    rho_b, drho_b = [], []
-    for index in clusters.groups:
-        seg_a, seg_b = a[index], b[index]
-        a_dag, b_dag = seg_a.conj()[:, None, :], seg_b.conj()[:, None, :]
-        rho_b.append(_hermitian_part(seg_a[:, :, None] * a_dag))
-        drho_b.append(seg_b[:, :, None] * a_dag + seg_a[:, :, None] * b_dag)
-    return rho_b, drho_b
+    segments = (data.a[index] for index in clusters.groups)
+    rho_b = [_hermitian_part(seg[:, :, None] * seg.conj()[:, None, :]) for seg in segments]
+    return rho_b, _cross_blocks(data.a, data.b, clusters)
 
 
 def report(s: Scenario) -> QfiReport:

@@ -40,6 +40,10 @@ def project_set_invariants(p: ProjectorSet):
             assert np.max(np.abs(mat @ mats[j])) <= 1e-9
     assert np.max(np.abs(total - eye)) <= 1e-9
     assert np.all(np.diff(p.eigenvalues) > 0)
+    # the pinching kept as the clusters' blocks in the eigenbasis is sum_i P_i M P_i
+    m = random_hermitian(np.random.default_rng(p.dim), p.dim).matrix
+    pinched = sum(mat @ m @ mat for mat in mats)
+    assert np.max(np.abs(p.pinch(m) - pinched)) <= 1e-9 * max(1.0, float(np.max(np.abs(m))))
 
 
 class TestSpectralProjectors:

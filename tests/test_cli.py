@@ -14,7 +14,15 @@ import pytest
 from conftest import ROOT, src_env
 from test_golden import CASES
 
-from twirlqfi.cli import ConfigError, _complex_array, _parse, build_parser, load_config, main
+from twirlqfi.cli import (
+    ConfigError,
+    _complex_array,
+    _depth,
+    _parse,
+    build_parser,
+    load_config,
+    main,
+)
 from twirlqfi.hilbert import HermitianOperator, StateVector
 from twirlqfi.models import example2_qfi_closed_form, example3_bob_qfi
 
@@ -796,6 +804,34 @@ class TestErrors:
         assert main(["check", "--config", str(path)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == {"kind": "config", "message": f"parse error in {path}: {exc.value}"}
+
+    def test_config_too_deep_for_orjson_is_a_config_error(self, tmp_path):
+        # orjson ended the interpreter with SIGSEGV (exit 139) at this depth,
+        # so no error record was written
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 160_000 + b"]" * 160_000)
+        proc = subprocess.run([sys.executable, "-m", "twirlqfi", "load", "--config", str(path)],
+                              capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 2, proc.stderr
+        record = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert record["error"]["kind"] == "config"
+        assert record["error"]["message"].startswith(f"parse error in {path}: ")
+
+    @pytest.mark.parametrize("text, depth", [
+        (b'{"a": [[1]]}', 3),
+        (b'{"a": "]]]]]", "b": [[[1]]]}', 4),  # a string of ] hides no depth
+        (b'["[[[[[", [1]]', 2),
+        (rb'["\"]]]", [[1]]]', 3),  # an escaped quote does not end the string
+        (rb'["\\", [[1]]]', 3),  # an escaped backslash does not escape the quote
+        (b'"unterminated [[[', 3),  # past a syntax error a count too high is harmless
+    ])
+    def test_depth_counts_brackets_outside_strings(self, text, depth):
+        assert _depth(text) == depth
+
+    def test_config_deeper_than_the_bound_keeps_the_stdlib_tree(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * 65 + b"1" + b"]" * 65)
+        assert _parse(str(path)) == json.loads(path.read_bytes())
 
     @pytest.mark.parametrize(
         "command, payload",

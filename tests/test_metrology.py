@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from twirlqfi import hilbert, metrology
 from twirlqfi.channels import (
-    ProjectorSet,
     cluster_eigenvalues,
     spectral_projectors,
     twirl,
@@ -146,13 +145,20 @@ def naive_twirled_sld(s, p):
     return sld
 
 
+def cluster_mask(p):
+    """1 where two eigenbasis columns share a cluster of p, 0 elsewhere (d x d)."""
+    labels = np.repeat(np.arange(p.n_projectors), p.ranks())
+    return (labels[:, None] == labels[None, :]).astype(float)
+
+
 def eigenbasis_pair(s, p):
     """The dephased pair in G's eigenbasis as block-masked d x d outer products,
     the reference for report()'s pair, which it writes cluster by cluster."""
     a = p.basis.conj().T @ s.psi_lambda.amplitudes
     b = p.basis.conj().T @ s.dpsi
-    rho = DensityMatrix(p.block_mask * np.outer(a, a.conj()))
-    return rho, p.block_mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
+    mask = cluster_mask(p)
+    rho = DensityMatrix(mask * np.outer(a, a.conj()))
+    return rho, mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
 
 
 def random_traceless(rng, dim):
@@ -713,20 +719,25 @@ class TestMixedStateQfi:
         assert abs(qfi_mixed(rho, drho) - expected) <= tol
         assert np.max(np.abs(sld_mixed(rho, drho).matrix - expected_sld)) <= tol
 
-    def test_eigenvectors_must_follow_the_blocks(self):
-        # columns are assigned to the pair's blocks by their largest entry; a
-        # basis that mixes two blocks cannot be used block by block.  The two
-        # mixed columns have equal moduli entry by entry, so both land in one
-        # block, which then holds one column too many
-        rho, drho = block_diagonal_pair(np.random.default_rng(143), [[(3, 3)], [(3, 3)]])
-        w, v = rho.eig
-        i, j = np.argmax(np.abs(v[0])), np.argmax(np.abs(v[3]))  # one column of each block
-        mixed = v.copy()
-        mixed[:, i] = (v[:, i] + v[:, j]) / np.sqrt(2)
-        mixed[:, j] = (v[:, i] - v[:, j]) / np.sqrt(2)
-        vars(rho)["eig"] = (w, mixed)
-        with pytest.raises(ConsistencyError, match="do not follow its diagonal blocks"):
-            qfi_mixed(rho, drho)
+    def test_drho_on_rho_blocks_is_read_per_block(self, monkeypatch):
+        # a d x d drho whose nonzeros fit rho's blocks is laid on rho's own
+        # layout: the QFI has the bits of drho given as those blocks, and V is
+        # never built as a d x d array
+        def refuse(self):
+            raise AssertionError("built V as a d x d array")
+
+        rng = np.random.default_rng(149)
+        for _ in range(20):
+            sizes = rng.integers(1, 6, size=int(rng.integers(1, 6)))
+            blocks = [[(int(n), int(rng.integers(1, n + 1)))] for n in sizes]
+            rho, drho = block_diagonal_pair(rng, blocks)
+            assert rho.blocks.ends.tolist() == np.cumsum(sizes).tolist()
+            expected = qfi_mixed(rho, hilbert._Blocks.on(rho.blocks.layout, drho))
+            with monkeypatch.context() as patch:
+                patch.setattr(hilbert._EigenBasis, "dense", refuse)
+                assert qfi_mixed(rho, drho) == expected
+                with pytest.raises(AssertionError, match="d x d"):
+                    rho.eig  # the patch is live
 
     @pytest.mark.parametrize(
         "case", ["full-rank", "rank-deficient", "example1-dephased", "multi-block"]
@@ -747,9 +758,13 @@ class TestMixedStateQfi:
         for compute in (qfi_mixed, sld_mixed):
             fresh = DensityMatrix(rho.matrix)
             compute(fresh, drho)
-            w, v = fresh.eig
-            noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-            vars(fresh)["eig"] = (w, v + 1e-6 * noise)
+            # each block of the eigenvectors off by 1e-6; eig rebuilds V from them
+            w, basis = fresh._eig
+            noisy = tuple(v + 1e-6 * (rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape))
+                          for v in basis.vectors.stacks)
+            vectors = hilbert._Blocks(basis.vectors.layout, noisy)
+            vars(fresh)["_eig"] = (w, hilbert._EigenBasis(vectors, basis.column))
+            vars(fresh).pop("eig", None)
             with pytest.raises(ConsistencyError, match="SLD defining equation"):
                 compute(fresh, drho)
 
@@ -1353,7 +1368,7 @@ class TestDephasedPair:
     def test_matches_the_masked_outer_products(self, name, monkeypatch):
         s = pair_scenarios()[name]
         rho_ref, drho_ref = eigenbasis_pair(s, s.generators.dephasing)
-        rho_ref, inside = rho_ref.matrix, s.generators.dephasing.block_mask.astype(bool)
+        rho_ref, inside = rho_ref.matrix, cluster_mask(s.generators.dephasing).astype(bool)
         rho, drho = self.reported_pair(s, monkeypatch)
         # rho_B goes to DensityMatrix exactly Hermitian, so its drift check is skipped
         rho_raw, _ = metrology._dephased_pair(
@@ -1366,17 +1381,6 @@ class TestDephasedPair:
             # +0 here where the mask product may leave -0
             assert np.array_equal(got.view(np.uint64)[parts], ref.view(np.uint64)[parts])
             assert not np.any(got[~inside].view(np.uint64))
-
-    def test_report_never_reads_the_block_mask(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("report() read ProjectorSet.block_mask")
-
-        monkeypatch.setattr(ProjectorSet, "block_mask", property(refuse))
-        scenarios = pair_scenarios()
-        for s in scenarios.values():
-            report(s)
-        with pytest.raises(AssertionError, match="block_mask"):
-            sld_twirled(scenarios["counterexample"])  # the patch is live
 
 
 REPORT_FIELDS = ("alice_qfi", "bob_qfi", "loss", "no_loss", "max_loss", "cov_gk",
@@ -1417,7 +1421,6 @@ class TestBlockForm:
             return original(ends)
 
         monkeypatch.setattr(hilbert, "_blocks_by_size", counted)
-        monkeypatch.setattr(metrology, "_blocks_by_size", counted)
         s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
         report(s)
         assert 1 <= len(calls) <= 4

@@ -1,15 +1,16 @@
-"""report() on diagonal generator pairs against the 40-digit reference.
+"""report() on diagonal and dense generator pairs against the 40-digit reference.
 
 The bound 1e-12 max(1, alice_qfi) is about 1,000 times the largest error
-seen on these cases (1.1e-15); it holds until report() carries error bars.
+seen on the diagonal cases (1.1e-15); it holds until report() carries error
+bars.
 """
 
 import math
 
 import numpy as np
 import pytest
-from conftest import haar_state
-from reference import diagonal_pair
+from conftest import haar_state, random_hermitian, random_unitary
+from reference import dense_pair, diagonal_pair
 
 from twirlqfi.hilbert import HermitianOperator
 from twirlqfi.metrology import Scenario, report
@@ -58,6 +59,36 @@ def test_report_matches_the_reference(name):
     k, g = s.k_generator.blocks.diagonal.real, s.g_generator.blocks.diagonal.real
     ref = diagonal_pair(s.fiducial.amplitudes, k, g, list(labels), s.lam)
     rep = report(s)
+    bound = 1e-12 * max(1.0, float(ref.alice_qfi))
+    for field in ("alice_qfi", "bob_qfi", "loss", "cov_gk"):
+        assert abs(getattr(rep, field) - float(getattr(ref, field))) <= bound, field
+
+
+def dense_case(seed):
+    """Dense K, and G = U diag U^dag in a Haar basis U with 2- and 3-fold eigenspaces."""
+    rng = np.random.default_rng(seed)
+    ranks = [3, 3, 3]
+    while sum(ranks) > 8:
+        ranks = rng.integers(2, 4, size=int(rng.integers(2, 4))).tolist()
+    values = np.linspace(-2.0, 2.0, len(ranks)) + rng.uniform(-0.5, 0.5)
+    dim = sum(ranks)
+    u = random_unitary(rng, dim)
+    g = HermitianOperator((u * np.repeat(values, ranks)) @ u.conj().T)
+    lam = (0.3, -1.1)[seed % 2]
+    return Scenario(haar_state(rng, dim), random_hermitian(rng, dim), g, lam), ranks
+
+
+DENSE_CASES = {f"dense-{seed}": dense_case(seed) for seed in range(8)}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CASES))
+def test_dense_report_matches_the_reference(name):
+    s, ranks = DENSE_CASES[name]
+    assert s.dim <= 8 and set(ranks) <= {2, 3}
+    ref = dense_pair(s.fiducial.amplitudes, s.k_generator.matrix, s.g_generator.matrix,
+                     ranks, s.lam)
+    rep = report(s)
+    assert s.generators.dephasing.ranks() == tuple(ranks)
     bound = 1e-12 * max(1.0, float(ref.alice_qfi))
     for field in ("alice_qfi", "bob_qfi", "loss", "cov_gk"):
         assert abs(getattr(rep, field) - float(getattr(ref, field))) <= bound, field
