@@ -27,21 +27,28 @@ eigenvectors share the layout it was given, _Blocks.on keeps a d x d
 array's diagonal blocks on a given layout, and report() builds rho_B and
 drho_B on the layout of G's clusters that the pair's ProjectorSet holds
 (channels.ProjectorSet.layout), which the cluster sums and the pinching read
-too.  So a fresh example-1 point groups four layouts, once each: K's, G's,
-G's clusters and the eigenvector gate's clusters.
+too.  So a fresh example-1 point, whose K and G share one layout, groups
+three layouts, once each: the generators', G's clusters and the eigenvector
+gate's clusters.
 
 A decomposition costs the sum of its blocks' cubes rather than d^3, and a
-block of size 1 is its own eigenvalue.  When every block has size 1 (a
-diagonal generator) the eigenvectors form a permutation, so A x, V x and
-V^dag x are index gathers, O(d), with the bits of the dense products; an
-operator with a larger block keeps dense products with its d x d V.  The
-block grouping by size also serves _products, which forms {A, B} and
-AB - BA on the joint blocks of a pair for commutator, anticommutator and a
-scenario's generator products, and two paths in metrology: qfi_mixed,
-which evaluates a (rho, drho) pair block by block, and the per-cluster
-sums, grouped by cluster size.  The scan of a matrix never permutes: a
-caller whose operator conserves a quantity orders its basis by that
-quantity (models.example2_system orders its labels by total excitation).
+block of size 1 is its own eigenvalue.  Every product runs block by block,
+one step per group of equal-size blocks (_blockwise): A x, V x and V^dag x
+for any operator, diagonal, block-diagonal or dense.  A group of size-1
+blocks is an entry-wise product (A x) or an index gather (the eigenvectors
+1 of V x and V^dag x), O(d) with the bits of the dense products; a group
+of larger blocks is one stacked matmul, and a dense operator is one block,
+whose product is the dense one.  So no d x d V is built unless a caller
+reads `eig`.  A pair of operators meets on its joint layout, where the
+blocks of both end (the intersection of their ends); each operator is
+relaid onto it (_Blocks.relaid) without forming its d x d matrix.
+_joint_products forms {A, B} and AB - BA there, for commutator,
+anticommutator and a scenario's generator products, and qfi_mixed relays
+rho and its eigenvectors onto the joint layout of a drho that couples
+rho's blocks.  The scan of a matrix never permutes: a caller whose
+operator conserves a quantity orders its basis by that quantity
+(models.example2_system orders its labels by total excitation and builds
+its Hamiltonian from those blocks).
 
 HermitianOperator checks Hermiticity on outside input only, relative to
 max(1, max|A|), and reads the drift from the Hermitian part it keeps, so A^dag
@@ -84,7 +91,7 @@ class DimensionMismatchError(ValueError):
     """Operands live on Hilbert spaces of different dimension."""
 
 
-def _check_dims(*dims: int) -> int:
+def _check_dims(*dims: int | tuple[int, ...]) -> int | tuple[int, ...]:
     first = dims[0]
     for d in dims[1:]:
         if d != first:
@@ -195,9 +202,9 @@ class HermitianOperator:
         return _Blocks.of(self.matrix)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A x: entry by entry for a diagonal operator, else the dense product."""
-        diagonal = self.blocks.diagonal
-        return diagonal * x if diagonal is not None else self.matrix @ x
+        """A x for a vector x of length d, block by block (_Blocks.apply)."""
+        _check_dims(self.dim, len(x))
+        return self.blocks.apply(x)
 
     @cached_property
     def _eig(self) -> tuple[np.ndarray, "_EigenBasis"]:
@@ -215,7 +222,9 @@ class HermitianOperator:
         access.
         """
         w, basis = self._eig
-        return w, basis.matrix
+        v = basis.dense()
+        v.setflags(write=False)
+        return w, v
 
 
 class DensityMatrix(HermitianOperator):
@@ -327,11 +336,6 @@ class _Blocks:
     def shape(self) -> tuple[int, int]:
         return self.layout.shape
 
-    @property
-    def diagonal(self) -> np.ndarray | None:
-        """The diagonal when every block has size 1, else None."""
-        return self.stacks[0][:, 0, 0] if self.ends.size == self.shape[0] else None
-
     def diagonal_entries(self) -> np.ndarray:
         """The d diagonal entries in row order."""
         out = np.empty(self.shape[0], self.stacks[0].dtype)
@@ -347,6 +351,31 @@ class _Blocks:
             out[index[:, :, None], index[:, None, :]] = stack
         return out
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for a vector x, one product per group of equal-size blocks."""
+        return _blockwise(self.stacks, x, self.groups, self.groups)
+
+    def relaid(self, layout: _Layout) -> "_Blocks":
+        """The same array on a layout whose blocks are runs of its own blocks;
+        the entries this adds to the blocks are zeros.
+
+        The new stacks are views of one flat buffer, into which each block is
+        scattered: a row's place is its new block's offset plus its row in
+        that block, a column's place its column in the block.
+        """
+        if layout.ends.size == self.ends.size:
+            return _Blocks(layout, self.stacks)
+        flat = np.zeros(sum(i.size * i.shape[1] for i in layout.groups), self.stacks[0].dtype)
+        (row, col), stacks, start = np.empty((2, self.shape[0]), np.intp), [], 0
+        for index in layout.groups:
+            n, r = index.shape
+            row[index], col[index] = start + r * np.arange(n * r).reshape(n, r), np.arange(r)
+            stacks.append(flat[start:start + n * r * r].reshape(n, r, r))
+            start += n * r * r
+        for index, stack in zip(self.groups, self.stacks):
+            flat[row[index][:, :, None] + col[index][:, None, :]] = stack
+        return _Blocks(layout, tuple(stacks))
+
 
 @dataclass(frozen=True, eq=False)
 class _EigenBasis:
@@ -354,46 +383,53 @@ class _EigenBasis:
 
     `vectors` holds each block's eigenvectors, ascending within the block,
     on the operator's blocks; `column` is the column of V that each of them
-    is, V's columns following the ascending eigenvalues.  When every block
-    has size 1, V is a permutation matrix, and V x and V^dag x are gathers
-    that carry the dense products' bits; otherwise they are dense products
-    with `matrix`, built once.
+    is, V's columns following the ascending eigenvalues.  V x and V^dag x
+    run block by block (_blockwise): a block of size 1 is the eigenvector 1,
+    so its product is a gather, and blocks of one larger size are one
+    stacked matmul.  The d x d V is built (dense) only for
+    HermitianOperator.eig.
     """
 
     vectors: _Blocks
     column: np.ndarray
 
-    @property
-    def permutation(self) -> bool:
-        return self.vectors.diagonal is not None
+    def dense(self) -> np.ndarray:
+        """V as a new d x d array: the blocks' eigenvectors, their columns moved
+        to V's (eigh_matrix sorted the eigenvalues by np.argsort)."""
+        return np.take(self.vectors.dense(), np.argsort(self.column), axis=1)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """V as a read-only d x d array, built on first access."""
-        v = self.dense()
-        v.setflags(write=False)
-        return v
-
-    def dense(self) -> np.ndarray:
-        """V as a new d x d array: each block's eigenvectors at its rows and columns."""
-        v = np.zeros(self.vectors.shape, dtype=self.vectors.stacks[0].dtype)
-        for index, block_v in zip(self.vectors.groups, self.vectors.stacks):
-            v[index[:, :, None], self.column[index][:, None, :]] = block_v
-        return v
+    def columns(self) -> list[np.ndarray]:
+        """The columns of V that each block's eigenvectors are, one (n, r) array per group."""
+        return [self.column[index] for index in self.vectors.groups]
 
     def adjoint(self, *xs: np.ndarray) -> list[np.ndarray]:
         """V^dag x for each vector x."""
-        if self.permutation:
-            out = [np.empty_like(x) for x in xs]
-            for y, x in zip(out, xs):
-                y[self.column] = x
-            return out
-        v_dag = self.matrix.conj().T
-        return [v_dag @ x for x in xs]
+        stacks = [v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v for v in self.vectors.stacks]
+        return [_blockwise(stacks, x, self.columns, self.vectors.groups, gather=True) for x in xs]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """V y."""
-        return y[self.column] if self.permutation else self.matrix @ y
+        return _blockwise(self.vectors.stacks, y, self.vectors.groups, self.columns, gather=True)
+
+
+def _blockwise(stacks, x: np.ndarray, rows, cols, gather: bool = False) -> np.ndarray:
+    """y = B x for a block-diagonal B, one product per group of equal-size blocks.
+
+    Per group, `rows` and `cols` are (n, r) index arrays and the stack is
+    (n, r, r): y[rows] = stack @ x[cols] block by block.  Blocks of size 1
+    multiply entry by entry, or, with `gather` (eigenvectors, whose blocks of
+    size 1 are 1), copy; so a diagonal operator costs O(d) with the bits of
+    the dense product.  Larger blocks of one size are one stacked matmul,
+    which for one d x d block is the dense matrix-vector product.
+    """
+    y = np.empty(x.shape, complex)
+    for stack, r, c in zip(stacks, rows, cols):
+        if r.shape[1] > 1:
+            y[r] = (stack @ x[c][:, :, None])[:, :, 0]
+        else:
+            y[r] = x[c] if gather else stack[:, :, 0] * x[c]
+    return y
 
 
 def tensor(a, b):
@@ -461,31 +497,27 @@ def _blocks_by_size(ends: np.ndarray) -> list[np.ndarray]:
             for size in np.flatnonzero(np.bincount(sizes))]
 
 
-def _products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """({A, B}, AB - BA) of two Hermitian matrices, block by block.
+def _joint_products(a: HermitianOperator, b: HermitianOperator) -> tuple[_Blocks, _Blocks]:
+    """({A, B}, AB - BA) of two Hermitian operators, on the pair's joint layout.
 
-    One scan of the joint nonzero pattern finds the contiguous diagonal
-    blocks; AB and BA are formed per block, blocks of one size as one stacked
-    matmul, so a pair costs sum_i r_i^3 over its block sizes r_i: d for
-    diagonal matrices, d^3 for a dense pair (one block).  {A, B} is the
-    Hermitian part of X = AB + BA, taken per block, whose anti-Hermitian part
-    is rounding of size eps |A| |B|; AB - BA is kept exact, so a commuting
-    pair gives the zero matrix.  Outside the blocks both are exact zeros.
-    BA is formed, not read as (AB)^dag, which differs in its last bits.
+    The joint blocks end where the blocks of both operators end (the
+    intersection of their ends), so each is a run of either operator's
+    blocks; an operator whose layout is coarser is relaid onto it.  AB and
+    BA are formed per block, blocks of one size as one stacked matmul, so a
+    pair costs sum_i r_i^3 over its joint block sizes r_i: d for diagonal
+    operators, d^3 for a dense pair (one block).  {A, B} is the Hermitian
+    part of X = AB + BA, taken per block, whose anti-Hermitian part is
+    rounding of size eps |A| |B|; AB - BA is kept exact, so a commuting pair
+    gives zero blocks.  BA is formed, not read as (AB)^dag, which differs in
+    its last bits.
     """
-    # np.zeros leaves the pages outside the blocks to the OS's lazy zero
-    # fill; zeros_like would write every entry
-    anti, comm = np.zeros(a.shape, a.dtype), np.zeros(a.shape, a.dtype)
-    for index in _blocks_by_size(_block_ends((a != 0) | (b != 0))):
-        rows = index[:, :, None], index[:, None, :]
-        anti[rows], comm[rows] = _block_products(a[rows], b[rows])
-    return anti, comm
-
-
-def _block_products(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """({A, B}, AB - BA) of two stacks of blocks, as _products forms them per block."""
-    ab, ba = a @ b, b @ a
-    return _hermitian_part(ab + ba), ab - ba
+    _check_dims(a.dim, b.dim)
+    ends = np.intersect1d(a.blocks.ends, b.blocks.ends, assume_unique=True)
+    layout = a.blocks.layout if ends.size == a.blocks.ends.size else _Layout(ends)
+    pairs = [(x @ y, y @ x) for x, y in zip(a.blocks.relaid(layout).stacks,
+                                            b.blocks.relaid(layout).stacks)]
+    return (_Blocks(layout, tuple(_hermitian_part(xy + yx) for xy, yx in pairs)),
+            _Blocks(layout, tuple(xy - yx for xy, yx in pairs)))
 
 
 def eigh_matrix(blocks: _Blocks) -> tuple[np.ndarray, _EigenBasis]:
@@ -532,23 +564,23 @@ def expectation(op: HermitianOperator, state) -> float:
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """ab - ba (anti-Hermitian, returned as a raw matrix).
+    """ab - ba (anti-Hermitian, returned as a raw d x d matrix).
 
-    Formed on the joint diagonal blocks of (a, b): sum_i r_i^3 over the block
-    sizes r_i, d^3 for a dense pair.
+    Formed on the joint blocks of (a, b) (_joint_products): sum_i r_i^3 over
+    the block sizes r_i, d^3 for a dense pair.
     """
-    _check_dims(a.dim, b.dim)
-    return _products(a.matrix, b.matrix)[1]
+    return _joint_products(a, b)[1].dense()
 
 
 def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     """ab + ba, symmetrized: its anti-Hermitian part is rounding, not checked.
 
-    Formed on the joint diagonal blocks of (a, b): sum_i r_i^3 over the block
-    sizes r_i, d^3 for a dense pair.
+    Formed on the joint blocks of (a, b) (_joint_products), which the
+    returned operator keeps: sum_i r_i^3 over the block sizes r_i, d^3 for a
+    dense pair.
     """
-    _check_dims(a.dim, b.dim)
-    return HermitianOperator(_products(a.matrix, b.matrix)[0])
+    anti = _joint_products(a, b)[0]
+    return HermitianOperator.from_blocks(anti.layout, anti.stacks)
 
 
 def sym_covariance(a: HermitianOperator, b: HermitianOperator, state) -> float:

@@ -37,14 +37,13 @@ from .hilbert import (
     HermitianOperator,
     StateVector,
     _block_ends,
-    _block_products,
     _Blocks,
     _EigenBasis,
     _Layout,
     _check_dims,
     _dagger,
     _hermitian_part,
-    _products,
+    _joint_products,
     eigh_matrix,
     expectation,
 )
@@ -104,8 +103,9 @@ class Generators:
     dephasing (G's eigenspaces at cluster_tol, which define the channel),
     {G, K}, GK - KG and report()'s eigenvector gate are formed on first use;
     scenario() puts a fiducial state on the pair.  Compared by identity.
-    When K and G are both diagonal, {G, K} and GK - KG are kept as their
-    diagonals.
+    {G, K} and GK - KG are kept as blocks on the pair's joint layout, where
+    the blocks of both K and G end: d blocks of size 1 for a diagonal pair,
+    one per excitation total for example 2, one d x d block for a dense pair.
     """
 
     k: HermitianOperator
@@ -122,13 +122,9 @@ class Generators:
         return spectral_projectors(self.g, self.cluster_tol)
 
     @cached_property
-    def products(self) -> tuple[np.ndarray, np.ndarray]:
-        """({G, K}, GK - KG): d x d, or their diagonals when K and G are diagonal."""
-        g, k = self.g.blocks, self.k.blocks
-        if g.diagonal is not None and k.diagonal is not None:
-            anti, comm = _block_products(g.stacks[0], k.stacks[0])
-            return anti[:, 0, 0], comm[:, 0, 0]
-        return _products(self.g.matrix, self.k.matrix)
+    def products(self) -> tuple[_Blocks, _Blocks]:
+        """({G, K}, GK - KG) as blocks on the pair's joint layout (_joint_products)."""
+        return _joint_products(self.g, self.k)
 
     @cached_property
     def gate(self) -> tuple[_EigenBasis, _Layout]:
@@ -176,8 +172,8 @@ class Scenario:
     def psi_lambda(self) -> StateVector:
         """exp(-i K lambda) |psi0>, from K's decomposition (shared across lambdas).
 
-        For a diagonal K the eigenvectors are a permutation, so V and V^dag
-        are gathers.
+        V^dag and V act block by block (hilbert._blockwise): gathers for a
+        diagonal K.
         """
         w, v = self.k_generator._eig
         phases = np.exp(-1j * w * self.lam)
@@ -366,10 +362,10 @@ def qfi_commuting_form(s: Scenario) -> float:
     lambda.  Raises NonCommutingError when max |GK - KG| exceeds
     1e-9 max(1, max|K| max|G|), a floor that scales with the generators.
     """
-    comm_norm = float(np.max(np.abs(s.generators.products[1])))
     # max|A| over the block stacks: the entries outside the blocks are zeros
-    k, g = (max(float(np.max(np.abs(x))) for x in op.blocks.stacks)
-            for op in (s.k_generator, s.g_generator))
+    comm_norm, k, g = (max(float(np.max(np.abs(x))) for x in blocks.stacks)
+                       for blocks in (s.generators.products[1], s.k_generator.blocks,
+                                      s.g_generator.blocks))
     if comm_norm > _rounding_floor(k * g):
         raise NonCommutingError(
             f"K and G do not commute (max |[K, G]| = {comm_norm:.3e})"
@@ -468,24 +464,20 @@ def necessary_conditions(s: Scenario) -> tuple[float, complex]:
     """(Cov(G, K), <[G, K]>) on the evolved state.
 
     Necessary one-directional implications: no loss forces Cov(G, K) = 0 and
-    max loss forces <[G, K]> = 0.  Neither converse holds.  The matrices
-    {G, K} and GK - KG are formed once per generator pair, at sum_i r_i^3
-    over the joint diagonal blocks of (G, K) (d^3 only for a dense pair),
-    and shared by the scenarios on the pair.  <K> is read from the
-    scenario's dpsi = -i K psi, so beyond dpsi a point costs three
-    matrix-vector products: {G, K} psi, (GK - KG) psi and G psi, each
-    entry by entry when K and G are diagonal.
+    max loss forces <[G, K]> = 0.  Neither converse holds.  {G, K} and
+    GK - KG are formed once per generator pair as blocks on the pair's joint
+    layout (Generators.products), at sum_i r_i^3 over its block sizes r_i
+    (d^3 only for a dense pair), and shared by the scenarios on the pair.
+    <K> is read from the scenario's dpsi = -i K psi, so beyond dpsi a point
+    costs three matrix-vector products, {G, K} psi, (GK - KG) psi and G psi,
+    each block by block: entry by entry when K and G are diagonal.
     """
     anti, comm = s.generators.products
-    state = s.psi_lambda
-    psi = state.amplitudes
-    # the pair's products are d x d, or diagonals when K and G are diagonal
-    anti_psi, comm_psi = (anti * psi, comm * psi) if anti.ndim == 1 else (anti @ psi, comm @ psi)
-    half_anti = float(np.vdot(psi, anti_psi).real) / 2.0
+    psi = s.psi_lambda.amplitudes
+    half_anti = float(np.vdot(psi, anti.apply(psi)).real) / 2.0
     k_mean = -float(np.imag(np.vdot(psi, s.dpsi)))  # <psi|dpsi> = -i <K>
-    cov = half_anti - expectation(s.g_generator, state) * k_mean
-    mean_comm = complex(np.vdot(psi, comm_psi))
-    return cov, mean_comm
+    cov = half_anti - expectation(s.g_generator, s.psi_lambda) * k_mean
+    return cov, complex(np.vdot(psi, comm.apply(psi)))
 
 
 def _pair_blocks(rho: DensityMatrix, drho):
@@ -494,23 +486,23 @@ def _pair_blocks(rho: DensityMatrix, drho):
     Yields, per block size, the columns of V that each block owns, in
     ascending order, and the blocks of V, rho and drho.  A drho given as a
     _Blocks lies on rho's own layout, and so does a d x d drho whose nonzeros
-    fit rho's blocks: rho's eigenvectors are read per block, and no d x d
-    array is formed.  A drho that couples rho's blocks puts the pair on the
-    joint layout, whose blocks are runs of rho's; each owns the columns of
-    the eigenvectors at its rows.
+    fit rho's blocks.  A drho that couples rho's blocks puts the pair on the
+    joint layout, whose blocks are runs of rho's: rho and its eigenvectors
+    are relaid onto it (_Blocks.relaid), and each joint block owns the
+    columns of the eigenvectors at its rows.  No d x d V or rho is formed.
     """
     basis, layout = rho._eig[1], rho.blocks.layout
     if not isinstance(drho, _Blocks):
-        ends = np.intersect1d(layout.ends, _block_ends(drho != 0))
-        if ends.size < layout.ends.size:
-            for index in _Layout(ends).groups:
-                rows, cols = index[:, :, None], np.sort(basis.column[index], axis=1)
-                block = rows, index[:, None, :]
-                yield cols, basis.matrix[rows, cols[:, None, :]], rho.matrix[block], drho[block]
-            return
-        drho = _Blocks.on(layout, drho)
-    columns = (basis.column[index] for index in layout.groups)
-    yield from zip(columns, basis.vectors.stacks, rho.blocks.stacks, drho.stacks)
+        ends = np.intersect1d(layout.ends, _block_ends(drho != 0), assume_unique=True)
+        drho = _Blocks.on(layout if ends.size == layout.ends.size else _Layout(ends), drho)
+    vectors, rhos = (x.relaid(drho.layout) for x in (basis.vectors, rho.blocks))
+    for index, v, rho_kk, drho_kk in zip(drho.groups, vectors.stacks, rhos.stacks, drho.stacks):
+        cols = basis.column[index]
+        if drho.layout is not layout:
+            # a joint block's columns in ascending order, so its eigenvalues ascend
+            order = np.argsort(cols, axis=1)
+            cols, v = np.take_along_axis(cols, order, 1), np.take_along_axis(v, order[:, None], 2)
+        yield cols, v, rho_kk, drho_kk
 
 
 def _mixed_in_eigenbasis(
@@ -531,19 +523,15 @@ def _mixed_in_eigenbasis(
         parts, diagonal = drho.stacks, drho.diagonal_entries()
     else:
         drho = np.asarray(drho, dtype=complex)
-        _check_dims(rho.dim, drho.shape[0])
+        _check_dims((rho.dim, rho.dim), drho.shape)
         parts, diagonal = [drho], np.diagonal(drho)
     max_drho = max(float(np.max(np.abs(x))) for x in parts)
     # a NaN would pass every floor below: NaN > floor is False
     if not np.isfinite(max_drho):
         raise ValueError("drho entries must be finite")
     floor = _rounding_floor(max_drho)
-    herm_drift = 0.0
-    for x in parts:
-        # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
-        drift = _dagger(x)
-        drift -= x
-        herm_drift = max(herm_drift, float(np.max(np.abs(drift))))
+    # drho^dag - drho: the negation is exact, so the magnitudes are |drho - drho^dag|
+    herm_drift = max(float(np.max(np.abs(_dagger(x) - x))) for x in parts)
     if herm_drift > floor:
         raise ValueError(
             f"drho is not Hermitian (max drift {herm_drift:.3e}, floor 1e-9 max(1, max|drho|)"
@@ -644,9 +632,14 @@ def classical_fisher(
     """Classical Fisher information sum_x (Tr O_x drho)^2 / Tr(O_x rho).
 
     Outcomes with probability below the floor are skipped.  The POVM must be
-    positive (within 1e-10) and complete (within 1e-9).
+    positive (within 1e-10) and complete (within 1e-9), and drho a finite
+    d x d array.
     """
     drho = np.asarray(drho, dtype=complex)
+    _check_dims((rho.dim, rho.dim), drho.shape)
+    # a NaN would pass the sums below and come back as the answer
+    if not np.isfinite(drho).all():
+        raise ValueError("drho entries must be finite")
     total = np.zeros((rho.dim, rho.dim), dtype=complex)
     for element in povm:
         _check_dims(element.dim, rho.dim)
@@ -752,12 +745,15 @@ def report(s: Scenario) -> QfiReport:
       derivative weight), where the mixed-state QFI is genuinely
       discontinuous.
 
-    Each eigh_matrix call costs the sum of its operator's blocks' cubes.
-    For diagonal K and G (example 1) every block has size 1: K, G and the
-    gate decompose in O(d), the eigenvectors are permutations, so psi(lambda),
-    dpsi, the cluster sums and necessary_conditions are index gathers, and a
-    point forms no d x d array.  A K or G with a larger block keeps dense
-    products with its d x d eigenvectors.
+    Each eigh_matrix call costs the sum of its operator's blocks' cubes,
+    and every product with K, G, their eigenvectors and the pair's products
+    runs block by block, blocks of one size as one stacked operation.  For
+    diagonal K and G (example 1) every block has size 1: K, G and the gate
+    decompose in O(d), and psi(lambda), dpsi, the cluster sums and
+    necessary_conditions are entry-wise products and index gathers.  For
+    example 2, G's blocks are its excitation totals, of at most
+    n_total_max + 1 rows.  Neither forms a d x d array at any point; only a
+    dense K or G (one block) has d x d products.
 
     A clean or dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is
     rounding and reads 0; one further below raises ConsistencyError.

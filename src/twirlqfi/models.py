@@ -312,7 +312,9 @@ def example1_scenario(qrf: StateVector, lam: float = 0.0) -> Scenario:
     psi0 = StateVector(np.outer(plus, qrf.amplitudes).ravel())
     n_qubit = np.repeat([0.0, 1.0], qrf.dim)
     k = HermitianOperator.from_diagonal(n_qubit)
-    g = HermitianOperator.from_diagonal(n_qubit + np.tile(np.arange(qrf.dim, dtype=float), 2))
+    total = n_qubit + np.tile(np.arange(qrf.dim, dtype=float), 2)
+    # G on K's layout: the pair's products and both decompositions share its grouping
+    g = HermitianOperator.from_blocks(k.blocks.layout, (total.reshape(-1, 1, 1),))
     return Scenario(psi0, k, g, lam)
 
 
@@ -364,7 +366,8 @@ class Example2System:
     The Hamiltonian omega (n_a + n_b) + kappa (a^dag b + b^dag a) conserves
     total excitation number, so the restriction to the sector is exact for
     fiducial states supported inside it.  Labels (m, n) run by total m + n, then
-    m, so H is one contiguous tridiagonal block per total and eigh_matrix splits it.
+    m, so H is one contiguous tridiagonal block per total, and the Hamiltonian
+    is built from those blocks (HermitianOperator.from_blocks).
     """
 
     omega: float
@@ -437,11 +440,12 @@ def example2_system(omega: float = 1.0, kappa: float = 1.0 / math.sqrt(2.0),
         raise ValueError("n_total_max must be at least 1")
     labels = tuple((m, s - m) for s in range(n_total_max + 1) for m in range(s + 1))
     m, n = np.array(labels, dtype=float).T
-    # a^dag b takes (m, n) to (m + 1, n - 1), the next label of its block
-    h = np.diag(omega * (m + n))
-    i = np.arange(len(labels) - 1)
-    h[i, i + 1] = h[i + 1, i] = kappa * (np.sqrt(m[:-1] + 1.0) * np.sqrt(n[:-1]))
-    h_sector = HermitianOperator(h)
+    # a^dag b takes (m, s - m) to (m + 1, s - m - 1), the next label of the block of total s
+    couplings = [kappa * (np.sqrt(np.arange(1.0, s + 1)) * np.sqrt(np.arange(s, 0.0, -1)))
+                 for s in range(n_total_max + 1)]
+    blocks = [(np.diag(c, 1) + np.diag(c, -1) + omega * s * np.eye(s + 1))[None]
+              for s, c in enumerate(couplings)]
+    h_sector = HermitianOperator.from_blocks(np.cumsum(np.arange(1, n_total_max + 2)), blocks)
     k_sector = HermitianOperator.from_diagonal(m)
     expected = np.sort((omega + kappa) * m + (omega - kappa) * n)
     gaps = np.diff(expected)

@@ -18,7 +18,8 @@ Then, with dpsi = -i K psi:
 * bob = 4 <dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / p_i over eigenspaces
   with p_i = <psi|P_i|psi> above 1e-12 (below it a term carries no
   information, by the Schwarz inequality, and the library skips it too),
-* loss = alice - bob and cov_gk = Re<G psi|K psi> - <G><K>.
+* loss = alice - bob and cov_gk = Re<G psi|K psi> - <G><K>,
+* mean_commutator = <[G, K]> = <G psi|K psi> - <K psi|G psi> = 2i Im<G psi|K psi>.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ class Reference:
     bob_qfi: mpmath.mpf
     loss: mpmath.mpf
     cov_gk: mpmath.mpf
+    mean_commutator: mpmath.mpc
 
 
 def _complex(x) -> mpmath.mpc:
@@ -54,9 +56,10 @@ def _vdot(x, y) -> mpmath.mpc:
     return mpmath.fsum(mpmath.conj(a) * b for a, b in zip(x, y))
 
 
-def _reference(psi, dpsi, eigenspaces, cov) -> Reference:
-    """alice, bob and the loss, each eigenspace given as its pairs
-    (<v|psi>, <v|dpsi>) over an orthonormal basis v of it."""
+def _reference(psi, dpsi, eigenspaces, gpsi, kpsi) -> Reference:
+    """alice, bob, the loss, Cov(G, K) and <[G, K]>, each eigenspace given as
+    its pairs (<v|psi>, <v|dpsi>) over an orthonormal basis v of it, and
+    G psi and K psi as vectors."""
     kinetic = mpmath.re(_vdot(dpsi, dpsi))
     alice = 4 * (kinetic - abs(_vdot(psi, dpsi)) ** 2)
     dephasing = mpmath.mpf(0)
@@ -65,7 +68,10 @@ def _reference(psi, dpsi, eigenspaces, cov) -> Reference:
         if p > EPS_PROBABILITY:
             dephasing += mpmath.im(mpmath.fsum(mpmath.conj(a) * b for a, b in pairs)) ** 2 / p
     bob = 4 * (kinetic - dephasing)
-    return Reference(alice, bob, alice - bob, cov)
+    mean_g, mean_k = (mpmath.re(_vdot(psi, x)) for x in (gpsi, kpsi))
+    gk = _vdot(gpsi, kpsi)
+    return Reference(alice, bob, alice - bob, mpmath.re(gk) - mean_g * mean_k,
+                     2j * mpmath.im(gk))
 
 
 def diagonal_pair(psi0, k, g, labels, lam: float) -> Reference:
@@ -85,11 +91,9 @@ def diagonal_pair(psi0, k, g, labels, lam: float) -> Reference:
             members = [j for j, other in enumerate(labels) if other == label]
             assert len({g[j] for j in members}) == 1, "one eigenspace, one eigenvalue"
             eigenspaces.append([(psi[j], dpsi[j]) for j in members])
-        weights = [abs(x) ** 2 for x in psi]
-        mean_g = mpmath.fsum(gj * w for gj, w in zip(g, weights))
-        mean_k = mpmath.fsum(kj * w for kj, w in zip(k, weights))
-        cov = mpmath.fsum(gj * kj * w for gj, kj, w in zip(g, k, weights)) - mean_g * mean_k
-        return _reference(psi, dpsi, eigenspaces, cov)
+        gpsi = [gj * x for gj, x in zip(g, psi)]
+        kpsi = [kj * x for kj, x in zip(k, psi)]
+        return _reference(psi, dpsi, eigenspaces, gpsi, kpsi)
 
 
 def dense_pair(psi0, k, g, ranks, lam: float) -> Reference:
@@ -119,6 +123,4 @@ def dense_pair(psi0, k, g, ranks, lam: float) -> Reference:
         assert sum(ranks) == d, "the eigenspaces partition the space"
         ends = [sum(ranks[: i + 1]) for i in range(len(ranks))]
         eigenspaces = [list(zip(a[end - r : end], b[end - r : end])) for r, end in zip(ranks, ends)]
-        mean_g, mean_k = (mpmath.re(_vdot(psi, x)) for x in (gpsi, kpsi))
-        cov = mpmath.re(_vdot(gpsi, kpsi)) - mean_g * mean_k
-        return _reference(psi, dpsi, eigenspaces, cov)
+        return _reference(psi, dpsi, eigenspaces, gpsi, kpsi)

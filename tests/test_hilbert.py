@@ -328,6 +328,24 @@ class TestBlockConstructors:
         assert np.array_equal(ours.blocks.ends, theirs.blocks.ends)
         for x, y in zip(ours.eig, theirs.eig):
             assert x.tobytes() == y.tobytes()
+        # block by block, A x, V x and V^dag x are the dense products up to rounding
+        psi = haar_state(rng, 9).amplitudes
+        basis, v = ours._eig[1], ours.eig[1]
+        for got, want in ((ours.apply(psi), dense @ psi), (basis.apply(psi), v @ psi),
+                          (basis.adjoint(psi)[0], v.conj().T @ psi)):
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("op", [
+        HermitianOperator.from_diagonal([1.0, 2.0, 3.0]),
+        HermitianOperator.from_blocks([1, 3], [np.ones((1, 1, 1)), np.eye(2)[None]]),
+        HermitianOperator(np.ones((3, 3))),
+    ])
+    def test_apply_checks_the_length(self, op):
+        # the product is written into a vector shaped like x, so a longer x
+        # would come back with entries no block wrote
+        for size in (2, 4):
+            with pytest.raises(DimensionMismatchError):
+                op.apply(np.ones(size, dtype=complex))
 
     @pytest.mark.parametrize("ends, stacks, match", [
         ([], [], "strictly increasing"),

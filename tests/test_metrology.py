@@ -153,9 +153,13 @@ def cluster_mask(p):
 
 def eigenbasis_pair(s, p):
     """The dephased pair in G's eigenbasis as block-masked d x d outer products,
-    the reference for report()'s pair, which it writes cluster by cluster."""
-    a = p.basis.conj().T @ s.psi_lambda.amplitudes
-    b = p.basis.conj().T @ s.dpsi
+    the reference for report()'s pair, which it writes cluster by cluster.
+
+    p is a ProjectorSet of s's G; a = V^dag psi and b = V^dag dpsi are the
+    coordinates report() forms, block by block (metrology._clusters).
+    """
+    data = metrology._clusters(s)
+    a, b = data.a, data.b
     mask = cluster_mask(p)
     rho = DensityMatrix(mask * np.outer(a, a.conj()))
     return rho, mask * (np.outer(b, a.conj()) + np.outer(a, b.conj()))
@@ -565,6 +569,15 @@ def generator_pairs():
     s = counterexample_scenario(0.4)
     pairs["counterexample"] = s.k_generator, s.g_generator
     pairs["dense_d256"] = random_hermitian(rng, 256), random_degenerate_hermitian(rng, 256, 64)
+    # block ends that cross: K on (2, 5, 7), G on (3, 5, 7), so both are
+    # relaid onto the joint layout (5, 7)
+    k_blocks = [random_hermitian(rng, r).matrix for r in (2, 3, 2)]
+    g_blocks = [random_hermitian(rng, r).matrix for r in (3, 2, 2)]
+    pairs["crossed_blocks"] = (
+        HermitianOperator.from_blocks([2, 5, 7], [np.stack([k_blocks[0], k_blocks[2]]),
+                                                  k_blocks[1][None]]),
+        HermitianOperator.from_blocks([3, 5, 7], [np.stack(g_blocks[1:]), g_blocks[0][None]]),
+    )
     return pairs
 
 
@@ -587,15 +600,14 @@ class TestBlockwiseSums:
 
     @PER_GENERATOR_PAIR
     def test_generator_products_match_the_dense_products(self, k, g):
-        # a diagonal pair keeps its products as diagonals: the dense products
-        # must then be zero off the diagonal
+        # the pair keeps its products as blocks on the joint layout, where both
+        # operators' blocks end: the dense products must be zero outside them
         anti, comm = metrology.Generators(k, g).products
-        if k.blocks.diagonal is not None and g.blocks.diagonal is not None:
-            assert anti.ndim == comm.ndim == 1
-            anti, comm = np.diag(anti), np.diag(comm)
+        joint = np.intersect1d(k.blocks.ends, g.blocks.ends)
+        assert anti.ends.tolist() == comm.ends.tolist() == joint.tolist()
         gk, kg = g.matrix @ k.matrix, k.matrix @ g.matrix
-        assert np.array_equal(anti, _hermitian_part(gk + kg))
-        assert np.array_equal(comm, gk - kg)
+        assert np.array_equal(anti.dense(), _hermitian_part(gk + kg))
+        assert np.array_equal(comm.dense(), gk - kg)
 
     @PER_GENERATOR_PAIR
     def test_public_products_match_the_dense_products(self, k, g):
@@ -984,6 +996,25 @@ class TestMeasurements:
             fisher = classical_fisher(povm, rho_b, drho_b)
             assert fisher <= bob + 1e-8
 
+    @pytest.mark.parametrize("compute", ["classical_fisher", "qfi_mixed", "sld_mixed"])
+    def test_drho_must_be_a_finite_square_array(self, compute):
+        # a 1-d or (d, 1) drho used to broadcast into a wrong Fisher
+        # information, and a NaN drho to come back as NaN
+        s = example3_scenario((0.6, 0.0, 0.8), 0.4)
+        rho, drho = s.rho_lambda, s.drho_lambda
+        povm = optimal_povm(sld_mixed(rho, drho))
+        call = {"classical_fisher": lambda d: classical_fisher(povm, rho, d),
+                "qfi_mixed": lambda d: qfi_mixed(rho, d),
+                "sld_mixed": lambda d: sld_mixed(rho, d).matrix}[compute]
+        assert np.all(np.isfinite(call(drho)))
+        if compute != "sld_mixed":
+            assert call(drho) == pytest.approx(0.36, abs=1e-12)
+        for bad in (drho[0], drho[:, :1], drho[None]):
+            with pytest.raises(hilbert.DimensionMismatchError, match="dimension mismatch"):
+                call(bad)
+        with pytest.raises(ValueError, match="^drho entries must be finite$"):
+            call(np.full_like(drho, np.nan))
+
     def test_povm_validation(self):
         rng = np.random.default_rng(157)
         s = random_scenario(rng, 3)
@@ -1094,18 +1125,18 @@ class TestReport:
     def test_fiducials_on_one_pair_share_its_work(self, eigh_calls, monkeypatch):
         rng = np.random.default_rng(227)
         k, g = random_hermitian(rng, 12), random_degenerate_hermitian(rng, 12, 4)
-        products, original = [], metrology._products
+        products, original = [], metrology._joint_products
         clusterings, cluster = [], metrology.spectral_projectors
 
         def counted(a, b):
-            products.append(a.shape[0])
+            products.append(a.dim)
             return original(a, b)
 
         def counted_clusters(generator, cluster_tol):
             clusterings.append(cluster_tol)
             return cluster(generator, cluster_tol)
 
-        monkeypatch.setattr(metrology, "_products", counted)
+        monkeypatch.setattr(metrology, "_joint_products", counted)
         monkeypatch.setattr(metrology, "spectral_projectors", counted_clusters)
         pair = metrology.Generators(k, g)
         points = [(haar_state(rng, 12), lam) for _ in range(3) for lam in (0.3, -1.2)]
@@ -1382,6 +1413,16 @@ class TestDephasedPair:
             assert np.array_equal(got.view(np.uint64)[parts], ref.view(np.uint64)[parts])
             assert not np.any(got[~inside].view(np.uint64))
 
+    @pytest.mark.parametrize("name", PAIR_SCENARIO_NAMES)
+    def test_blockwise_coordinates_match_the_dense_product(self, name):
+        # report() forms a = V^dag psi and b = V^dag dpsi block by block; a
+        # block's sums differ from the dense product's by rounding only
+        s = pair_scenarios()[name]
+        data, basis = metrology._clusters(s), s.generators.dephasing.basis
+        for got, x in ((data.a, s.psi_lambda.amplitudes), (data.b, s.dpsi)):
+            bound = 4.0 * np.finfo(float).eps * np.linalg.norm(x)
+            assert np.max(np.abs(got - basis.conj().T @ x)) <= bound
+
 
 REPORT_FIELDS = ("alice_qfi", "bob_qfi", "loss", "no_loss", "max_loss", "cov_gk",
                  "mean_commutator", "no_loss_residual", "max_loss_residuals")
@@ -1390,8 +1431,8 @@ REPORT_FIELDS = ("alice_qfi", "bob_qfi", "loss", "no_loss", "max_loss", "cov_gk"
 def as_dense(s):
     """s with each diagonal generator rebuilt from np.diag of its diagonal."""
     def dense(op):
-        diagonal = op.blocks.diagonal
-        return HermitianOperator(np.diag(diagonal)) if diagonal is not None else op
+        diagonal = op.blocks.ends.size == op.dim
+        return HermitianOperator(np.diag(op.blocks.diagonal_entries())) if diagonal else op
     return Scenario(s.fiducial, dense(s.k_generator), dense(s.g_generator), s.lam)
 
 
@@ -1412,8 +1453,8 @@ class TestBlockForm:
     """Operators built from their diagonals keep them, and carry the dense bits."""
 
     def test_fresh_example1_point_groups_each_layout_once(self, monkeypatch):
-        # K's blocks, G's blocks, G's clusters (read by the cluster sums, rho_B
-        # and drho_B) and the gate's own clusters
+        # the blocks K and G share (and the pair's products read), G's clusters
+        # (read by the cluster sums, rho_B and drho_B) and the gate's own clusters
         calls, original = [], hilbert._blocks_by_size
 
         def counted(ends):
@@ -1423,9 +1464,10 @@ class TestBlockForm:
         monkeypatch.setattr(hilbert, "_blocks_by_size", counted)
         s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
         report(s)
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(calls) <= 3
 
-    def test_report_builds_no_d_by_d_array_for_example1(self, monkeypatch):
+    @staticmethod
+    def assert_report_builds_no_d_by_d_array(s, monkeypatch):
         def refuse(self):
             raise AssertionError("built a d x d array")
 
@@ -1438,14 +1480,25 @@ class TestBlockForm:
             return original(rho, drho)
 
         monkeypatch.setattr(metrology, "qfi_mixed", spy)
-        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
-        assert s.dim == 352
         report(s)
         assert len(seen) == 1  # rho_B was built and checked
         for op in (s.k_generator, s.g_generator, seen[0]):
             assert "matrix" not in vars(op) and "eig" not in vars(op)
             with pytest.raises(AssertionError, match="d x d"):
                 op.matrix  # the patch is live
+
+    def test_report_builds_no_d_by_d_array_for_example1(self, monkeypatch):
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(40.1))), 0.7)
+        assert s.dim == 352
+        self.assert_report_builds_no_d_by_d_array(s, monkeypatch)
+
+    def test_report_builds_no_d_by_d_array_for_example2(self, monkeypatch):
+        # G is built from its blocks of up to 31 rows: V and V^dag act block by
+        # block, and diagonal K is relaid onto G's blocks for the products
+        system = example2_system(n_total_max=30)
+        s = system.scenario(qrf_amplitudes(QrfStateSpec.uniform(30), 30), 0.7)
+        assert s.dim == 496 and s.g_generator.blocks.ends.size == 31
+        self.assert_report_builds_no_d_by_d_array(s, monkeypatch)
 
     @pytest.mark.parametrize("name", ["example1-alpha_sq-4.1", "example1-alpha_sq-20.1",
                                       "example1-alpha_sq-40.1", "counterexample", "example2"])
@@ -1469,7 +1522,7 @@ class TestBlockForm:
         # report() raises at the mixed-state trace floor; a floor on another
         # scale let it return bob_qfi = 4 with max_loss False
         s = counterexample_scenario(0.4 / c)
-        k = HermitianOperator.from_diagonal(c * s.k_generator.blocks.diagonal)
+        k = HermitianOperator.from_diagonal(c * s.k_generator.blocks.diagonal_entries())
         try:
             rep = report(Scenario(s.fiducial, k, s.g_generator, s.lam))
         except ConsistencyError as exc:
