@@ -521,8 +521,9 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
         cfg.sweep is not None and cfg.sweep.variable == "mean_energy",
         "optimize needs a sweep over mean_energy",
     )
+    n_levels = cfg.params.get("N", 24)
+    _require(_is_number(n_levels, int), "param N must be an integer")
     try:
-        n_levels = int(round(cfg.params.get("N", 24)))
         opt_tol = float(cfg.params.get("opt_tol", 1e-5))
         # every problem is validated before the first solve
         free = OptProblem(n_levels=n_levels, tol=opt_tol)

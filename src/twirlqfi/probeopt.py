@@ -12,10 +12,12 @@ by a mean-energy equality, maximizing f is a convex program, and its
 Lagrange dual is exact.  For multipliers mu (normalization) and nu
 (energy), a backward recursion over the levels (_recursion) decides dual
 feasibility and yields the maximizer of f - nu n.q in closed form
-(_sample).  optimize_probe searches nu on the sign of the energy error and
-mixes the two bracketing maximizers to hit the target energy exactly.  The
-result carries its duality gap, and that certificate decides whether it is
-reported as converged.
+(_sample).  Each step of _sample's bisection over mu takes only the
+feasibility verdict (_feasible, which stores nothing); the a_n are formed
+once per sample, at the bisection's end.  optimize_probe searches nu on the
+sign of the energy error and mixes the two bracketing maximizers to hit the
+target energy exactly.  The result carries its duality gap, and that
+certificate decides whether it is reported as converged.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class OptProblem:
 
     tol bounds both the energy residual and the duality gap of a converged
     result; it does not stop the solve, which always runs to the rounding
-    level of f.  seeds and rng_seed are validated but select nothing: the
-    solve is deterministic.  They remain only so that existing callers that
-    pass them keep working.
+    level of f.  n_levels and seeds must be integers (numpy integers are
+    stored as int; bool is refused).  seeds and rng_seed select nothing:
+    the solve is deterministic.  They remain only so that existing callers
+    that pass them keep working.
     """
 
     n_levels: int
@@ -59,6 +62,11 @@ class OptProblem:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_levels", "seeds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_levels < 2:
             raise ValueError("n_levels must be at least 2")
         if self.seeds < 1:
@@ -135,6 +143,22 @@ def _recursion(mu: float, nu: float, n: int) -> list[float] | None:
     return a if x >= 0.0 else None
 
 
+def _feasible(mu: float, offsets: list[float]) -> bool:
+    """Whether _recursion(mu, nu, n) is not None, storing no a_n.
+
+    offsets holds nu * i for the levels i = n - 1, ..., 0, in that order.
+    Each step forms the same floats as _recursion, with the same early
+    exit, so the verdict is _recursion's bit for bit.
+    """
+    levels = iter(offsets)
+    x = 1.0 + (mu + next(levels)) / 2.0
+    for offset in levels:
+        if x < 0.0:
+            return False
+        x = (mu + offset) / 2.0 + (1.0 if x >= 1.0 else 2.0 * math.sqrt(x) - x)
+    return x >= 0.0
+
+
 class _Sample(NamedTuple):
     """A maximizer q of f(q) - nu n.q on the simplex, and its certificate mu."""
 
@@ -154,25 +178,27 @@ def _sample(nu: float, lo: float, hi: float, n: int) -> _Sample:
     the last such level (a zero a_m at m > k would make the ratio into m
     infinite), follows the minimizing ratios, and ends where a_{m+1} >= 1.
     Any mu with all c_n >= 0 is feasible (every a_n >= 1), the fallback
-    when rounding leaves the given hi just infeasible.
+    when rounding leaves the given hi just infeasible.  Each bisection step
+    takes only _feasible's verdict, on offsets nu * i formed once per
+    sample; the a_n are formed once, at the final hi.
     """
-    a_hi = _recursion(hi, nu, n)
-    if a_hi is None:
+    offsets = [nu * i for i in range(n - 1, -1, -1)]
+    if not _feasible(hi, offsets):
         hi = max(0.0, -nu * (n - 1))
-        a_hi = _recursion(hi, nu, n)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        a = _recursion(mid, nu, n)
-        if a is None:
-            lo = mid
+        if _feasible(mid, offsets):
+            hi = mid
         else:
-            hi, a_hi = mid, a
-    start = n - 1 - a_hi[::-1].index(min(a_hi))
-    q = np.zeros(n)
-    q[start] = 1.0
+            lo = mid
+    a = _recursion(hi, nu, n)
+    start = n - 1 - a[::-1].index(min(a))
+    weights = [0.0] * n
+    weights[start] = w = 1.0
     for m in range(start + 1, n):
-        if a_hi[m] >= 1.0:
+        if a[m] >= 1.0:
             break
-        q[m] = q[m - 1] * (1.0 / math.sqrt(a_hi[m]) - 1.0)
+        weights[m] = w = w * (1.0 / math.sqrt(a[m]) - 1.0)
+    q = np.array(weights)
     q /= q.sum()
     return _Sample(nu, hi, q, float(np.arange(n) @ q), _example1_qfi_weights(q))
 
@@ -205,6 +231,7 @@ def optimize_probe(p: OptProblem) -> OptResult:
         left = _Sample(-2.0, 2.0 * n - 4.0, top, float(n - 1), 0.0)
         right = _Sample(2.0, -2.0, vacuum, 0.0, 0.0)
         trace = []
+        rounding = 2.0 * n * np.finfo(float).eps
         while True:
             t = (energy - right.energy) / (left.energy - right.energy)
             q = t * left.q + (1.0 - t) * right.q
@@ -214,7 +241,7 @@ def optimize_probe(p: OptProblem) -> OptResult:
             nu = (left.qfi - right.qfi) / (left.energy - right.energy)
             if not left.nu < nu < right.nu:
                 nu = 0.5 * (left.nu + right.nu)
-            if gap <= 2.0 * n * np.finfo(float).eps or not left.nu < nu < right.nu:
+            if gap <= rounding or not left.nu < nu < right.nu:
                 break  # at the rounding level of f, or the bracket is one ulp wide
             # the smallest feasible mu is convex in nu: the chord of the two
             # ends is feasible, and no sample's f - 2 - nu n.q exceeds it

@@ -644,6 +644,8 @@ MALFORMED_OPTIMIZE = {
     "optimize-opt_tol-nan": {**_OPT, "params": {"N": 8, "opt_tol": math.nan}},
     "optimize-N-below-2": {**_OPT, "params": {"N": 1}},
     "optimize-N-infinity": {**_OPT, "params": {"N": math.inf}},
+    # used to solve 8 levels: N was rounded
+    "optimize-N-not-integer": {**_OPT, "params": {"N": 7.6}},
 }
 
 

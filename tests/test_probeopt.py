@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import subprocess
@@ -6,13 +7,17 @@ import sys
 import numpy as np
 import pytest
 from conftest import src_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from twirlqfi import probeopt
 from twirlqfi.models import QrfStateSpec, example1_qfi_closed_form, qrf_amplitudes
 from twirlqfi.probeopt import (
     FIXED_MEAN_ENERGY,
     OptProblem,
     OptResult,
+    _feasible,
     _recursion,
     _sample,
     coherent_weight_profile,
@@ -300,6 +305,41 @@ class TestOptimizeProbe:
         assert fallback.mu == direct.mu
         assert fallback.q.tolist() == direct.q.tolist()
 
+    def test_bisection_replays_on_the_recursion(self, monkeypatch):
+        # every mid the bisection visits on the benchmark's energy ladder gets
+        # the recursion's verdict, and the recursion itself runs once per sample
+        verdicts, recursions, samples = [], [], []
+
+        def feasible(mu, offsets):
+            verdicts.append((mu, offsets))
+            return _feasible(mu, offsets)
+
+        def recursion(mu, nu, n):
+            recursions.append((mu, nu, n))
+            return _recursion(mu, nu, n)
+
+        def sample(nu, lo, hi, n):
+            samples.append(nu)
+            return _sample(nu, lo, hi, n)
+
+        monkeypatch.setattr(probeopt, "_feasible", feasible)
+        monkeypatch.setattr(probeopt, "_recursion", recursion)
+        monkeypatch.setattr(probeopt, "_sample", sample)
+        n = 16
+        for energy in (2.5, 3.45):
+            optimize_probe(
+                OptProblem(n_levels=n, constraint=FIXED_MEAN_ENERGY, energy_target=energy)
+            )
+        assert len(recursions) == len(samples) > 10
+        assert len(verdicts) > 20 * len(samples)
+        outcomes = set()
+        for mu, offsets in verdicts:
+            nu = offsets[-2]
+            assert offsets == [nu * i for i in range(n - 1, -1, -1)]
+            outcomes.add(verdict := _feasible(mu, offsets))
+            assert verdict == (_recursion(mu, nu, n) is not None), (mu, nu)
+        assert outcomes == {False, True}
+
     def test_results_compare_by_identity(self):
         first = OptResult(np.ones(2), 1.0, (), True, 0.0)
         second = OptResult(np.ones(2), 1.0, (), True, 0.0)
@@ -350,6 +390,26 @@ class TestOptimizeProbe:
         assert result.qfi == 0.0
         assert result.converged
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_levels", 3.0),
+            ("n_levels", "4"),
+            ("n_levels", True),
+            ("seeds", 2.5),
+            ("seeds", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # n_levels=3.0 used to fail deep in the solve, and seeds=2.5 passed
+        with pytest.raises(ValueError, match=field):
+            OptProblem(**{"n_levels": 4, field: value})
+
+    def test_numpy_integer_counts_are_accepted(self):
+        problem = OptProblem(n_levels=np.int64(9), seeds=np.int32(3))
+        assert (type(problem.n_levels), type(problem.seeds)) == (int, int)
+        assert optimize_probe(problem).trace == optimize_probe(OptProblem(n_levels=9)).trace
+
     def test_infeasible_targets_rejected(self):
         with pytest.raises(ValueError):
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=7.0)
@@ -357,6 +417,133 @@ class TestOptimizeProbe:
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=-0.5)
         with pytest.raises(ValueError):
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY)
+
+
+# optimize_probe's exact output on a fixed grid: per (n_levels, energy), the
+# qfi and a SHA-256 of amplitudes.tobytes() followed by repr((qfi, gap,
+# energy_residual, trace)); energy None is the unconstrained solve.  N = 16 at
+# 2.5 and 3.45 are the ends of the benchmark's energy ladder.  Any change to
+# the floats the solve forms, or to their order, moves a digest.
+PINNED_SOLVES = {
+    (2, None): (
+        0.5, "1dbfd0176ad945fe0a998b4c33588b5afe89b8d99b8de9158d5b28556e267076"
+    ),
+    (2, 0.25): (
+        0.375, "b8f089e0a5d191c57b9266ac1a9e65ce67181655265affd6dd152a1606e10da4"
+    ),
+    (2, 0.5): (
+        0.5, "3f4426d5ee882c389f0e0d68f32b31d2bea98a79ea2c2aed054aba6af0d84ef7"
+    ),
+    (2, 0.9): (
+        0.17999999999999994, "57695579ae9e1dc34500082e62ae861d7ee9667406657d5096600d31f9813ddc"
+    ),
+    (3, None): (
+        0.6862915010152397, "d908b2a5b1e5099c3dcdb1f78fbc0ca2cea78642cd29f26cacc1a28f7b7a4ea2"
+    ),
+    (3, 0.4): (
+        0.49778985389326547, "20fbe62ffaa330b40c8283be45368ab9117bf643f1c2c134fbc35a3a18d22adc"
+    ),
+    (3, 1.0): (
+        0.6862915010152397, "b717b0c47a8ae3397639af5fd81cf56ec1d65788ad02343ca57ffc8d8acd9877"
+    ),
+    (3, 1.7): (
+        0.4209531893604088, "a127b62c5e5918d1638c2c58353d94fb0474896f123884cab99a4a7f4b3d3ad5"
+    ),
+    (16, None): (
+        0.9728720501228159, "d5565a5f0acdf3125beded3843e5d44889ab50fd07ddedf3f054146d4703dfdb"
+    ),
+    (16, 1.1): (
+        0.7581535729582682, "f9f8fe50ea1a2c884b0946b97e65b74c426824b14ec61b42af60c6fa735b222c"
+    ),
+    (16, 2.5): (
+        0.8996889933229841, "0862f17462f0d82a5eae2402604277eb54f0b40045b21c75f415cd911f9121d4"
+    ),
+    (16, 3.45): (
+        0.9337829182101152, "081425faed01f34b425b68194e254fa0dbee0c3bb7c8f137396336b7d9922267"
+    ),
+    (16, 7.0): (
+        0.9724130227337848, "3d1753457a2e019e8ad30221c983e572bc0028a8488ca1260a68cef25dfcc2a3"
+    ),
+    (16, 12.3): (
+        0.9088496487160407, "45d173028f74da2473475a5ea3d1954058cc17d5a152943a39fb7dc7b3140d2d"
+    ),
+    (24, None): (
+        0.9865903604282027, "a29bc7750defced86df9ee093ac6c09da7bc87923b46422329eb626201490182"
+    ),
+    (24, 2.0): (
+        0.8692555465132186, "7492882b60e26f4d241b935de19b72d1801049780944e0d8c68ca64579836512"
+    ),
+    (24, 5.0): (
+        0.9608165393408907, "a0297def55a04ec57beba641325e797741b321db92bbf3d70e49ff1e4a5491b2"
+    ),
+    (24, 11.5): (
+        0.9865903604282027, "9f584b2bba06ec90ed076bae6812b4300463c77c3e82615314515833525acc4a"
+    ),
+    (24, 20.0): (
+        0.9203359333882761, "698d2c977be539c0bb1152ce1c856a6fd609b876aa339fec01290e9e984e8caa"
+    ),
+    (40, None): (
+        0.9947059297680891, "8dd9bcbedf43a49c70d81f26cf8ae8e068e605f98698e49b4ecea377e1cb26a8"
+    ),
+    (40, 3.0): (
+        0.9203359333883876, "d45d166d084214f9b7c4e34f751f17cb1bb2cf19dd5afe41cf0562f83551c643"
+    ),
+    (40, 10.0): (
+        0.9869090270383143, "1b1bbabaf4e9e669489f06a30f6b3582469ddc47c2a4010e72dcfb62434bc558"
+    ),
+    (40, 37.2): (
+        0.8528113808891431, "b54bc64dd3f5a30eb33171c724788153137a0738f9df35980eb970d29f54a8f2"
+    ),
+}
+
+
+def solve_digest(result):
+    h = hashlib.sha256(result.amplitudes.tobytes())
+    h.update(repr((result.qfi, result.gap, result.energy_residual, result.trace)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n_levels, energy", list(PINNED_SOLVES), ids=str)
+def test_solves_are_pinned_bit_for_bit(n_levels, energy):
+    if energy is None:
+        problem = OptProblem(n_levels=n_levels)
+    else:
+        problem = OptProblem(
+            n_levels=n_levels, constraint=FIXED_MEAN_ENERGY, energy_target=energy
+        )
+    result = optimize_probe(problem)
+    qfi, digest = PINNED_SOLVES[n_levels, energy]
+    assert (result.qfi, solve_digest(result)) == (qfi, digest)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    mu=st.one_of(st.floats(-60.0, 60.0), st.floats(allow_nan=False, allow_infinity=False)),
+    nu=st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False)),
+    n=st.integers(2, 40),
+)
+def test_verdict_is_the_recursions(mu, nu, n):
+    offsets = [nu * i for i in range(n - 1, -1, -1)]
+    assert _feasible(mu, offsets) == (_recursion(mu, nu, n) is not None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(-3.0, 3.0), n=st.integers(2, 40))
+def test_verdict_is_the_recursions_at_the_feasibility_edge(nu, n):
+    # a random mu rarely lands where one rounding flips the verdict: find the
+    # two adjacent floats that bracket the edge and check the ulps around them
+    offsets = [nu * i for i in range(n - 1, -1, -1)]
+    lo, hi = -200.0, max(0.0, -nu * (n - 1))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _recursion(mid, nu, n) is None:
+            lo = mid
+        else:
+            hi = mid
+    for mu in (lo, hi):
+        for direction in (-math.inf, math.inf):
+            for _ in range(4):
+                assert _feasible(mu, offsets) == (_recursion(mu, nu, n) is not None), mu
+                mu = math.nextafter(mu, direction)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
