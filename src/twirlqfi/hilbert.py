@@ -39,9 +39,11 @@ blocks is an entry-wise product (A x) or an index gather (the eigenvectors
 1 of V x and V^dag x), O(d) with the bits of the dense products; a group
 of larger blocks is one stacked matmul, and a dense operator is one block,
 whose product is the dense one.  So no d x d V is built unless a caller
-reads `eig`.  A pair of operators meets on its joint layout, where the
-blocks of both end (the intersection of their ends); each operator is
-relaid onto it (_Blocks.relaid) without forming its d x d matrix.
+reads `eig`.  An _EigenBasis conjugates its blocks for V^dag x once, on
+first use, and keeps them read-only for every later product.  A pair of
+operators meets on its joint layout, where the blocks of both end (the
+intersection of their ends); each operator is relaid onto it
+(_Blocks.relaid) without forming its d x d matrix.
 _joint_products forms {A, B} and AB - BA there, for commutator,
 anticommutator and a scenario's generator products, and qfi_mixed relays
 rho and its eigenvectors onto the joint layout of a drho that couples
@@ -403,10 +405,25 @@ class _EigenBasis:
         """The columns of V that each block's eigenvectors are, one (n, r) array per group."""
         return [self.column[index] for index in self.vectors.groups]
 
+    @cached_property
+    def adjoint_stacks(self) -> tuple[np.ndarray, ...]:
+        """V^dag's blocks, one read-only (n, r, r) stack per group, formed on first use.
+
+        A stack of larger blocks is a transposed view of its conjugate, not a
+        C-ordered copy, which would take another BLAS path in the matmul and
+        change the bits; a stack of size-1 blocks is a view of the
+        eigenvectors, which the gather never reads.
+        """
+        stacks = tuple(v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v.view()
+                       for v in self.vectors.stacks)
+        for stack in stacks:
+            stack.setflags(write=False)
+        return stacks
+
     def adjoint(self, *xs: np.ndarray) -> list[np.ndarray]:
         """V^dag x for each vector x."""
-        stacks = [v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v for v in self.vectors.stacks]
-        return [_blockwise(stacks, x, self.columns, self.vectors.groups, gather=True) for x in xs]
+        return [_blockwise(self.adjoint_stacks, x, self.columns, self.vectors.groups, gather=True)
+                for x in xs]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """V y."""

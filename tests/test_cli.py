@@ -12,6 +12,8 @@ import numpy as np
 import orjson
 import pytest
 from conftest import ROOT, src_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden import CASES
 
 from twirlqfi.cli import (
@@ -196,6 +198,22 @@ class TestRun:
                      "--quiet"]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    @pytest.mark.parametrize("counts", [
+        {"scenario": "example1", "params": {"N": 4, "truncation": 6},
+         "sweep": {"variable": "lambda", "start": 0.1, "stop": 0.7, "points": 3}},
+        {"scenario": "example2", "params": {"N": 3, "n_total_max": 5, "lambda": 0.7}},
+    ], ids=["example1", "example2"])
+    def test_integral_float_counts_write_the_same_bytes(self, tmp_path, counts):
+        # a count written as 4.0 is that count, as an N sweep's np.rint grid is
+        floats = {**counts, "params": {key: float(value) for key, value in counts["params"].items()}}
+        outputs = []
+        for name, payload in (("int", counts), ("float", floats)):
+            config = write_config(tmp_path, f"{name}.json", payload)
+            out = tmp_path / f"{name}.csv"
+            assert main(["run", "--config", config, "--out", str(out), "--quiet"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_json_output(self, tmp_path):
         config = write_config(tmp_path, "j.json", {
             "scenario": "example3",
@@ -237,6 +255,27 @@ class TestCustomRoundTrip:
         assert parsed.tolist() == [[1 + 0j, 0j]]
         assert np.signbit(parsed.real).tolist() == [[False, True]]
         assert np.signbit(parsed.imag).tolist() == [[True, False]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_complex_array_is_the_object_array_path(self, data):
+        # the object-array conversion that the level walk replaced, as the oracle
+        def oracle(raw, shape):
+            return np.array(raw, dtype=object).astype(float).view(complex).reshape(shape)
+
+        dim = data.draw(st.integers(1, 8))
+        shape = data.draw(st.sampled_from([(dim, dim), (dim,)]))
+        leaf = st.one_of(
+            st.integers(-2**80, 2**80),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]),
+        )
+        size = math.prod(shape)
+        leaves = data.draw(st.lists(leaf, min_size=2 * size, max_size=2 * size))
+        raw = np.array(leaves, dtype=object).reshape(shape + (2,)).tolist()
+        got = _complex_array(raw, shape, "m")
+        assert got.shape == shape and got.dtype == complex
+        assert got.tobytes() == oracle(raw, shape).tobytes()
 
     def test_load_subcommand_validates(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -631,6 +670,29 @@ MALFORMED = {
     "run-mean_energy-sweep": {"scenario": "example1", "qrf": {"kind": "coherent", "alpha": 1.0},
                               "sweep": {"variable": "mean_energy", "start": 1.0, "stop": 4.0,
                                         "points": 3}},
+    # counts used to be rounded (N, n_total_max) or truncated (truncation)
+    "example1-N-not-integer": {"scenario": "example1", "params": {"N": 3.6}, "sweep": _SWEEP},
+    "example1-truncation-not-integer": {"scenario": "example1",
+                                        "params": {"N": 4, "truncation": 7.9}},
+    "example2-n_total_max-not-integer": {"scenario": "example2", "params": {"n_total_max": 4.5}},
+    # structures the level walk of _complex_array refuses as an object array did
+    "pair-entry-list": _custom(["k_matrix", 0, 0], [[1.0, 2.0], 0.0]),
+    "pair-object": _custom(["g_matrix", 0, 1], {"re": 0.0, "im": 0.0}),
+    "row-number": _custom(["k_matrix", 1], 0.0),
+    "psi0-number": _custom(["psi0"], 1.0),
+    "amplitudes-true": {"scenario": "example1",
+                        "qrf": {"kind": "explicit", "amplitudes": [[1, 0], [True, 0]]}},
+}
+
+MALFORMED_MESSAGES = {
+    "example1-N-not-integer": "param N must be an integer",
+    "example1-truncation-not-integer": "param truncation must be an integer",
+    "example2-n_total_max-not-integer": "param n_total_max must be an integer",
+    "pair-entry-list": "k_matrix: complex entries must be [re, im] number pairs",
+    "pair-object": "g_matrix: expected 3 x 3 [re, im] pairs",
+    "row-number": "k_matrix: expected 3 x 3 [re, im] pairs",
+    "psi0-number": "psi0: expected 3 [re, im] pairs",
+    "amplitudes-true": "qrf.amplitudes: complex entries must be [re, im] number pairs",
 }
 
 _OPT = {"scenario": "example1", "params": {"N": 8},
@@ -846,6 +908,15 @@ class TestErrors:
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("case, message", MALFORMED_MESSAGES.items(),
+                             ids=list(MALFORMED_MESSAGES))
+    def test_malformed_config_message(self, tmp_path, capsys, case, message):
+        config = write_config(tmp_path, "bad.json", MALFORMED[case])
+        assert main(["run", "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == {"kind": "config", "message": message}
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("payload, message", BEYOND_DOUBLE.values(), ids=list(BEYOND_DOUBLE))
     def test_integer_beyond_a_double_is_a_config_error(self, tmp_path, capsys, payload, message):

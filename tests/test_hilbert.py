@@ -426,6 +426,53 @@ class TestEigCache:
             v[0, 0] = 0.0
 
 
+def _operator(name):
+    """A dense operator, example 2's blocks of sizes 1 to 6 or example 1's all-size-1 G."""
+    if name == "dense":
+        return random_hermitian(np.random.default_rng(53), 12)
+    if name == "example2":
+        return example2_system(n_total_max=5).hamiltonian
+    return example1_scenario(qrf_amplitudes(QrfStateSpec.uniform(5))).g_generator
+
+
+class TestAdjointStacks:
+    """V^dag's blocks are formed once per basis and shared by every adjoint call."""
+
+    @pytest.mark.parametrize("name", ["dense", "example2", "example1"])
+    def test_adjoint_is_the_per_call_product(self, name):
+        op = _operator(name)
+        basis = op._eig[1]
+        rng = np.random.default_rng(59)
+        xs = [haar_state(rng, op.dim).amplitudes for _ in range(3)]
+        # the blocks of V^dag formed at each call, as the adjoint formed them before
+        stacks = [v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v for v in basis.vectors.stacks]
+        want = [hilbert._blockwise(stacks, x, basis.columns, basis.vectors.groups, gather=True)
+                for x in xs]
+        for got, expected in zip(basis.adjoint(*xs), want):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["dense", "example2", "example1"])
+    def test_stacks_are_read_only(self, name):
+        basis = _operator(name)._eig[1]
+        flags = [v.flags.writeable for v in basis.vectors.stacks]
+        for stack in basis.adjoint_stacks:
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 0.0
+        # a view of the eigenvectors is made read-only, not the eigenvectors
+        assert [v.flags.writeable for v in basis.vectors.stacks] == flags
+
+    @pytest.mark.parametrize("name", ["dense", "example2", "example1"])
+    def test_stacks_are_built_once(self, name):
+        op = _operator(name)
+        basis = op._eig[1]
+        assert "adjoint_stacks" not in vars(basis)
+        x = np.ones(op.dim, dtype=complex)
+        basis.adjoint(x)
+        first = vars(basis)["adjoint_stacks"]  # formed by the first product
+        basis.adjoint(x, x)
+        assert basis.adjoint_stacks is first
+
+
 def test_eigensolvers_only_in_eigh_matrix():
     # every decomposition is traced and cached through eigh_matrix, so no
     # other numpy.linalg eigensolver may appear in the library
