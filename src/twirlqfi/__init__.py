@@ -16,8 +16,6 @@ from .hilbert import (
     anticommutator,
     commutator,
     expectation,
-    sym_covariance,
-    tensor,
 )
 from .metrology import (
     ConsistencyError,

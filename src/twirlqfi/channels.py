@@ -34,7 +34,6 @@ from .hilbert import DensityMatrix, HermitianOperator, _Blocks, _check_dims, _La
 __all__ = [
     "DEFAULT_CLUSTER_TOL",
     "ProjectorSet",
-    "cluster_eigenvalues",
     "spectral_projectors",
     "twirl",
     "twirl_hermitian",
@@ -62,16 +61,6 @@ def _cluster_layout(eigenvalues: np.ndarray, cluster_tol: float) -> _Layout:
     spread = float(w[-1] - w[0]) if w.size else 0.0
     gap = cluster_tol * (1.0 + spread)
     return _Layout(np.append(np.flatnonzero(np.diff(w) > gap) + 1, w.size))
-
-
-def cluster_eigenvalues(eigenvalues: np.ndarray, cluster_tol: float) -> list[int]:
-    """Greedy clustering of ascending eigenvalues.
-
-    Consecutive eigenvalues within cluster_tol * (1 + spectral range) join one
-    cluster.  Returns the boundary indices [0, ..., n]; cluster k occupies the
-    half-open index range [bounds[k], bounds[k + 1]).
-    """
-    return [0, *_cluster_layout(eigenvalues, cluster_tol).ends.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,14 +93,6 @@ class ProjectorSet:
     def bounds(self) -> tuple[int, ...]:
         """(0, ...ends): cluster k occupies the columns bounds[k] to bounds[k + 1] - 1."""
         return (0, *self.layout.ends.tolist())
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """One representative value (the mean) per cluster, strictly increasing."""
-        w = self.generator._eig[0]
-        values = np.array([w[b1:b2].mean() for b1, b2 in zip(self.bounds, self.bounds[1:])])
-        values.setflags(write=False)
-        return values
 
     @property
     def dim(self) -> int:

@@ -538,8 +538,7 @@ def cmd_optimize(cfg: RunConfig, quiet: bool) -> int:
         cfg.sweep is not None and cfg.sweep.variable == "mean_energy",
         "optimize needs a sweep over mean_energy",
     )
-    n_levels = cfg.params.get("N", 24)
-    _require(_is_number(n_levels, int), "param N must be an integer")
+    n_levels = int(cfg.params.get("N", 24))  # the load accepted an integral N
     try:
         opt_tol = float(cfg.params.get("opt_tol", 1e-5))
         # every problem is validated before the first solve

@@ -77,11 +77,9 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "DensityMatrix",
-    "tensor",
     "expectation",
     "commutator",
     "anticommutator",
-    "sym_covariance",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -211,9 +209,7 @@ class HermitianOperator:
     @cached_property
     def _eig(self) -> tuple[np.ndarray, "_EigenBasis"]:
         """(ascending eigenvalues, eigenvectors per block), from one eigh_matrix call."""
-        w, basis = eigh_matrix(self.blocks)
-        w.setflags(write=False)
-        return w, basis
+        return eigh_matrix(self.blocks)
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -411,10 +407,10 @@ class _EigenBasis:
 
         A stack of larger blocks is a transposed view of its conjugate, not a
         C-ordered copy, which would take another BLAS path in the matmul and
-        change the bits; a stack of size-1 blocks is a view of the
-        eigenvectors, which the gather never reads.
+        change the bits; a stack of size-1 blocks is the eigenvectors
+        themselves, read-only already, which the gather never reads.
         """
-        stacks = tuple(v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v.view()
+        stacks = tuple(v.conj().swapaxes(1, 2) if v.shape[1] > 1 else v
                        for v in self.vectors.stacks)
         for stack in stacks:
             stack.setflags(write=False)
@@ -447,18 +443,6 @@ def _blockwise(stacks, x: np.ndarray, rows, cols, gather: bool = False) -> np.nd
         else:
             y[r] = x[c] if gather else stack[:, :, 0] * x[c]
     return y
-
-
-def tensor(a, b):
-    """Kronecker product of two states or two operators.
-
-    Row-major composite indexing: the pair (i, j) maps to index i * dim_b + j.
-    """
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(np.kron(a.matrix, b.matrix))
-    raise TypeError("tensor expects two StateVectors or two HermitianOperators")
 
 
 def _dagger(x: np.ndarray) -> np.ndarray:
@@ -544,8 +528,10 @@ def eigh_matrix(blocks: _Blocks) -> tuple[np.ndarray, _EigenBasis]:
     layout.  Each block is decomposed on its own: a block of size 1 is its
     own eigenvalue with eigenvector 1 (what LAPACK returns), larger blocks of
     one size go to LAPACK in one stacked np.linalg.eigh call, and a stable
-    argsort merges the eigenvalues, so ties keep block order.  A failure to
-    converge raises instead of returning garbage.
+    argsort merges the eigenvalues, so ties keep block order.  The
+    eigenvalues, every eigenvector stack and the columns are returned
+    read-only, so every holder shares them unchanged.  A failure to converge
+    raises instead of returning garbage.
     """
     w = np.empty(blocks.shape[0])
     vectors = []
@@ -562,7 +548,10 @@ def eigh_matrix(blocks: _Blocks) -> tuple[np.ndarray, _EigenBasis]:
     order = np.argsort(w, kind="stable")
     column = np.empty(w.size, dtype=np.intp)
     column[order] = np.arange(w.size)  # the sorted position of each eigenvalue
-    return w[order], _EigenBasis(_Blocks(blocks.layout, tuple(vectors)), column)
+    w = w[order]
+    for x in (w, column, *vectors):
+        x.setflags(write=False)
+    return w, _EigenBasis(_Blocks(blocks.layout, tuple(vectors)), column)
 
 
 def expectation(op: HermitianOperator, state) -> float:
@@ -598,9 +587,3 @@ def anticommutator(a: HermitianOperator, b: HermitianOperator) -> HermitianOpera
     """
     anti = _joint_products(a, b)[0]
     return HermitianOperator.from_blocks(anti.layout, anti.stacks)
-
-
-def sym_covariance(a: HermitianOperator, b: HermitianOperator, state) -> float:
-    """Symmetrized covariance (1/2)<{a,b}> - <a><b> on a state or density matrix."""
-    half_anti = expectation(anticommutator(a, b), state) / 2.0
-    return half_anti - expectation(a, state) * expectation(b, state)

@@ -14,6 +14,12 @@ its cluster_tol, define the dephasing channel.  The module computes:
 * symmetric logarithmic derivatives (SLDs), optimal projective measurements,
   and the classical Fisher information of arbitrary POVMs.
 
+A scenario forms those per-eigenspace sums once, on first use
+(Scenario._clusters: V^dag psi and V^dag dpsi in G's eigenbasis, summed
+cluster by cluster).  The projector-overlap, anticommutator, covariance and
+loss forms, both loss residuals, sld_twirled and report() all read that one
+pass, so any of them after report() on the same scenario forms no sums again.
+
 Derivatives of the state are always analytic (dpsi = -i K psi); finite
 differences appear only in tests, as an independent oracle.
 """
@@ -199,6 +205,14 @@ class Scenario:
         psi = self.psi_lambda.amplitudes
         return np.outer(self.dpsi, psi.conj()) + np.outer(psi, self.dpsi.conj())
 
+    @cached_property
+    def _clusters(self) -> "_ClusterData":
+        """V^dag psi and V^dag dpsi in G's eigenbasis and their cluster sums
+        (_segment_sums): the one pass that the dephased forms read."""
+        p = self.generators.dephasing
+        a, b = p.generator._eig[1].adjoint(self.psi_lambda.amplitudes, self.dpsi)
+        return _segment_sums(a, b, p.layout)
+
 
 def _rounding_floor(scale: float) -> float:
     """1e-9 max(1, scale), the size of rounding in quantities of that scale."""
@@ -295,12 +309,6 @@ def _segment_sums(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> _ClusterDa
     return _ClusterData(a, b, p, overlap, weight, float(np.linalg.norm(residual)))
 
 
-def _clusters(s: Scenario) -> _ClusterData:
-    p = s.generators.dephasing
-    a, b = p.generator._eig[1].adjoint(s.psi_lambda.amplitudes, s.dpsi)
-    return _segment_sums(a, b, p.layout)
-
-
 def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
     """QFI of a pure unitary family: 4<dpsi|dpsi> - 4|<psi|dpsi>|^2.
 
@@ -333,7 +341,7 @@ def qfi_twirled_pure(s: Scenario) -> float:
     4<dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / <psi|P_i|psi>, skipping
     eigenspaces with probability below the floor.
     """
-    return _twirled_qfi(s, _clusters(s))
+    return _twirled_qfi(s, s._clusters)
 
 
 def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
@@ -347,7 +355,7 @@ def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
 
 def qfi_anticommutator_form(s: Scenario) -> float:
     """Dephased QFI via anticommutators: 4<K^2> - sum_i <{P_i,K}>^2 / p_i."""
-    data = _clusters(s)
+    data = s._clusters
     ksq = float(np.real(np.vdot(s.dpsi, s.dpsi)))
     # <{P_i, K}> = 2 Re <psi|P_i K|psi> and K psi = i dpsi.
     anti = 2.0 * np.real(1j * data.overlap)
@@ -381,7 +389,7 @@ def qfi_commuting_form(s: Scenario) -> float:
 
 def qfi_covariance_form(s: Scenario) -> float:
     """Dephased QFI as 4 Var(K) - 4 sum_i p_i Cov(P_i / p_i, K)^2."""
-    data = _clusters(s)
+    data = s._clusters
     # <psi|dpsi> = -i <K>, so <K> = -Im<psi|dpsi>.
     k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     ksq = float(np.real(np.vdot(s.dpsi, s.dpsi)))
@@ -406,7 +414,7 @@ def qfi_eigenvector_form(s: Scenario) -> float:
 
 def qfi_loss(s: Scenario) -> float:
     """Information loss 4(sum_i Im(<psi|P_i|dpsi>)^2 / p_i - |<psi|dpsi>|^2)."""
-    data = _clusters(s)
+    data = s._clusters
     mask = data.support
     dephasing = float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
     ov = complex(np.vdot(s.psi_lambda.amplitudes, s.dpsi))
@@ -415,7 +423,7 @@ def qfi_loss(s: Scenario) -> float:
 
 def loss_covariance_form(s: Scenario) -> float:
     """Information loss as 4 sum_i Cov(P_i, K)^2 / p_i."""
-    data = _clusters(s)
+    data = s._clusters
     k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     mask = data.support
     cov = np.real(1j * data.overlap[mask]) - data.p[mask] * k_mean
@@ -424,10 +432,7 @@ def loss_covariance_form(s: Scenario) -> float:
 
 def no_loss_residual(s: Scenario) -> float:
     """Largest violation of Im<psi|P_i|dpsi> = c p_i with c = Im<psi|dpsi>."""
-    return _no_loss_residual(s, _clusters(s))
-
-
-def _no_loss_residual(s: Scenario, data: _ClusterData) -> float:
+    data = s._clusters
     c = float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     mask = data.support
     residuals = np.imag(data.overlap[mask]) - c * data.p[mask]
@@ -442,10 +447,7 @@ def max_loss_residuals(s: Scenario) -> tuple[float, float]:
     the norm of dpsi's component outside span{P_i psi}, so it does not depend
     on any choice of basis.
     """
-    return _max_loss_residuals(_clusters(s))
-
-
-def _max_loss_residuals(data: _ClusterData) -> tuple[float, float]:
+    data = s._clusters
     real_residual = float(np.max(np.abs(np.real(data.overlap[data.support])), initial=0.0))
     return real_residual, data.kernel_residual
 
@@ -609,7 +611,7 @@ def sld_twirled(s: Scenario) -> HermitianOperator:
     each cluster's diagonal block (_cross_blocks, as for drho_B), rotated
     back once.
     """
-    data, p = _clusters(s), s.generators.dephasing
+    data, p = s._clusters, s.generators.dephasing
     sizes = p.ranks()
     inv_sqrt_p = np.divide(1.0, np.sqrt(data.p), out=np.zeros_like(data.p), where=data.support)
     scale = np.repeat(inv_sqrt_p, sizes)  # 0 outside the support: psi_i = phi_i = 0
@@ -643,7 +645,8 @@ def classical_fisher(
     total = np.zeros((rho.dim, rho.dim), dtype=complex)
     for element in povm:
         _check_dims(element.dim, rho.dim)
-        min_eig = float(element.eig[0][0])
+        # the eigenvalues alone: element.eig would cache a d x d V per element
+        min_eig = float(element._eig[0][0])
         if min_eig < -1e-10:
             raise ValueError(f"POVM element has negative eigenvalue {min_eig:.3e}")
         total += element.matrix
@@ -706,10 +709,13 @@ def _dephased_pair(data: _ClusterData, clusters: _Layout) -> tuple[list, list]:
 def report(s: Scenario) -> QfiReport:
     """Full diagnostic report for a scenario, G clustered once per pair at its cluster_tol.
 
-    One pass over G's eigenspaces gives the dephased QFI (projector-overlap
-    form) and the no-loss and max-loss residuals.  The checks below do not
-    reuse that pass; a spread above the consistency gate raises instead of
-    averaging discrepant numbers:
+    The scenario's one pass over G's eigenspaces (its cached cluster sums)
+    gives the dephased QFI (qfi_twirled_pure, the projector-overlap form) and
+    the no-loss and max-loss residuals (no_loss_residual, max_loss_residuals):
+    report() calls those public functions, and every other dephased form and
+    sld_twirled read the same pass, so it runs once per scenario.  The checks
+    below do not reuse the sums; a spread above the consistency gate raises
+    instead of averaging discrepant numbers:
 
     * the clean QFI as 4 Var(K) against the pure-state QFI of the evolved
       state;
@@ -768,19 +774,18 @@ def report(s: Scenario) -> QfiReport:
     the same per-eigenspace sums; their agreement is asserted in tests and in
     the acceptance gate, not here.
     """
-    data = _clusters(s)
     alice = qfi_unitary(s.fiducial, s.k_generator)
     alice_check = qfi_pure(s.psi_lambda, s.dpsi)
     _gate({"unitary_variance": alice, "pure_overlap": alice_check}, alice)
 
-    bob = _twirled_qfi(s, data)
+    bob = qfi_twirled_pure(s)
     candidates = {
         "projector_overlap": bob,
         "eigenvector": qfi_eigenvector_form(s),
     }
-    if data.rank_regular:
+    if s._clusters.rank_regular:
         clusters = s.generators.dephasing.layout
-        rho_b, drho_b = _dephased_pair(data, clusters)
+        rho_b, drho_b = _dephased_pair(s._clusters, clusters)
         rho_b = DensityMatrix.from_blocks(clusters, rho_b)
         try:
             candidates["mixed_state"] = qfi_mixed(rho_b, _Blocks(clusters, tuple(drho_b)))
@@ -791,7 +796,7 @@ def report(s: Scenario) -> QfiReport:
     floor = _rounding_floor(alice)
     bob, alice = _clamped("dephased", bob, floor), _clamped("clean", alice, floor)
     cov_gk, mean_comm = necessary_conditions(s)
-    residuals = _no_loss_residual(s, data), _max_loss_residuals(data)
+    residuals = no_loss_residual(s), max_loss_residuals(s)
     try:
         return QfiReport(alice, bob, cov_gk, mean_comm, *residuals)
     except ValueError as exc:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import _example1_qfi_weights, _log_factorial
+from .models import MAX_TRUNCATION, _example1_qfi_weights, _log_factorial
 
 __all__ = [
     "NORMALIZATION_ONLY",
@@ -49,9 +49,10 @@ class OptProblem:
     tol bounds both the energy residual and the duality gap of a converged
     result; it does not stop the solve, which always runs to the rounding
     level of f.  n_levels and seeds must be integers (numpy integers are
-    stored as int; bool is refused).  seeds and rng_seed select nothing:
-    the solve is deterministic.  They remain only so that existing callers
-    that pass them keep working.
+    stored as int; bool is refused), n_levels at most models.MAX_TRUNCATION,
+    the largest Fock truncation the library builds.  seeds and rng_seed
+    select nothing: the solve is deterministic.  They remain only so that
+    existing callers that pass them keep working.
     """
 
     n_levels: int
@@ -67,8 +68,8 @@ class OptProblem:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        if self.n_levels < 2:
-            raise ValueError("n_levels must be at least 2")
+        if not 2 <= self.n_levels <= MAX_TRUNCATION:
+            raise ValueError(f"n_levels must be between 2 and {MAX_TRUNCATION}, got {self.n_levels}")
         if self.seeds < 1:
             raise ValueError("seeds must be at least 1")
         if not self.tol > 0:

@@ -119,3 +119,9 @@ def commuting_pair(rng, dim, n_clusters=None):
     k = HermitianOperator(u @ np.diag(k_vals) @ u.conj().T)
     g = HermitianOperator(u @ np.diag(g_vals) @ u.conj().T)
     return k, g
+
+
+def cluster_means(p):
+    """The mean eigenvalue of each cluster of a ProjectorSet, in cluster order."""
+    w = p.generator.eig[0]
+    return np.array([w[b1:b2].mean() for b1, b2 in zip(p.bounds, p.bounds[1:])])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import (
     SIGMA_Z,
+    cluster_means,
     commuting_pair,
     random_degenerate_hermitian,
     random_density,
@@ -13,7 +14,7 @@ from scipy.linalg import expm
 from twirlqfi.channels import (
     DEFAULT_CLUSTER_TOL,
     ProjectorSet,
-    cluster_eigenvalues,
+    _cluster_layout,
     finite_time_average,
     spectral_projectors,
     twirl,
@@ -30,7 +31,7 @@ def project_set_invariants(p: ProjectorSet):
     assert np.max(np.abs(p.basis.conj().T @ p.basis - eye)) <= 1e-9
     assert p.bounds[0] == 0 and p.bounds[-1] == p.dim
     assert all(b2 > b1 for b1, b2 in zip(p.bounds, p.bounds[1:]))
-    assert len(p.eigenvalues) == p.n_projectors == len(p.bounds) - 1
+    assert p.n_projectors == len(p.bounds) - 1
     total = np.zeros((p.dim, p.dim), dtype=complex)
     mats = [op.matrix for op in p.projectors]
     for i, mat in enumerate(mats):
@@ -39,7 +40,7 @@ def project_set_invariants(p: ProjectorSet):
         for j in range(i + 1, len(mats)):
             assert np.max(np.abs(mat @ mats[j])) <= 1e-9
     assert np.max(np.abs(total - eye)) <= 1e-9
-    assert np.all(np.diff(p.eigenvalues) > 0)
+    assert np.all(np.diff(cluster_means(p)) > 0)
     # the pinching kept as the clusters' blocks in the eigenbasis is sum_i P_i M P_i
     m = random_hermitian(np.random.default_rng(p.dim), p.dim).matrix
     pinched = sum(mat @ m @ mat for mat in mats)
@@ -50,7 +51,7 @@ class TestSpectralProjectors:
     def test_sigma_z_half(self):
         p = spectral_projectors(HermitianOperator(SIGMA_Z / 2))
         assert p.ranks() == (1, 1)
-        assert np.allclose(p.eigenvalues, [-0.5, 0.5])
+        assert np.allclose(cluster_means(p), [-0.5, 0.5])
         assert np.max(np.abs(p.projectors[0].matrix - np.diag([0.0, 1.0]))) < 1e-12
         assert np.max(np.abs(p.projectors[1].matrix - np.diag([1.0, 0.0]))) < 1e-12
         project_set_invariants(p)
@@ -61,7 +62,7 @@ class TestSpectralProjectors:
         g = HermitianOperator(np.kron(number, np.eye(3)) + np.kron(np.eye(3), number))
         p = spectral_projectors(g)
         assert p.ranks() == (1, 2, 3, 2, 1)
-        assert np.allclose(p.eigenvalues, [0, 1, 2, 3, 4])
+        assert np.allclose(cluster_means(p), [0, 1, 2, 3, 4])
         project_set_invariants(p)
 
     def test_fully_degenerate(self):
@@ -87,7 +88,7 @@ class TestSpectralProjectors:
         p = spectral_projectors(g)
         assert p.basis is v
         assert not p.basis.flags.writeable
-        assert p.bounds == tuple(cluster_eigenvalues(w, DEFAULT_CLUSTER_TOL))
+        assert np.array_equal(p.layout.ends, _cluster_layout(w, DEFAULT_CLUSTER_TOL).ends)
         twirl_hermitian(np.eye(32), p)
         assert eigh_calls == []
 
@@ -107,7 +108,7 @@ class TestSpectralProjectors:
             tol = float(rng.choice([1e-8, 1e-3]))
             gap = tol * (1.0 + (w[-1] - w[0]))
             loop = [0] + [i for i in range(1, w.size) if w[i] - w[i - 1] > gap] + [w.size]
-            assert cluster_eigenvalues(w, tol) == loop
+            assert [0, *_cluster_layout(w, tol).ends.tolist()] == loop
 
 
 class TestTwirl:

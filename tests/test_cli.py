@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import CASES
 
+from twirlqfi import cli
 from twirlqfi.cli import (
     ConfigError,
     _complex_array,
@@ -599,6 +600,17 @@ class TestOptimize:
             assert coherent >= uniform - 1e-6
             assert float(row["qfi_optimal_unconstrained"]) >= optimal - 1e-6
 
+    def test_integral_float_n_solves_the_same_levels(self, tmp_path):
+        # the load accepts N = 8.0 as a count, so optimize solves 8 levels
+        written = []
+        for name, n in (("int", 8), ("float", 8.0)):
+            out = tmp_path / f"{name}.csv"
+            config = write_config(tmp_path, f"{name}.json",
+                                  {**_OPT, "params": {"N": n}, "output": {"path": str(out)}})
+            assert main(["optimize", "--config", config, "--quiet"]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_low_energy_limit_vanishes(self, tmp_path):
         config = write_config(tmp_path, "low.json", {
             "scenario": "example1",
@@ -708,6 +720,9 @@ MALFORMED_OPTIMIZE = {
     "optimize-N-infinity": {**_OPT, "params": {"N": math.inf}},
     # used to solve 8 levels: N was rounded
     "optimize-N-not-integer": {**_OPT, "params": {"N": 7.6}},
+    # above models.MAX_TRUNCATION: the solve would build a list of N offsets
+    "optimize-N-above-max-truncation": {**_OPT, "params": {"N": 4097}},
+    "optimize-N-1e19": {**_OPT, "params": {"N": 1e19}},
 }
 
 
@@ -903,11 +918,15 @@ class TestErrors:
         + [("optimize", p) for p in MALFORMED_OPTIMIZE.values()],
         ids=list(MALFORMED) + list(MALFORMED_OPTIMIZE),
     )
-    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, command, payload):
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                command, payload):
+        solves = []
+        monkeypatch.setattr(cli, "optimize_probe", solves.append)
         config = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"]["kind"] == "config"
+        assert solves == []  # refused before any solve
 
     @pytest.mark.parametrize("case, message", MALFORMED_MESSAGES.items(),
                              ids=list(MALFORMED_MESSAGES))

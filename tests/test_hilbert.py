@@ -26,10 +26,15 @@ from twirlqfi.hilbert import (
     anticommutator,
     commutator,
     expectation,
-    sym_covariance,
-    tensor,
 )
-from twirlqfi.models import example1_scenario, example2_system, qrf_amplitudes, QrfStateSpec
+from twirlqfi.metrology import Scenario, necessary_conditions
+from twirlqfi.models import (
+    QrfStateSpec,
+    counterexample_scenario,
+    example1_scenario,
+    example2_system,
+    qrf_amplitudes,
+)
 
 
 class TestTypes:
@@ -145,36 +150,6 @@ class TestTypes:
         rho = DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
         assert isinstance(rho, HermitianOperator)
         assert np.array_equal(rho.eig[0], [0.25, 0.75])
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        eye2 = HermitianOperator(np.eye(2, dtype=complex))
-        eye3 = HermitianOperator(np.eye(3, dtype=complex))
-        assert np.array_equal(tensor(eye2, eye3).matrix, np.eye(6))
-
-    def test_basis_bookkeeping(self):
-        ket0 = StateVector(np.array([1.0, 0.0]))
-        ket1 = StateVector(np.array([0.0, 1.0]))
-        product = tensor(ket0, ket1)
-        expected = np.zeros(4)
-        expected[1] = 1.0  # row-major: (0, 1) -> 0 * 2 + 1
-        assert np.array_equal(product.amplitudes, expected)
-
-    def test_total_number_diagonal(self):
-        # oracle: enumerate all (m, n) pairs on a 3 x 3 truncation
-        number = HermitianOperator(np.diag([0.0, 1.0, 2.0]).astype(complex))
-        eye = HermitianOperator(np.eye(3, dtype=complex))
-        total = tensor(number, eye).matrix + tensor(eye, number).matrix
-        expected = np.diag([m + n for m in range(3) for n in range(3)])
-        assert np.max(np.abs(total - expected)) == 0.0
-
-    def test_associativity(self):
-        rng = np.random.default_rng(7)
-        ops = [random_hermitian(rng, d) for d in (2, 3, 2)]
-        left = tensor(tensor(ops[0], ops[1]), ops[2]).matrix
-        right = tensor(ops[0], tensor(ops[1], ops[2])).matrix
-        assert np.max(np.abs(left - right)) < 1e-14
 
 
 class TestEigh:
@@ -458,8 +433,17 @@ class TestAdjointStacks:
         for stack in basis.adjoint_stacks:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 0.0
-        # a view of the eigenvectors is made read-only, not the eigenvectors
+        # the eigenvectors come read-only from eigh_matrix: no flag of theirs changes
         assert [v.flags.writeable for v in basis.vectors.stacks] == flags
+
+    @pytest.mark.parametrize("name", ["dense", "example2", "example1"])
+    def test_eigh_matrix_returns_read_only_arrays(self, name):
+        # every holder of an operator shares its decomposition: a write into
+        # it before the first eig would reach eig[1]
+        w, basis = _operator(name)._eig
+        for x in (w, basis.column, *basis.vectors.stacks):
+            with pytest.raises(ValueError, match="read-only"):
+                x[(0,) * x.ndim] = 99
 
     @pytest.mark.parametrize("name", ["dense", "example2", "example1"])
     def test_stacks_are_built_once(self, name):
@@ -607,39 +591,42 @@ class TestCommutators:
         assert np.max(np.abs(out - out.conj().T)) == 0.0
 
 
+def covariance(a, b, state):
+    """Cov(A, B) = (1/2)<{A, B}> - <A><B> on a state: necessary_conditions'
+    Cov(G, K) with G = A and K = B at lambda = 0, where psi_lambda is the state."""
+    return necessary_conditions(Scenario(state, b, a, 0.0))[0]
+
+
 class TestSymCovariance:
+    """The symmetrized covariance, as necessary_conditions(s)[0] returns it."""
+
     def test_eigenstate_variance_zero(self):
         ket0 = StateVector(np.array([1.0, 0.0]))
         sz = HermitianOperator(SIGMA_Z)
-        assert sym_covariance(sz, sz, ket0) == pytest.approx(0.0, abs=1e-14)
+        assert covariance(sz, sz, ket0) == pytest.approx(0.0, abs=1e-14)
 
     def test_counterexample_covariance_zero(self):
-        psi = StateVector(np.array([1 / np.sqrt(6), 1 / np.sqrt(3), 1 / np.sqrt(2)]))
-        g = HermitianOperator(np.diag([6.0, 3.0, 4.0]).astype(complex))
-        k = HermitianOperator(np.diag([0.0, 0.0, 1.0]).astype(complex))
-        assert sym_covariance(g, k, psi) == pytest.approx(0.0, abs=1e-12)
+        s = counterexample_scenario(0.0)
+        assert necessary_conditions(s)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_interacting_oscillator_covariance_quarter(self):
         system = example2_system(n_total_max=5)
         qrf = qrf_amplitudes(QrfStateSpec.uniform(4), 4)
         scenario = system.scenario(qrf, lam=0.0)
-        value = sym_covariance(system.hamiltonian, system.k_generator, scenario.fiducial)
-        assert value == pytest.approx(0.25, abs=1e-12)
+        assert necessary_conditions(scenario)[0] == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(9)
         state = haar_state(rng, 5)
         a, b = random_hermitian(rng, 5), random_hermitian(rng, 5)
-        assert sym_covariance(a, b, state) == pytest.approx(
-            sym_covariance(b, a, state), abs=1e-12
-        )
+        assert covariance(a, b, state) == pytest.approx(covariance(b, a, state), abs=1e-12)
         scaled = HermitianOperator(2.5 * a.matrix)
-        assert sym_covariance(scaled, b, state) == pytest.approx(
-            2.5 * sym_covariance(a, b, state), abs=1e-11
+        assert covariance(scaled, b, state) == pytest.approx(
+            2.5 * covariance(a, b, state), abs=1e-11
         )
         summed = HermitianOperator(a.matrix + b.matrix)
-        assert sym_covariance(summed, b, state) == pytest.approx(
-            sym_covariance(a, b, state) + sym_covariance(b, b, state), abs=1e-11
+        assert covariance(summed, b, state) == pytest.approx(
+            covariance(a, b, state) + covariance(b, b, state), abs=1e-11
         )
 
     def test_variance_nonnegative(self):
@@ -647,4 +634,4 @@ class TestSymCovariance:
         for _ in range(50):
             a = random_hermitian(rng, 6)
             state = haar_state(rng, 6)
-            assert sym_covariance(a, a, state) >= -1e-10
+            assert covariance(a, a, state) >= -1e-10

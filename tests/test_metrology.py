@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from twirlqfi import hilbert, metrology
 from twirlqfi.channels import (
-    cluster_eigenvalues,
+    _cluster_layout,
     spectral_projectors,
     twirl,
     twirl_hermitian,
@@ -30,7 +30,6 @@ from twirlqfi.hilbert import (
     anticommutator,
     commutator,
     expectation,
-    sym_covariance,
 )
 from twirlqfi.metrology import (
     ConsistencyError,
@@ -107,14 +106,20 @@ def naive_anticommutator_qfi(s, p):
     return total
 
 
+def symmetrized_covariance(a, b, state):
+    """The symmetrized covariance (1/2)<{A, B}> - <A><B> on a state."""
+    half_anti = expectation(anticommutator(a, b), state) / 2.0
+    return half_anti - expectation(a, state) * expectation(b, state)
+
+
 def naive_covariance_qfi(s, p):
     state = s.psi_lambda
-    total = 4.0 * sym_covariance(s.k_generator, s.k_generator, state)
+    total = 4.0 * symmetrized_covariance(s.k_generator, s.k_generator, state)
     for proj in p.projectors:
         prob = expectation(proj, state)
         if prob <= 1e-12:
             continue
-        cov = sym_covariance(proj, s.k_generator, state)
+        cov = symmetrized_covariance(proj, s.k_generator, state)
         total -= 4.0 * prob * (cov / prob) ** 2
     return total
 
@@ -156,9 +161,9 @@ def eigenbasis_pair(s, p):
     the reference for report()'s pair, which it writes cluster by cluster.
 
     p is a ProjectorSet of s's G; a = V^dag psi and b = V^dag dpsi are the
-    coordinates report() forms, block by block (metrology._clusters).
+    coordinates report() forms, block by block (Scenario._clusters).
     """
-    data = metrology._clusters(s)
+    data = s._clusters
     a, b = data.a, data.b
     mask = cluster_mask(p)
     rho = DensityMatrix(mask * np.outer(a, a.conj()))
@@ -410,9 +415,7 @@ class TestDephasedQfiForms:
         reference = qfi_eigenvector_form(s)
         # same formula evaluated in two randomly rotated in-cluster bases
         w, v = np.linalg.eigh(g.matrix)
-        from twirlqfi.channels import cluster_eigenvalues
-
-        bounds = cluster_eigenvalues(w, 1e-8)
+        bounds = [0, *_cluster_layout(w, 1e-8).ends.tolist()]
         for _ in range(2):
             rotated = v.copy()
             for b1, b2 in zip(bounds, bounds[1:]):
@@ -966,6 +969,24 @@ class TestMeasurements:
             fisher = classical_fisher(povm, rho_b, drho_b)
             assert np.float64(fisher).view(np.uint64) == np.float64(expected).view(np.uint64)
 
+    def test_classical_fisher_caches_no_eigenvector_matrix(self):
+        # the positivity check reads each element's eigenvalues only; eig
+        # would build and keep a d x d V on every element of the list
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.uniform(6), 6), 0.7)
+        p = spectral_projectors(s.g_generator)
+        rho_b = twirl(s.rho_lambda, p)
+        drho_b = twirl_hermitian(s.drho_lambda, p)
+        povm = optimal_povm(sld_twirled(s))
+        fisher = classical_fisher(povm, rho_b, drho_b)
+        assert s.dim == 12 and len(povm) == 3
+        assert not any("eig" in vars(element) for element in povm)
+        expected = 0.0
+        for element in povm:
+            prob = float(np.real(np.sum(element.matrix * rho_b.matrix.T)))
+            dprob = float(np.real(np.sum(element.matrix * drho_b.T)))
+            expected += dprob**2 / prob
+        assert np.float64(fisher).view(np.uint64) == np.float64(expected).view(np.uint64)
+
     def test_identity_povm_carries_nothing(self):
         rng = np.random.default_rng(149)
         s = random_scenario(rng, 5)
@@ -1027,6 +1048,25 @@ class TestMeasurements:
 
 
 class TestReport:
+    def test_one_cluster_pass_per_scenario(self, monkeypatch):
+        # report(), the dephased forms, the residuals and sld_twirled read the
+        # scenario's one pass; only the gate forms its own sums
+        calls, segment_sums = [], metrology._segment_sums
+
+        def counted(a, b, clusters):
+            calls.append(clusters)
+            return segment_sums(a, b, clusters)
+
+        monkeypatch.setattr(metrology, "_segment_sums", counted)
+        s = example1_scenario(qrf_amplitudes(QrfStateSpec.coherent(math.sqrt(20.0))), 0.7)
+        report(s)
+        assert calls == [s.generators.dephasing.layout, s.generators.gate[1]]
+        for form in (qfi_twirled_pure, no_loss_residual, max_loss_residuals,
+                     qfi_anticommutator_form, qfi_covariance_form, qfi_loss,
+                     loss_covariance_form, sld_twirled):
+            form(s)
+        assert len(calls) == 2
+
     def test_uniform_probe_report(self):
         qrf = qrf_amplitudes(QrfStateSpec.uniform(10), 10)
         rep = report(example1_scenario(qrf, 0.6))
@@ -1118,7 +1158,7 @@ class TestReport:
         with pytest.raises(ValueError) as built:
             metrology.Generators(k, g, cluster_tol)
         with pytest.raises(ValueError) as clustered:
-            cluster_eigenvalues(g.eig[0], cluster_tol)
+            _cluster_layout(g.eig[0], cluster_tol)
         assert str(built.value) == str(clustered.value)
         assert str(built.value).startswith("cluster_tol must be positive and finite")
 
@@ -1266,8 +1306,8 @@ class TestReport:
             ref = Scenario(psi0, k, g, lam)
             s = Scenario(psi0, HermitianOperator(scale * k.matrix), g, lam / scale)
             p = spectral_projectors(g)
-            assert sym_covariance(g, s.k_generator, s.psi_lambda) == pytest.approx(
-                scale * sym_covariance(g, k, ref.psi_lambda), rel=1e-12
+            assert symmetrized_covariance(g, s.k_generator, s.psi_lambda) == pytest.approx(
+                scale * symmetrized_covariance(g, k, ref.psi_lambda), rel=1e-12
             )
             for sld in (sld_twirled, lambda x: sld_mixed(*eigenbasis_pair(x, p))):
                 unit = sld(ref).matrix
@@ -1403,7 +1443,7 @@ class TestDephasedPair:
         rho, drho = self.reported_pair(s, monkeypatch)
         # rho_B goes to DensityMatrix exactly Hermitian, so its drift check is skipped
         rho_raw, _ = metrology._dephased_pair(
-            metrology._clusters(s), s.generators.dephasing.layout)
+            s._clusters, s.generators.dephasing.layout)
         assert all(np.array_equal(x, _hermitian_part(x)) for x in rho_raw)
         parts = np.repeat(inside, 2, axis=1)  # the real and imaginary words of each entry
         for got, ref in ((rho, rho_ref), (drho, drho_ref)):
@@ -1418,7 +1458,7 @@ class TestDephasedPair:
         # report() forms a = V^dag psi and b = V^dag dpsi block by block; a
         # block's sums differ from the dense product's by rounding only
         s = pair_scenarios()[name]
-        data, basis = metrology._clusters(s), s.generators.dephasing.basis
+        data, basis = s._clusters, s.generators.dephasing.basis
         for got, x in ((data.a, s.psi_lambda.amplitudes), (data.b, s.dpsi)):
             bound = 4.0 * np.finfo(float).eps * np.linalg.norm(x)
             assert np.max(np.abs(got - basis.conj().T @ x)) <= bound

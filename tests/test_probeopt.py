@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from twirlqfi import probeopt
-from twirlqfi.models import QrfStateSpec, example1_qfi_closed_form, qrf_amplitudes
+from twirlqfi.models import MAX_TRUNCATION, QrfStateSpec, example1_qfi_closed_form, qrf_amplitudes
 from twirlqfi.probeopt import (
     FIXED_MEAN_ENERGY,
     OptProblem,
@@ -409,6 +409,13 @@ class TestOptimizeProbe:
         problem = OptProblem(n_levels=np.int64(9), seeds=np.int32(3))
         assert (type(problem.n_levels), type(problem.seeds)) == (int, int)
         assert optimize_probe(problem).trace == optimize_probe(OptProblem(n_levels=9)).trace
+
+    def test_n_levels_within_the_largest_truncation(self):
+        # a larger count reached the solve, which builds a list of n_levels offsets
+        assert OptProblem(n_levels=MAX_TRUNCATION).n_levels == MAX_TRUNCATION
+        for n_levels in (1, MAX_TRUNCATION + 1, 10**19):
+            with pytest.raises(ValueError, match="n_levels must be between 2 and 4096"):
+                OptProblem(n_levels=n_levels)
 
     def test_infeasible_targets_rejected(self):
         with pytest.raises(ValueError):

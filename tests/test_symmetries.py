@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 from conftest import (
+    cluster_means,
     commuting_pair,
     haar_state,
     random_degenerate_hermitian,
@@ -37,7 +38,7 @@ def clustered_problems(draw):
         pair = Generators(*commuting_pair(rng, dim, n_clusters))
         # G's distinct values as far apart as random_degenerate_hermitian draws
         # them: closer ones leave eigenspaces conditioned as 1 / gap
-        assume(np.all(np.diff(pair.dephasing.eigenvalues) >= 1e-3))
+        assume(np.all(np.diff(cluster_means(pair.dephasing)) >= 1e-3))
     else:
         pair = Generators(random_hermitian(rng, dim), random_degenerate_hermitian(rng, dim, n_clusters))
     lam = draw(st.floats(-math.pi, math.pi))
