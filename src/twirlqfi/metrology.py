@@ -345,12 +345,13 @@ def qfi_twirled_pure(s: Scenario) -> float:
 
 
 def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
-    kinetic = 4.0 * float(np.real(np.vdot(s.dpsi, s.dpsi)))
+    return 4.0 * float(np.real(np.vdot(s.dpsi, s.dpsi))) - 4.0 * _dephasing_sum(data)
+
+
+def _dephasing_sum(data: _ClusterData) -> float:
+    """sum_i Im(<psi|P_i|dpsi>)^2 / p_i over the support."""
     mask = data.support
-    dephasing = 4.0 * float(
-        np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask])
-    )
-    return kinetic - dephasing
+    return float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
 
 
 def qfi_anticommutator_form(s: Scenario) -> float:
@@ -389,14 +390,10 @@ def qfi_commuting_form(s: Scenario) -> float:
 
 def qfi_covariance_form(s: Scenario) -> float:
     """Dephased QFI as 4 Var(K) - 4 sum_i p_i Cov(P_i / p_i, K)^2."""
-    data = s._clusters
     # <psi|dpsi> = -i <K>, so <K> = -Im<psi|dpsi>.
     k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
-    ksq = float(np.real(np.vdot(s.dpsi, s.dpsi)))
-    variance = ksq - k_mean**2
-    mask = data.support
-    cov = np.real(1j * data.overlap[mask]) - data.p[mask] * k_mean  # Cov(P_i, K)
-    return 4.0 * variance - 4.0 * float(np.sum(cov**2 / data.p[mask]))
+    variance = float(np.real(np.vdot(s.dpsi, s.dpsi))) - k_mean**2
+    return 4.0 * variance - loss_covariance_form(s)
 
 
 def qfi_eigenvector_form(s: Scenario) -> float:
@@ -414,29 +411,37 @@ def qfi_eigenvector_form(s: Scenario) -> float:
 
 def qfi_loss(s: Scenario) -> float:
     """Information loss 4(sum_i Im(<psi|P_i|dpsi>)^2 / p_i - |<psi|dpsi>|^2)."""
-    data = s._clusters
-    mask = data.support
-    dephasing = float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
     ov = complex(np.vdot(s.psi_lambda.amplitudes, s.dpsi))
-    return 4.0 * (dephasing - abs(ov) ** 2)
+    return 4.0 * (_dephasing_sum(s._clusters) - abs(ov) ** 2)
 
 
-def loss_covariance_form(s: Scenario) -> float:
-    """Information loss as 4 sum_i Cov(P_i, K)^2 / p_i."""
-    data = s._clusters
-    k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
-    mask = data.support
-    cov = np.real(1j * data.overlap[mask]) - data.p[mask] * k_mean
-    return 4.0 * float(np.sum(cov**2 / data.p[mask]))
-
-
-def no_loss_residual(s: Scenario) -> float:
-    """Largest violation of Im<psi|P_i|dpsi> = c p_i with c = Im<psi|dpsi>."""
+def _no_loss_terms(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """(r, p) over the support: r_i = Im<psi|P_i|dpsi> - c p_i with
+    c = Im<psi|dpsi>, which is -Cov(P_i, K) to the bit."""
     data = s._clusters
     c = float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
     mask = data.support
-    residuals = np.imag(data.overlap[mask]) - c * data.p[mask]
-    return float(np.max(np.abs(residuals), initial=0.0))
+    return np.imag(data.overlap[mask]) - c * data.p[mask], data.p[mask]
+
+
+def loss_covariance_form(s: Scenario) -> float:
+    """Information loss as 4 sum_i Cov(P_i, K)^2 / p_i.
+
+    Cov(P_i, K) = -r_i, the residuals that no_loss_residual reads: the terms
+    of the no-loss clause.
+    """
+    r, p = _no_loss_terms(s)
+    return 4.0 * float(np.sum(r**2 / p))
+
+
+def no_loss_residual(s: Scenario) -> float:
+    """Largest violation of Im<psi|P_i|dpsi> = c p_i with c = Im<psi|dpsi>.
+
+    max_i |r_i| over the residuals r_i = Im<psi|P_i|dpsi> - c p_i, the same
+    terms that loss_covariance_form sums as r_i^2 / p_i.
+    """
+    r, _ = _no_loss_terms(s)
+    return float(np.max(np.abs(r), initial=0.0))
 
 
 def max_loss_residuals(s: Scenario) -> tuple[float, float]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import DEFAULT_CLUSTER_TOL, _cluster_layout
 from .hilbert import HermitianOperator, StateVector
 from .metrology import Scenario
 
@@ -448,8 +449,7 @@ def example2_system(omega: float = 1.0, kappa: float = 1.0 / math.sqrt(2.0),
     h_sector = HermitianOperator.from_blocks(np.cumsum(np.arange(1, n_total_max + 2)), blocks)
     k_sector = HermitianOperator.from_diagonal(m)
     expected = np.sort((omega + kappa) * m + (omega - kappa) * n)
-    gaps = np.diff(expected)
-    if np.any(gaps <= 1e-8 * (1.0 + expected[-1] - expected[0])):
+    if _cluster_layout(expected, DEFAULT_CLUSTER_TOL).ends.size < expected.size:
         raise ValueError(
             "spectrum is degenerate at this (omega, kappa); clusters would collide"
         )

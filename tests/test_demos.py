@@ -1,8 +1,9 @@
 """Every script under demos/ runs to completion in a fresh interpreter.
 
 The interpreter runs with -W error: pytest's filterwarnings does not reach a
-subprocess, and a demo should not raise a numpy warning either.  The
-README's library quick start runs in this process, under filterwarnings.
+subprocess, and a demo should not raise a numpy warning either.  Every
+fenced python block in the README runs in this process, under
+filterwarnings, each in a fresh namespace.
 """
 
 import re
@@ -41,3 +42,11 @@ def test_readme_quick_start_runs(capsys):
     alice, bob, loss, no_loss, max_loss = capsys.readouterr().out.split()
     assert float(loss) == float(alice) - float(bob)
     assert {no_loss, max_loss} <= {"True", "False"}
+
+
+def test_readme_python_blocks_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for index, code in enumerate(blocks):
+        exec(compile(code, f"README.md python block {index}", "exec"), {})

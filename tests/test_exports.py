@@ -2,8 +2,9 @@
 
 Importing the package resolves only the names it imports itself, so a stale
 entry in a module's __all__ would pass unnoticed; tools that walk __all__
-(the perfbench tracer walks models.__all__) would fail on it.  No public
-metrology function takes a ProjectorSet: the scenario's pair owns G's.
+(the perfbench tracer walks models.__all__) would fail on it.  The package
+exports exactly its library modules' lists, in order and each name once.  No
+public metrology function takes a ProjectorSet: the scenario's pair owns G's.
 """
 
 import importlib
@@ -12,9 +13,11 @@ import typing
 
 import pytest
 
+import twirlqfi
 from twirlqfi import metrology
 from twirlqfi.channels import ProjectorSet
 
+LIBRARY = ["channels", "hilbert", "metrology", "models", "probeopt"]
 MODULES = [
     "twirlqfi",
     "twirlqfi.channels",
@@ -31,6 +34,16 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_package_exports_exactly_the_library_modules_lists():
+    modules = [importlib.import_module(f"twirlqfi.{name}") for name in LIBRARY]
+    assert twirlqfi.__all__ == [attr for module in modules for attr in module.__all__]
+    assert len(set(twirlqfi.__all__)) == len(twirlqfi.__all__)
+    assert not set(twirlqfi.__all__) & {*LIBRARY, "cli"}
+    for module in modules:
+        for attr in module.__all__:
+            assert getattr(twirlqfi, attr) is getattr(module, attr), attr
 
 
 def test_no_public_metrology_function_takes_a_projector_set():

@@ -46,6 +46,8 @@ class TestTypes:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             StateVector(np.zeros(3))
+        with pytest.raises(ValueError, match="at least one amplitude"):
+            StateVector([])
 
     def test_hermitian_drift_symmetrized(self):
         mat = SIGMA_X + 1e-13 * np.array([[0, 1j], [0, 0]])
@@ -55,6 +57,9 @@ class TestTypes:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for bad in (np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2)), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="non-empty square matrix"):
+                HermitianOperator(bad)
 
     @staticmethod
     def hermitian_inputs():
@@ -505,6 +510,10 @@ class TestExpectation:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             expectation(HermitianOperator(SIGMA_Z), StateVector(np.ones(3)))
+        # a bare array, and a HermitianOperator that is not a DensityMatrix
+        for state in (np.array([1.0, 0.0]), HermitianOperator(np.eye(2))):
+            with pytest.raises(TypeError, match="StateVector or DensityMatrix"):
+                expectation(HermitianOperator(SIGMA_Z), state)
 
     @pytest.mark.parametrize("rank", [8, 3])
     def test_density_matrix_trace_matches_the_eigenbasis_sum(self, rank):

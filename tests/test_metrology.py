@@ -1045,6 +1045,11 @@ class TestMeasurements:
                 s.rho_lambda,
                 s.drho_lambda,
             )
+        # complete, but one element is not positive
+        negative = np.diag([1.0, 1.5, 0.5]).astype(complex)
+        povm = [HermitianOperator(negative), HermitianOperator(np.eye(3) - negative)]
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            classical_fisher(povm, s.rho_lambda, s.drho_lambda)
 
 
 class TestReport:
@@ -1150,6 +1155,14 @@ class TestReport:
         qfi_eigenvector_form(other)
         assert other.generators.gate is not first.generators.gate
         assert eigh_calls == [6, 6]
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_scenario_rejects_a_non_finite_lambda(self, lam):
+        s = random_scenario(np.random.default_rng(229), 3)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            Scenario(s.fiducial, s.k_generator, s.g_generator, lam)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            s.with_lambda(lam)
 
     @pytest.mark.parametrize("cluster_tol", [0.0, -1e-8, math.nan, math.inf])
     def test_pair_rejects_a_bad_cluster_tol_at_construction(self, cluster_tol):

@@ -33,6 +33,10 @@ class TestFockOps:
         assert np.max(np.abs(lowering - np.array([[0, 1], [0, 0]]))) == 0.0
         assert np.max(np.abs(raising - lowering.conj().T)) == 0.0
 
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError, match="n_levels must be at least 2"):
+            fock_ops(1)
+
     def test_number_operator(self):
         _, _, number = fock_ops(4)
         assert np.max(np.abs(number - np.diag([0.0, 1, 2, 3]))) == 0.0
@@ -138,6 +142,20 @@ class TestQrfAmplitudes:
             QrfStateSpec(kind="uniform_superposition", n_fock=0)
         with pytest.raises(ValueError):
             QrfStateSpec(kind="nonsense")
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            QrfStateSpec.squeezed_displaced(1.0, -0.1)
+        for x_fraction in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"x_fraction must lie in \(0, 1\]"):
+                QrfStateSpec(kind="squeezed_displaced", alpha=1.0, x_fraction=x_fraction)
+        with pytest.raises(ValueError, match="explicit amplitudes must be non-empty"):
+            QrfStateSpec(kind="explicit", amplitudes=())
+        with pytest.raises(ValueError, match="mean occupation must be non-negative"):
+            QrfStateSpec.from_mean_energy(-1.0, 0.5)
+        for x_fraction in (-0.1, 1.1):
+            with pytest.raises(ValueError, match=r"x_fraction must lie in \[0, 1\]"):
+                QrfStateSpec.from_mean_energy(2.0, x_fraction)
+        with pytest.raises(ValueError, match="truncation must be positive"):
+            qrf_amplitudes(QrfStateSpec.uniform(1), 0)
 
 
 class TestClosedFormQubitQrf:
@@ -168,6 +186,8 @@ class TestClosedFormQubitQrf:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             example1_qfi_closed_form(np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="non-empty vector"):
+            example1_qfi_closed_form([])
 
 
 class TestCoherentHypergeometric:
@@ -316,11 +336,18 @@ class TestExample2System:
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ValueError):
             example2_system(omega=1.0, kappa=0.5, n_total_max=4)  # 3k and k collide
+        for omega, kappa in ((1.0, 1.0), (0.5, 1.0), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="need omega > kappa > 0"):
+                example2_system(omega, kappa)
+        with pytest.raises(ValueError, match="n_total_max must be at least 1"):
+            example2_system(n_total_max=0)
 
     def test_embed_validates_support(self):
         system = example2_system(n_total_max=2)
         with pytest.raises(ValueError):
             system.embed_product_state(np.array([1.0, 1.0]), np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="exceeds the sector"):
+            system.normal_mode_vector(2, 1)
 
 
 class TestExample2ClosedForm:

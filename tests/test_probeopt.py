@@ -424,6 +424,14 @@ class TestOptimizeProbe:
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY, energy_target=-0.5)
         with pytest.raises(ValueError):
             OptProblem(n_levels=8, constraint=FIXED_MEAN_ENERGY)
+        with pytest.raises(ValueError, match="unknown constraint 'energy'"):
+            OptProblem(n_levels=8, constraint="energy")
+        with pytest.raises(ValueError, match="only meaningful with fixed_mean_energy"):
+            OptProblem(n_levels=8, energy_target=2.0)
+
+    def test_coherent_weight_profile_needs_a_non_negative_mean(self):
+        with pytest.raises(ValueError, match="mean must be non-negative"):
+            coherent_weight_profile(8, -0.5)
 
 
 # optimize_probe's exact output on a fixed grid: per (n_levels, energy), the
