@@ -7,12 +7,24 @@ its cluster_tol, define the dephasing channel.  The module computes:
 
 * the quantum Fisher information (QFI) of the clean and dephased state, in
   several algebraic forms (projector overlap, anticommutator, covariance,
-  eigenvector); they rearrange the same per-eigenspace sums, so their
-  agreement is asserted in tests rather than re-derived by report(),
+  eigenvector); their agreement is asserted in tests rather than re-derived
+  by report(),
 * the information loss between the two, and the exact no-loss / max-loss
   conditions as executable predicates,
 * symmetric logarithmic derivatives (SLDs), optimal projective measurements,
   and the classical Fisher information of arbitrary POVMs.
+
+The loss theorem states each exact condition as "these residuals vanish".
+The two QFIs report() returns are sums of squares, so neither is a
+difference of two numbers of size ||K||^2 and neither comes out negative.
+The clean QFI is 4||dpsi - <psi|dpsi> psi||^2 (qfi_pure, and qfi_unitary on
+psi0).  The dephased QFI is 4 sum_i (Re<psi|P_i|dpsi>)^2 / p_i + 4 kappa^2,
+the squares of the two max-loss residuals (qfi_twirled_pure,
+qfi_eigenvector_form; qfi_commuting_form keeps 4 kappa^2 alone, since
+commuting K and G make every Re<psi|P_i|dpsi> zero).  The loss and
+covariance forms are differences of two such sums, and the anticommutator
+form keeps its own cancelling arithmetic, so comparing forms compares
+different arithmetic.
 
 A scenario forms those per-eigenspace sums once, on first use
 (Scenario._clusters: V^dag psi and V^dag dpsi in G's eigenbasis, summed
@@ -225,8 +237,9 @@ class QfiReport:
 
     Derives loss = alice_qfi - bob_qfi, and no_loss and max_loss by comparing
     no_loss_residual and the larger of max_loss_residuals (real, kernel) with
-    DEFAULT_CONDITION_TOL.  0 <= loss <= alice_qfi must hold to
-    1e-9 max(1, alice_qfi), the size of rounding in QFIs that large.
+    DEFAULT_CONDITION_TOL.  report() passes both QFIs as sums of squares, so
+    each is >= 0; 0 <= loss <= alice_qfi must hold to 1e-9 max(1, alice_qfi),
+    the size of rounding in QFIs that large.
     """
 
     alice_qfi: float
@@ -310,8 +323,10 @@ def _segment_sums(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> _ClusterDa
 
 
 def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
-    """QFI of a pure unitary family: 4<dpsi|dpsi> - 4|<psi|dpsi>|^2.
+    """QFI of a pure unitary family: 4||dpsi - <psi|dpsi> psi||^2.
 
+    That is 4<dpsi|dpsi> - 4|<psi|dpsi>|^2, formed as the norm of dpsi's
+    component orthogonal to psi, so it is >= 0 without cancellation.
     Requires <psi|dpsi> purely imaginary (normalization is differentiable);
     a real part signals a non-unitary family or a buggy derivative.
     """
@@ -322,36 +337,39 @@ def qfi_pure(psi: StateVector, dpsi: np.ndarray) -> float:
         raise ValueError(
             f"<psi|dpsi> = {ov} is not purely imaginary; not a unitary family"
         )
-    value = 4.0 * float(np.real(np.vdot(dpsi, dpsi))) - 4.0 * abs(ov) ** 2
-    return value
+    return 4.0 * float(np.linalg.norm(dpsi - ov * psi.amplitudes)) ** 2
 
 
 def qfi_unitary(psi0: StateVector, k: HermitianOperator) -> float:
-    """QFI of the clean unitary channel: 4 Var(K).  Independent of lambda."""
+    """QFI of the clean unitary channel: 4 Var(K) = 4||K psi0 - <K> psi0||^2.
+
+    Formed as that norm, so it is >= 0 without cancellation.  Independent of
+    lambda.
+    """
     _check_dims(psi0.dim, k.dim)
-    kpsi = k.apply(psi0.amplitudes)
-    k2 = complex(np.vdot(psi0.amplitudes, kpsi)).real ** 2
-    ksq = float(np.real(np.vdot(kpsi, kpsi)))
-    return 4.0 * (ksq - k2)
+    psi = psi0.amplitudes
+    kpsi = k.apply(psi)
+    return 4.0 * float(np.linalg.norm(kpsi - np.vdot(psi, kpsi).real * psi)) ** 2
 
 
 def qfi_twirled_pure(s: Scenario) -> float:
     """QFI of the dephased pure family (projector-overlap form).
 
-    4<dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / <psi|P_i|psi>, skipping
-    eigenspaces with probability below the floor.
+    4 sum_i Re(<psi|P_i|dpsi>)^2 / p_i + 4 kappa^2 over eigenspaces with
+    p_i = <psi|P_i|psi> above the floor, where kappa = max_loss_residuals'
+    kernel residual holds the weight of dpsi outside span{P_i psi}, that of
+    the eigenspaces below the floor included.  Since
+    ||dpsi||^2 = sum_i |<psi|P_i|dpsi>|^2 / p_i + kappa^2, this equals
+    4<dpsi|dpsi> - 4 sum_i Im(<psi|P_i|dpsi>)^2 / p_i, as a sum of the
+    squares of the two max-loss residuals.
     """
-    return _twirled_qfi(s, s._clusters)
+    return _twirled_qfi(s._clusters)
 
 
-def _twirled_qfi(s: Scenario, data: _ClusterData) -> float:
-    return 4.0 * float(np.real(np.vdot(s.dpsi, s.dpsi))) - 4.0 * _dephasing_sum(data)
-
-
-def _dephasing_sum(data: _ClusterData) -> float:
-    """sum_i Im(<psi|P_i|dpsi>)^2 / p_i over the support."""
+def _twirled_qfi(data: _ClusterData) -> float:
     mask = data.support
-    return float(np.sum(np.imag(data.overlap[mask]) ** 2 / data.p[mask]))
+    real_sum = float(np.sum(np.real(data.overlap[mask]) ** 2 / data.p[mask]))
+    return 4.0 * real_sum + 4.0 * data.kernel_residual**2
 
 
 def qfi_anticommutator_form(s: Scenario) -> float:
@@ -367,9 +385,11 @@ def qfi_anticommutator_form(s: Scenario) -> float:
 def qfi_commuting_form(s: Scenario) -> float:
     """Dephased QFI for commuting K and G, evaluated on the fiducial state.
 
-    4<K^2> - 4 sum_i <psi0|P_i K|psi0>^2 / <psi0|P_i|psi0>; independent of
-    lambda.  Raises NonCommutingError when max |GK - KG| exceeds
-    1e-9 max(1, max|K| max|G|), a floor that scales with the generators.
+    4<K^2> - 4 sum_i <psi0|P_i K|psi0>^2 / <psi0|P_i|psi0>, formed as
+    4 kappa_0^2, kappa_0 the kernel residual of K psi0 against span{P_i psi0}
+    (what max_loss_residuals reads of dpsi); independent of lambda.  Raises
+    NonCommutingError when max |GK - KG| exceeds 1e-9 max(1, max|K| max|G|),
+    a floor that scales with the generators.
     """
     # max|A| over the block stacks: the entries outside the blocks are zeros
     comm_norm, k, g = (max(float(np.max(np.abs(x))) for x in blocks.stacks)
@@ -382,18 +402,16 @@ def qfi_commuting_form(s: Scenario) -> float:
     psi0, p = s.fiducial.amplitudes, s.generators.dephasing
     kpsi = s.k_generator.apply(psi0)
     cluster = _segment_sums(*p.generator._eig[1].adjoint(psi0, kpsi), p.layout)
-    ksq = float(np.real(np.vdot(kpsi, kpsi)))
-    mask = cluster.support
-    pk = np.real(cluster.overlap[mask])  # P_i K is Hermitian when [P_i, K] = 0
-    return 4.0 * ksq - 4.0 * float(np.sum(pk**2 / cluster.p[mask]))
+    return 4.0 * cluster.kernel_residual**2
 
 
 def qfi_covariance_form(s: Scenario) -> float:
-    """Dephased QFI as 4 Var(K) - 4 sum_i p_i Cov(P_i / p_i, K)^2."""
-    # <psi|dpsi> = -i <K>, so <K> = -Im<psi|dpsi>.
-    k_mean = -float(np.imag(np.vdot(s.psi_lambda.amplitudes, s.dpsi)))
-    variance = float(np.real(np.vdot(s.dpsi, s.dpsi))) - k_mean**2
-    return 4.0 * variance - loss_covariance_form(s)
+    """Dephased QFI as 4 Var(K) - 4 sum_i p_i Cov(P_i / p_i, K)^2.
+
+    The difference of qfi_pure on the evolved state and loss_covariance_form,
+    each a sum of squares.
+    """
+    return qfi_pure(s.psi_lambda, s.dpsi) - loss_covariance_form(s)
 
 
 def qfi_eigenvector_form(s: Scenario) -> float:
@@ -401,18 +419,22 @@ def qfi_eigenvector_form(s: Scenario) -> float:
 
     Per degenerate cluster i, forms the overlap vectors a_i = <v_ij|psi> and
     b_i = <v_ij|dpsi> and evaluates
-    4(<dpsi|dpsi> - sum_i Im(<a_i|b_i>)^2 / ||a_i||^2).
+    4(<dpsi|dpsi> - sum_i Im(<a_i|b_i>)^2 / ||a_i||^2), as qfi_twirled_pure
+    forms it, from the squares of the two max-loss residuals.
     The result does not depend on the basis chosen inside each cluster.
     G's eigenvectors and clusters are the pair's, from Generators.gate.
     """
     v, clusters = s.generators.gate
-    return _twirled_qfi(s, _segment_sums(*v.adjoint(s.psi_lambda.amplitudes, s.dpsi), clusters))
+    return _twirled_qfi(_segment_sums(*v.adjoint(s.psi_lambda.amplitudes, s.dpsi), clusters))
 
 
 def qfi_loss(s: Scenario) -> float:
-    """Information loss 4(sum_i Im(<psi|P_i|dpsi>)^2 / p_i - |<psi|dpsi>|^2)."""
-    ov = complex(np.vdot(s.psi_lambda.amplitudes, s.dpsi))
-    return 4.0 * (_dephasing_sum(s._clusters) - abs(ov) ** 2)
+    """Information loss 4(sum_i Im(<psi|P_i|dpsi>)^2 / p_i - |<psi|dpsi>|^2).
+
+    The difference of qfi_pure on the evolved state and qfi_twirled_pure,
+    each a sum of squares.
+    """
+    return qfi_pure(s.psi_lambda, s.dpsi) - qfi_twirled_pure(s)
 
 
 def _no_loss_terms(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
@@ -678,13 +700,6 @@ def _gate(values: dict[str, float], scale: float) -> None:
         raise ConsistencyError(f"QFI formulas disagree beyond the gate: {detail}")
 
 
-def _clamped(name: str, value: float, floor: float) -> float:
-    """A QFI below zero by at most floor is rounding and reads 0; further below raises."""
-    if value < -floor:
-        raise ConsistencyError(f"{name} QFI came out negative: {value!r}")
-    return 0.0 if value < 0.0 else value
-
-
 def _cross_blocks(a: np.ndarray, b: np.ndarray, clusters: _Layout) -> list[np.ndarray]:
     """b a^dag + a b^dag on each cluster's diagonal block, one stack per group
     of the clusters' layout, each entry the product np.outer forms."""
@@ -766,18 +781,18 @@ def report(s: Scenario) -> QfiReport:
     n_total_max + 1 rows.  Neither forms a d x d array at any point; only a
     dense K or G (one block) has d x d products.
 
-    A clean or dephased QFI below zero by at most 1e-9 max(1, alice_qfi) is
-    rounding and reads 0; one further below raises ConsistencyError.
-    QfiReport derives the loss and both verdicts from what is measured here.
+    Both QFIs are sums of squares (qfi_unitary, qfi_twirled_pure), so
+    neither is negative.  QfiReport derives the loss and both verdicts from
+    what is measured here.
     qfi_mixed's input floors on drho_B (Hermiticity, trace) guard a caller's drho;
     report() builds drho_B itself, so a failure there raises
     ConsistencyError naming the mixed_state stage and the floor.  So does a
     loss outside QfiReport's bounds (the loss_invariant stage), with
     QfiReport's ValueError as the cause.
 
-    The anticommutator and covariance forms and the two loss forms rearrange
-    the same per-eigenspace sums; their agreement is asserted in tests and in
-    the acceptance gate, not here.
+    The anticommutator and covariance forms and the two loss forms read the
+    same per-eigenspace sums with other arithmetic; their agreement is
+    asserted in tests and in the acceptance gate, not here.
     """
     alice = qfi_unitary(s.fiducial, s.k_generator)
     alice_check = qfi_pure(s.psi_lambda, s.dpsi)
@@ -798,8 +813,6 @@ def report(s: Scenario) -> QfiReport:
             # report() built this pair itself: a failed input floor is its own rounding
             raise ConsistencyError(f"mixed_state check on the dephased pair: {exc}") from exc
     _gate(candidates, alice)
-    floor = _rounding_floor(alice)
-    bob, alice = _clamped("dephased", bob, floor), _clamped("clean", alice, floor)
     cov_gk, mean_comm = necessary_conditions(s)
     residuals = no_loss_residual(s), max_loss_residuals(s)
     try:

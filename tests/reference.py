@@ -19,7 +19,15 @@ Then, with dpsi = -i K psi:
   with p_i = <psi|P_i|psi> above 1e-12 (below it a term carries no
   information, by the Schwarz inequality, and the library skips it too),
 * loss = alice - bob and cov_gk = Re<G psi|K psi> - <G><K>,
-* mean_commutator = <[G, K]> = <G psi|K psi> - <K psi|G psi> = 2i Im<G psi|K psi>.
+* mean_commutator = <[G, K]> = <G psi|K psi> - <K psi|G psi> = 2i Im<G psi|K psi>,
+* the loss theorem's residuals over the same eigenspaces above the floor:
+  no_loss_residual = max_i |Im<psi|P_i|dpsi> - c p_i| with c = Im<psi|dpsi>,
+  and max_loss_residuals = (max_i |Re<psi|P_i|dpsi>|, kappa), where kappa is
+  the norm of dpsi minus its projection onto each P_i psi, formed as that
+  vector; an eigenspace below the floor keeps all its dpsi weight in kappa.
+
+bob keeps the cancelling difference above rather than a sum of the
+residuals' squares, so it shares no arithmetic with the library's form.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ class Reference:
     loss: mpmath.mpf
     cov_gk: mpmath.mpf
     mean_commutator: mpmath.mpc
+    no_loss_residual: mpmath.mpf
+    max_loss_residuals: tuple[mpmath.mpf, mpmath.mpf]
 
 
 def _complex(x) -> mpmath.mpc:
@@ -57,21 +67,28 @@ def _vdot(x, y) -> mpmath.mpc:
 
 
 def _reference(psi, dpsi, eigenspaces, gpsi, kpsi) -> Reference:
-    """alice, bob, the loss, Cov(G, K) and <[G, K]>, each eigenspace given as
-    its pairs (<v|psi>, <v|dpsi>) over an orthonormal basis v of it, and
-    G psi and K psi as vectors."""
+    """alice, bob, the loss, Cov(G, K), <[G, K]> and the loss theorem's
+    residuals, each eigenspace given as its pairs (<v|psi>, <v|dpsi>) over an
+    orthonormal basis v of it, and G psi and K psi as vectors."""
     kinetic = mpmath.re(_vdot(dpsi, dpsi))
-    alice = 4 * (kinetic - abs(_vdot(psi, dpsi)) ** 2)
-    dephasing = mpmath.mpf(0)
+    mean_dpsi = _vdot(psi, dpsi)
+    alice = 4 * (kinetic - abs(mean_dpsi) ** 2)
+    dephasing, no_loss, real, kernel = (mpmath.mpf(0) for _ in range(4))
     for pairs in eigenspaces:
         p = mpmath.fsum(abs(a) ** 2 for a, _ in pairs)
         if p > EPS_PROBABILITY:
-            dephasing += mpmath.im(mpmath.fsum(mpmath.conj(a) * b for a, b in pairs)) ** 2 / p
+            overlap = mpmath.fsum(mpmath.conj(a) * b for a, b in pairs)
+            dephasing += mpmath.im(overlap) ** 2 / p
+            no_loss = max(no_loss, abs(mpmath.im(overlap) - mpmath.im(mean_dpsi) * p))
+            real = max(real, abs(mpmath.re(overlap)))
+            kernel += mpmath.fsum(abs(b - overlap / p * a) ** 2 for a, b in pairs)
+        else:
+            kernel += mpmath.fsum(abs(b) ** 2 for _, b in pairs)
     bob = 4 * (kinetic - dephasing)
     mean_g, mean_k = (mpmath.re(_vdot(psi, x)) for x in (gpsi, kpsi))
     gk = _vdot(gpsi, kpsi)
     return Reference(alice, bob, alice - bob, mpmath.re(gk) - mean_g * mean_k,
-                     2j * mpmath.im(gk))
+                     2j * mpmath.im(gk), no_loss, (real, mpmath.sqrt(kernel)))
 
 
 def diagonal_pair(psi0, k, g, labels, lam: float) -> Reference:

@@ -14,6 +14,7 @@ import pytest
 from conftest import ROOT, src_env
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import dense_pair
 from test_golden import CASES
 
 from twirlqfi import cli
@@ -557,27 +558,36 @@ class TestCheck:
         assert abs(out["loss"]) <= 1e-10
 
     @pytest.mark.parametrize(
-        ("extra", "bob"),
-        [([], 0.7429563276021751), (["--cluster-tol", "1e-5"], 0.8450715712955228)],
+        ("extra", "bob", "ranks"),
+        [([], 0.7429563276021737, [1, 1, 1]),
+         (["--cluster-tol", "1e-5"], 0.8450715712955224, [2, 1])],
         ids=["default", "cluster-tol-1e-5"],
     )
-    def test_valid_cluster_tol_reaches_report(self, tmp_path, capsys, extra, bob):
+    def test_valid_cluster_tol_reaches_report(self, tmp_path, capsys, extra, bob, ranks):
         # G's eigenvalues 0 and 1e-6 are two eigenspaces at the default
-        # tolerance and one at 1e-5, which dephases less
+        # tolerance and one at 1e-5, which dephases less.  The pinned bits
+        # are within 5e-16 of the 40-digit reference, 0.742956327602173730
+        # and 0.845071571295521943
+        k, g = [[0, 1, 0], [1, 0, 1], [0, 1, 0]], np.diag([0.0, 1e-6, 1.0])
+
         def pack(m):
             return [[[float(v), 0.0] for v in row] for row in m]
 
         payload = {
             "scenario": "custom",
             "dim": 3,
-            "k_matrix": pack([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
-            "g_matrix": pack(np.diag([0.0, 1e-6, 1.0])),
+            "k_matrix": pack(k),
+            "g_matrix": pack(g),
             "psi0": [[1.0, 0.0]] * 3,
             "params": {"lambda": 0.4},
         }
         config = write_config(tmp_path, "close.json", payload)
         assert main(["check", "--config", config, "--format", "json", *extra]) == 0
-        assert json.loads(capsys.readouterr().out)["bob_qfi"] == bob
+        out = json.loads(capsys.readouterr().out)
+        assert out["bob_qfi"] == bob
+        ref = dense_pair([1.0] * 3, np.array(k, dtype=complex), g.astype(complex), ranks, 0.4)
+        assert abs(bob - float(ref.bob_qfi)) <= 5e-16
+        assert abs(out["alice_qfi"] - float(ref.alice_qfi)) <= 1e-12 * max(1.0, out["alice_qfi"])
 
 
 class TestOptimize:

@@ -7,10 +7,17 @@ golden pins the last bit of every number.  A different LAPACK build can move
 last bits; then the goldens are rewritten from a known-good commit with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+For each golden whose bytes change it prints the largest change of each
+numeric field, relative to its record's max(1, alice_qfi), and every other
+field or line that changed.
 """
 
 import contextlib
+import csv
+import difflib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -64,8 +71,65 @@ def test_cli_output_matches_golden(tmp_path, name):
     assert produce(*CASES[name], tmp_path) == (GOLDEN / name).read_bytes()
 
 
+def records(name: str, data: bytes) -> list[dict]:
+    """A golden's records as {field: value}: CSV rows, check's text lines, or
+    JSON objects (run's "records" or check's one object), nested keys dotted."""
+    text = data.decode()
+    if name.endswith(".csv"):
+        return list(csv.DictReader(io.StringIO(text)))
+    if name.endswith(".txt"):
+        return [dict(line.split(" = ", 1) for line in text.splitlines())]
+
+    def flat(obj, prefix=""):
+        out = {}
+        for key, value in obj.items():
+            out.update(flat(value, f"{prefix}{key}.") if isinstance(value, dict)
+                       else {prefix + key: value})
+        return out
+
+    payload = json.loads(text)
+    return [flat(r) for r in payload.get("records", [payload])]
+
+
+def number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def movement(name: str, old: bytes, new: bytes) -> list[str]:
+    """What changed from old to new: per numeric field its largest change over
+    max(1, alice_qfi), then every other changed field, or the changed lines
+    when the records do not line up."""
+    before, after = records(name, old), records(name, new)
+    if [list(r) for r in before] != [list(r) for r in after]:
+        return [line.rstrip("\n") for line in difflib.unified_diff(
+            old.decode().splitlines(True), new.decode().splitlines(True), n=0)][2:]
+    largest, other = {}, []
+    for i, (x, y) in enumerate(zip(before, after)):
+        scale = max(1.0, abs(number(y.get("alice_qfi", 1.0))))
+        for key in x:
+            if x[key] == y[key]:
+                continue
+            a, b = number(x[key]), number(y[key])
+            if a is None or b is None:
+                other.append(f"record {i} {key}: {x[key]!r} -> {y[key]!r}")
+            else:
+                largest[key] = max(largest.get(key, 0.0), abs(b - a) / scale)
+    return [f"{key}: {value:.2e}" for key, value in largest.items()] + other
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in CASES.items():
-            (GOLDEN / name).write_bytes(produce(*case, Path(tmp)))
-            print(f"wrote {GOLDEN / name}")
+            path = GOLDEN / name
+            old, new = path.read_bytes() if path.exists() else b"", produce(*case, Path(tmp))
+            if old == new:
+                continue
+            path.write_bytes(new)
+            print(f"wrote {path}")
+            for line in movement(name, old, new) if old else ["(new file)"]:
+                print(f"  {line}")

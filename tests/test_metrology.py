@@ -1338,54 +1338,61 @@ class TestReport:
             report(Scenario(s.fiducial, k, s.g_generator, s.lam / 1e8))
         assert isinstance(info.value.__cause__, ValueError)
 
-    def test_loss_outside_its_bounds_is_a_consistency_error(self):
-        # K = 1e4 I has alice = bob = 0, but both cancel to rounding of size
-        # eps c^2: loss = -5.96e-8 against the floor 1e-9 max(1, alice).  It
-        # reads as a typed internal failure until the floors scale with K
-        g = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex))
-        k = HermitianOperator(1e4 * np.eye(6, dtype=complex))
-        s = Scenario(haar_state(np.random.default_rng(6), 6), k, g, 0.5)
-        with pytest.raises(ConsistencyError, match=r"loss_invariant: .*floor"):
-            report(s)
+    def test_loss_outside_its_bounds_is_a_consistency_error(self, monkeypatch):
+        # both QFIs are sums of squares, so no input is known to put
+        # alice - bob outside its bounds; with alice forced to 0 on both sides
+        # of its gate and bob = 1 - z^2 > 0, report() names the loss_invariant
+        # stage and keeps QfiReport's ValueError as the cause
+        for name in ("qfi_unitary", "qfi_pure"):
+            monkeypatch.setattr(metrology, name, lambda *args: 0.0)
+        with pytest.raises(ConsistencyError, match=r"loss_invariant: .*floor") as info:
+            report(example3(0.5, np.pi / 3))
+        assert isinstance(info.value.__cause__, ValueError)
         with pytest.raises(ValueError, match="violates 0 <= loss"):
             metrology.QfiReport(0.0, 6e-8, 0.0, 0j, 0.0, (0.0, 0.0))
 
-    # (K scale, stages that must occur among seeds 0-9) for K = c I on
-    # G = diag(0, 1, 1, 2, 3, 3) at lambda = 0.5: alice = bob = 0 in exact
-    # arithmetic, each a cancellation of size eps c^2, so every internal
-    # check trips somewhere until the floors scale with K
-    SCALED_IDENTITY_STAGES = {
-        1e3: {"clean"},
-        1e4: {"dephased", "clean", "loss_invariant"},
-        1e6: {"gate"},
-        1e8: {"mixed_state", "gate"},
-    }
-    STAGE_MESSAGES = {
-        "clean": "clean QFI came out negative",
-        "dephased": "dephased QFI came out negative",
-        "loss_invariant": "loss_invariant: ",
-        "gate": "disagree beyond the gate",
-        "mixed_state": "mixed_state check",
-    }
-
-    @pytest.mark.parametrize("c", sorted(SCALED_IDENTITY_STAGES))
-    def test_scaled_identity_fails_only_as_consistency_errors(self, c):
+    # K = c I on G = diag(0, 1, 1, 2, 3, 3) at lambda = 0.5 with a Haar psi0:
+    # alice = bob = loss = 0 and both verdicts hold in exact arithmetic.  The
+    # QFIs are sums of squares, so no value carries the eps c^2 of a
+    # cancellation; what fails is the mixed-state check's drift floor (3 of
+    # seeds 0-99 at c = 1e7, 92 at 1e8)
+    @staticmethod
+    def scaled_identity_reports(c):
+        """report() over the seeds, as (seed, QfiReport or the ConsistencyError)."""
         g = HermitianOperator(np.diag([0.0, 1.0, 1.0, 2.0, 3.0, 3.0]).astype(complex))
         k = HermitianOperator(c * np.eye(6, dtype=complex))
-        stages = set()
-        for seed in range(10):
+        for seed in range(100):
             s = Scenario(haar_state(np.random.default_rng(seed), 6), k, g, 0.5)
             try:
-                rep = report(s)
+                yield seed, report(s)
             except ConsistencyError as exc:
-                found = [n for n, m in self.STAGE_MESSAGES.items() if m in str(exc)]
-                assert len(found) == 1, str(exc)
-                if found[0] in ("loss_invariant", "mixed_state"):
-                    assert isinstance(exc.__cause__, ValueError)
-                stages.update(found)
+                yield seed, exc
+
+    @pytest.mark.parametrize("c", [1e3, 1e4, 1e6, 1e8])
+    def test_scaled_identity_fails_only_as_consistency_errors(self, c):
+        for seed, rep in self.scaled_identity_reports(c):
+            if isinstance(rep, ConsistencyError):
+                assert str(rep).startswith("mixed_state check"), (seed, str(rep))
+                assert isinstance(rep.__cause__, ValueError)
             else:
-                assert rep.alice_qfi >= 0.0 and rep.bob_qfi >= 0.0
-        assert self.SCALED_IDENTITY_STAGES[c] <= stages
+                values = rep.alice_qfi, rep.bob_qfi, rep.loss
+                assert max(map(abs, values)) <= 1e-12, (seed, values)
+
+    @pytest.mark.parametrize("c", [1e3, 1e4, 1e6])
+    def test_scaled_identity_returns_both_verdicts(self, c):
+        for seed, rep in self.scaled_identity_reports(c):
+            assert isinstance(rep, metrology.QfiReport), (seed, str(rep))
+            assert rep.no_loss and rep.max_loss, seed
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: the residuals' rounding eps c ~ 2e-8 exceeds the absolute "
+        "DEFAULT_CONDITION_TOL = 1e-8, so 8 of seeds 0-99 return wrong verdicts",
+    )
+    def test_scaled_identity_returns_no_wrong_verdict_at_1e8(self):
+        for seed, rep in self.scaled_identity_reports(1e8):
+            if isinstance(rep, metrology.QfiReport):
+                assert rep.no_loss and rep.max_loss, seed
 
     def test_report_derives_the_loss_and_both_verdicts(self):
         above = 2 * metrology.DEFAULT_CONDITION_TOL

@@ -2,8 +2,10 @@
 40-digit reference.
 
 The bound 1e-12 max(1, alice_qfi) is about 1,000 times the largest error
-seen on the diagonal cases (1.1e-15); it holds until report() carries error
-bars.  It bounds every field compared, <[G, K]> included.
+seen (7.2e-16 on the diagonal cases, 1.5e-15 on the dense ones); it holds
+until report() carries error bars.  It bounds every field compared, <[G, K]>
+included, and the loss theorem's residuals (no_loss_residual and both
+max_loss_residuals) on the same cases.
 """
 
 import math
@@ -14,7 +16,7 @@ from conftest import haar_state, random_hermitian, random_unitary
 from reference import dense_pair, diagonal_pair
 
 from twirlqfi.hilbert import HermitianOperator
-from twirlqfi.metrology import Scenario, report
+from twirlqfi.metrology import Scenario, max_loss_residuals, no_loss_residual, report
 from twirlqfi.models import (
     QrfStateSpec,
     counterexample_scenario,
@@ -26,10 +28,14 @@ from twirlqfi.models import (
 FIELDS = ("alice_qfi", "bob_qfi", "loss", "cov_gk", "mean_commutator")
 
 
-def assert_matches(rep, ref):
+def assert_matches(s, ref):
     bound = 1e-12 * max(1.0, float(ref.alice_qfi))
+    rep = report(s)
     for field in FIELDS:
         assert abs(getattr(rep, field) - complex(getattr(ref, field))) <= bound, field
+    assert abs(no_loss_residual(s) - float(ref.no_loss_residual)) <= bound, "no_loss_residual"
+    for name, ours, theirs in zip(("real", "kernel"), max_loss_residuals(s), ref.max_loss_residuals):
+        assert abs(ours - float(theirs)) <= bound, f"max_loss_residuals {name}"
 
 
 def example1_case(spec, lam):
@@ -73,7 +79,7 @@ def test_report_matches_the_reference(name):
     s, labels = CASES[name]
     k, g = (op.blocks.diagonal_entries().real for op in (s.k_generator, s.g_generator))
     ref = diagonal_pair(s.fiducial.amplitudes, k, g, list(labels), s.lam)
-    assert_matches(report(s), ref)
+    assert_matches(s, ref)
 
 
 def dense_case(seed):
@@ -142,9 +148,8 @@ def test_dense_report_matches_the_reference(name):
     assert s.dim <= 12
     ref = dense_pair(s.fiducial.amplitudes, s.k_generator.matrix, s.g_generator.matrix,
                      ranks, s.lam)
-    rep = report(s)
     assert s.generators.dephasing.ranks() == tuple(ranks)
-    assert_matches(rep, ref)
+    assert_matches(s, ref)
 
 
 def test_block_cases_cross_their_block_ends():
